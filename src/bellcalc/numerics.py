@@ -8,8 +8,13 @@ contract is downgraded to "failed" rather than reported optimal.
 
 povm_update solves  max sum_a tr(E_a R_a)  over POVMs {E_a}: the
 two-outcome case in closed form, more outcomes through a monotone
-fixed-point iteration, and the subnormalized variant by appending a
-dummy outcome with a zero reduced operator.
+fixed-point iteration on the (n_out, d, d) stack of all outcomes at
+once, and the subnormalized variant by appending a dummy outcome with a
+zero reduced operator.
+
+eigh and psd_project broadcast over leading axes, so a whole stack of
+matrices takes one LAPACK call; every (d, d) slice gets the same result
+as it would on its own.
 """
 
 from __future__ import annotations
@@ -234,33 +239,43 @@ class EigenDecomposition:
     vectors: np.ndarray
 
 
-def eigh(matrix: np.ndarray) -> EigenDecomposition:
-    """Hermitian eigendecomposition with the reconstruction contract.
+def _squared_frobenius(m: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of every (d, d) slice."""
+    return (m * m.conj()).real.sum(axis=(-2, -1))
 
-    Rejects inputs whose Hermitian defect exceeds 1e-9 relative to the
-    Frobenius norm, symmetrizes the rest, and guarantees
-    ||H - V diag(w) V^dagger||_F <= 1e-10 ||H||_F with orthonormal V.
+
+def eigh(matrix: np.ndarray) -> EigenDecomposition:
+    """Hermitian eigendecomposition with the reconstruction contract,
+    broadcast over leading axes.
+
+    Rejects inputs where any (d, d) slice has a Hermitian defect above
+    1e-9 relative to that slice's Frobenius norm, symmetrizes the rest,
+    and guarantees ||H - V diag(w) V^dagger||_F <= 1e-10 ||H||_F with
+    orthonormal V for every slice.
     """
     h = np.asarray(matrix)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValidationError(f"eigh expects a square matrix, got shape {h.shape}")
-    norm = float(np.linalg.norm(h))
-    defect = float(np.linalg.norm(h - h.conj().T))
-    if defect > 1e-9 * max(norm, 1.0):
-        raise ValidationError(f"matrix is not Hermitian: defect {defect:.3g}")
+    if h.ndim < 2 or h.shape[-2] != h.shape[-1]:
+        raise ValidationError(f"eigh expects square matrices, got shape {h.shape}")
+    defect = _squared_frobenius(h - np.conj(np.swapaxes(h, -1, -2)))
+    bad = defect > 1e-18 * np.maximum(_squared_frobenius(h), 1.0)
+    if bad.any():
+        worst = float(np.sqrt(defect[bad].max()))
+        raise ValidationError(f"matrix is not Hermitian: defect {worst:.3g}")
     w, v = np.linalg.eigh(hermitian_part(h))
     return EigenDecomposition(w, v)
 
 
 def psd_project(matrix: np.ndarray) -> np.ndarray:
-    """Nearest positive semidefinite matrix in Frobenius norm.
+    """Nearest positive semidefinite matrix in Frobenius norm, broadcast
+    over leading axes.
 
     Symmetrize, clip negative eigenvalues at zero, reconstruct.
     Idempotent up to floating point.
     """
     dec = eigh(matrix)
     w = np.maximum(dec.values, 0.0)
-    return hermitian_part((dec.vectors * w) @ dec.vectors.conj().T)
+    v = dec.vectors
+    return hermitian_part((v * w[..., None, :]) @ np.swapaxes(v.conj(), -1, -2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,24 +297,27 @@ class PovmUpdateResult:
     objective_log: tuple[float, ...]
 
 
-def _check_reduced_ops(reduced: Sequence[np.ndarray]) -> list[np.ndarray]:
-    if not reduced:
+def _check_reduced_ops(reduced: Sequence[np.ndarray]) -> np.ndarray:
+    """Validate the reduced operators and stack them Hermitized as (n_out, d, d)."""
+    if len(reduced) == 0:
         raise ValidationError("povm_update needs at least one reduced operator")
-    mats = []
-    d = np.asarray(reduced[0]).shape[0]
-    for i, r in enumerate(reduced):
-        m = np.asarray(r, dtype=np.complex128)
-        if m.shape != (d, d):
-            raise ValidationError(f"reduced operator {i} has shape {m.shape}, expected ({d}, {d})")
-        defect = float(np.max(np.abs(m - m.conj().T)))
-        if defect > 1e-9 * max(float(np.max(np.abs(m))), 1.0):
-            raise ValidationError(f"reduced operator {i} is not Hermitian: defect {defect:.3g}")
-        mats.append(hermitian_part(m))
-    return mats
+    try:
+        mats = np.asarray(reduced, dtype=np.complex128)
+    except ValueError:
+        raise ValidationError("reduced operators must all have one square shape (d, d)") from None
+    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+        raise ValidationError(f"reduced operators must stack to (n_out, d, d), got shape {mats.shape}")
+    defect = np.max(np.abs(mats - np.conj(np.swapaxes(mats, -1, -2))), axis=(-2, -1))
+    bad = np.flatnonzero(defect > 1e-9 * np.maximum(np.max(np.abs(mats), axis=(-2, -1)), 1.0))
+    if bad.size:
+        i = int(bad[0])
+        raise ValidationError(f"reduced operator {i} is not Hermitian: defect {defect[i]:.3g}")
+    return hermitian_part(mats)
 
 
 def _povm_objective(operators, reduced) -> float:
-    return float(sum(np.trace(e @ r).real for e, r in zip(operators, reduced)))
+    traces = np.trace(np.asarray(operators) @ reduced, axis1=-2, axis2=-1)
+    return float(sum(traces.real))
 
 
 def _dual_certificate(operators, reduced):
@@ -311,21 +329,20 @@ def _dual_certificate(operators, reduced):
     of the positive parts of every R_a - Y0 (each summand dominates its
     own violation, and the sum dominates each summand).
     """
-    d = reduced[0].shape[0]
-    z = sum(r @ e for r, e in zip(reduced, operators))
-    y0 = hermitian_part(z)
-    deficit = 0.0
-    pos_trace = 0.0
-    pos_sum = np.zeros_like(y0)
-    for r in reduced:
-        w, v = np.linalg.eigh(hermitian_part(r - y0))
-        deficit = max(deficit, float(w[-1]))
-        keep = w > 0.0
-        if keep.any():
-            pos_trace += float(w[keep].sum())
-            pos_sum += (v[:, keep] * w[keep]) @ v[:, keep].conj().T
+    d = reduced.shape[-1]
+    y0 = hermitian_part(sum(reduced @ np.asarray(operators)))
+    w, v = np.linalg.eigh(hermitian_part(reduced - y0))
+    deficit = max(0.0, float(np.max(w[:, -1])))
     if deficit <= 0.0:
         return y0, float(np.trace(y0).real)
+    # positive parts have per-outcome rank, so they are summed one by one
+    pos_trace = 0.0
+    pos_sum = np.zeros_like(y0)
+    for wa, va in zip(w, v):
+        keep = wa > 0.0
+        if keep.any():
+            pos_trace += float(wa[keep].sum())
+            pos_sum += (va[:, keep] * wa[keep]) @ va[:, keep].conj().T
     if pos_trace <= deficit * d:
         y = hermitian_part(y0 + pos_sum)
     else:
@@ -388,11 +405,11 @@ def povm_update(
     """
     mats = _check_reduced_ops(reduced)
     if mode == INCOMPLETE:
-        d = mats[0].shape[0]
-        extended = mats + [np.zeros((d, d), dtype=np.complex128)]
+        d = mats.shape[-1]
+        extended = np.concatenate([mats, np.zeros((1, d, d), dtype=np.complex128)])
         ws = None
         if warm_start is not None:
-            tail = np.eye(d) - sum(np.asarray(w, dtype=np.complex128) for w in warm_start)
+            tail = np.eye(d) - sum(np.asarray(warm_start, dtype=np.complex128))
             ws = list(warm_start) + [psd_project(tail)]
         inner = povm_update(extended, COMPLETE, ws, max_iters, gap_tol, gain_tol)
         ops = inner.operators[:-1]
@@ -402,8 +419,7 @@ def povm_update(
     if mode != COMPLETE:
         raise ValidationError(f"mode must be {COMPLETE!r} or {INCOMPLETE!r}")
 
-    n_out = len(mats)
-    d = mats[0].shape[0]
+    n_out, d = mats.shape[0], mats.shape[-1]
     identity = np.eye(d, dtype=np.complex128)
 
     if n_out == 1:
@@ -425,14 +441,14 @@ def povm_update(
 
     # Shift to strictly positive operators; the objective moves by the
     # constant c*d which is subtracted back out of every report.
-    min_eig = min(float(np.linalg.eigvalsh(m)[0]) for m in mats)
+    min_eig = float(np.min(np.linalg.eigvalsh(mats)[:, 0]))
     c = max(0.0, -min_eig) + 1e-9
-    shifted = [m + c * identity for m in mats]
+    shifted = mats + c * identity
 
     if warm_start is not None:
-        current = [hermitian_part(np.asarray(w, dtype=np.complex128)) for w in warm_start]
+        current = hermitian_part(np.asarray(warm_start, dtype=np.complex128))
     else:
-        current = [identity / n_out for _ in range(n_out)]
+        current = np.repeat((identity / n_out)[None], n_out, axis=0)
     fast = gain_tol > 0.0
     best_obj = _povm_objective(current, mats)
     log = [best_obj]
@@ -442,17 +458,18 @@ def povm_update(
         best_y, best_bound = _dual_certificate(current, mats)
     iterations = 0
     converged = True
+    # Matmul chains stay left to right and outcome sums use the builtin
+    # sum (numpy's sum(0) goes pairwise at d = 1), so every iterate equals,
+    # bit for bit, taking the outcomes one at a time.
     for iterations in range(1, max_iters + 1):
         if best_bound - best_obj <= gap_tol:
             break
-        lam = hermitian_part(sum(r @ e @ r for r, e in zip(shifted, current)))
+        lam = hermitian_part(sum(shifted @ current @ shifted))
         l_inv = _inv_sqrt_psd(lam)
         # the sandwich is Hermitian in exact arithmetic; flatten roundoff
-        candidate = [psd_project(hermitian_part(l_inv @ r @ e @ r @ l_inv))
-                     for r, e in zip(shifted, current)]
-        defect = identity - sum(candidate)
+        candidate = psd_project(hermitian_part(l_inv @ shifted @ current @ shifted @ l_inv))
         # redistribute whatever the pseudo-inverse cut off
-        candidate = [e + defect / n_out for e in candidate]
+        candidate = candidate + (identity - sum(candidate)) / n_out
         obj = _povm_objective(candidate, mats)
         if obj <= best_obj:
             break  # stalled; keep the monotone incumbent

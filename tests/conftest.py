@@ -14,6 +14,7 @@ from bellcalc import (
     Behavior,
     BellFunctional,
     DeterministicStrategy,
+    LinearProgram,
     LocalModel,
     QuantumModel,
     Scenario,
@@ -22,6 +23,7 @@ from bellcalc import (
     magic_square_functional,
 )
 from bellcalc.generators import magic_square_column_bits, magic_square_row_bits
+from bellcalc.numerics import EQ, GE, LE
 
 I2 = np.eye(2)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -106,6 +108,31 @@ def random_local_model(rng: np.random.Generator, scenario: Scenario,
         for _ in range(n_strategies)
     ]
     return LocalModel(tuple((float(w), s) for w, s in zip(weights, strategies)))
+
+
+def random_feasible_lp(rng: np.random.Generator) -> LinearProgram:
+    """A bounded LP with a known interior point, mixed senses and
+    finite bounds (so it can never be unbounded)."""
+    n = int(rng.integers(1, 9))
+    m = int(rng.integers(1, 11))
+    a = rng.standard_normal((m, n))
+    lower = np.where(rng.random(n) < 0.7, 0.0, -rng.random(n) * 3.0)
+    upper = lower + 0.5 + rng.random(n) * 4.0
+    x0 = lower + (upper - lower) * rng.random(n)
+    senses = rng.choice([LE, GE, EQ], size=m, p=[0.45, 0.45, 0.1])
+    slack = rng.random(m) * 2.0
+    rhs = a @ x0
+    rhs = np.where(senses == LE, rhs + slack, rhs)
+    rhs = np.where(senses == GE, rhs - slack, rhs)
+    return LinearProgram(
+        c=rng.standard_normal(n),
+        a=a,
+        rhs=rhs,
+        senses=list(senses),
+        lower=lower,
+        upper=upper,
+        maximize=bool(rng.random() < 0.5),
+    )
 
 
 def pr_box_probs() -> np.ndarray:

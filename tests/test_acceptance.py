@@ -7,9 +7,11 @@ budgets are pinned here and nowhere else.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +36,7 @@ from bellcalc import (
     pair,
     seesaw,
 )
+import bellcalc
 from bellcalc import io as bio
 from bellcalc.cli import main
 from bellcalc.generators import random_correlation_functional, random_functional
@@ -42,8 +45,7 @@ from bellcalc.polytope import vertex_matrix
 from bellcalc.seesaw import _random_model
 from bellcalc.core import hermitian_part
 
-from conftest import build_chsh_optimal_model, random_local_model
-from test_numerics import random_feasible_lp
+from conftest import build_chsh_optimal_model, random_feasible_lp, random_local_model
 
 ROOT2 = np.sqrt(2.0)
 
@@ -283,9 +285,13 @@ def test_10_numerics_contracts():
 
 def test_11_cli_byte_determinism(tmp_path):
     base = [sys.executable, "-m", "bellcalc"]
+    # the subprocesses run in tmp_path, so a relative PYTHONPATH would not resolve
+    src = str(Path(bellcalc.__file__).resolve().parent.parent)
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
 
     def run(args):
-        proc = subprocess.run(base + args, capture_output=True, cwd=tmp_path)
+        proc = subprocess.run(base + args, capture_output=True, cwd=tmp_path, env=env)
         assert proc.returncode == 0, (
             f"ACCEPTANCE 11 FAIL: {' '.join(args)} exited {proc.returncode}: {proc.stderr!r}"
         )

@@ -1,8 +1,9 @@
 """LP backend contracts, eigendecomposition, POVM sub-step solver.
 
 The POVM solver is checked against an independent semidefinite
-formulation (cvxpy) on small instances, and against its own dual bound
-everywhere else.
+formulation (cvxpy, when installed) on small instances, against its own
+dual bound everywhere else, and its stacked fixed point against the same
+iteration taken one outcome at a time.
 """
 
 import numpy as np
@@ -18,34 +19,10 @@ from bellcalc import (
     psd_project,
 )
 from bellcalc.core import hermitian_part
-from bellcalc.numerics import EQ, GE, LE
+from bellcalc.numerics import EQ, GE, LE, _inv_sqrt_psd
+from bellcalc.seesaw import _random_povm
 
-cvxpy = pytest.importorskip("cvxpy")
-
-
-def random_feasible_lp(rng: np.random.Generator) -> LinearProgram:
-    """A bounded LP with a known interior point, mixed senses and
-    finite bounds (so it can never be unbounded)."""
-    n = int(rng.integers(1, 9))
-    m = int(rng.integers(1, 11))
-    a = rng.standard_normal((m, n))
-    lower = np.where(rng.random(n) < 0.7, 0.0, -rng.random(n) * 3.0)
-    upper = lower + 0.5 + rng.random(n) * 4.0
-    x0 = lower + (upper - lower) * rng.random(n)
-    senses = rng.choice([LE, GE, EQ], size=m, p=[0.45, 0.45, 0.1])
-    slack = rng.random(m) * 2.0
-    rhs = a @ x0
-    rhs = np.where(senses == LE, rhs + slack, rhs)
-    rhs = np.where(senses == GE, rhs - slack, rhs)
-    return LinearProgram(
-        c=rng.standard_normal(n),
-        a=a,
-        rhs=rhs,
-        senses=list(senses),
-        lower=lower,
-        upper=upper,
-        maximize=bool(rng.random() < 0.5),
-    )
+from conftest import random_feasible_lp
 
 
 def test_lp_simple_upper_bound_and_dual_sign():
@@ -163,6 +140,41 @@ def test_psd_project_properties(rng):
     np.testing.assert_allclose(psd_project(q), q, atol=1e-12)
 
 
+def test_eigh_and_psd_project_broadcast_bit_for_bit():
+    rng = np.random.default_rng(41)
+    for dim in (1, 3, 4, 6):
+        stack = hermitian_part(rng.standard_normal((5, dim, dim))
+                               + 1j * rng.standard_normal((5, dim, dim)))
+        dec = eigh(stack)
+        projected = psd_project(stack)
+        for k, h in enumerate(stack):
+            single = eigh(h)
+            assert dec.values[k].tobytes() == single.values.tobytes()
+            assert dec.vectors[k].tobytes() == single.vectors.tobytes()
+            assert projected[k].tobytes() == psd_project(h).tobytes()
+
+
+def test_stack_with_one_non_hermitian_slice_is_rejected():
+    stack = np.stack([np.eye(3, dtype=complex)] * 4)
+    stack[2, 0, 1] = 1.0
+    with pytest.raises(ValidationError):
+        eigh(stack)
+    with pytest.raises(ValidationError):
+        psd_project(stack)
+
+
+@pytest.mark.parametrize("reduced", [
+    [np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2)],
+    [np.eye(2), np.eye(3), np.eye(2)],
+    [np.ones((2, 3)), np.ones((2, 3)), np.ones((2, 3))],
+    [np.ones(3)],
+    [],
+], ids=["non-hermitian", "mixed-shapes", "not-square", "vector", "empty"])
+def test_povm_update_rejects_bad_reduced_operators(reduced):
+    with pytest.raises(ValidationError):
+        povm_update(reduced, "complete")
+
+
 def _random_reduced(rng, dim, n_out):
     return [
         hermitian_part(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
@@ -171,6 +183,8 @@ def _random_reduced(rng, dim, n_out):
 
 
 def _sdp_reference(reduced, mode):
+    import cvxpy
+
     dim = reduced[0].shape[0]
     ops = [cvxpy.Variable((dim, dim), hermitian=True) for _ in reduced]
     total = sum(ops)
@@ -216,6 +230,7 @@ def test_povm_update_equal_operators_any_povm_is_optimal(rng):
 
 
 def test_povm_update_matches_sdp_complete():
+    pytest.importorskip("cvxpy")
     rng = np.random.default_rng(23)
     for _ in range(8):
         dim = int(rng.integers(2, 7))
@@ -229,6 +244,7 @@ def test_povm_update_matches_sdp_complete():
 
 
 def test_povm_update_matches_sdp_incomplete():
+    pytest.importorskip("cvxpy")
     rng = np.random.default_rng(29)
     for _ in range(6):
         dim = int(rng.integers(2, 6))
@@ -271,3 +287,56 @@ def test_povm_update_dual_bound_tightness_small():
         reduced = _random_reduced(rng, dim, n_out)
         result = povm_update(reduced, "complete")
         assert result.dual_bound - result.objective <= 1e-5
+
+
+def _fixed_point_one_outcome_at_a_time(reduced, warm_start, gain_tol):
+    """The gain_tol > 0 fixed point of povm_update written per outcome, as
+    the reference the stacked iteration must match bit for bit."""
+    mats = [hermitian_part(np.asarray(r, dtype=complex)) for r in reduced]
+    n_out, dim = len(mats), mats[0].shape[0]
+    identity = np.eye(dim, dtype=complex)
+    c = max(0.0, -min(float(np.linalg.eigvalsh(m)[0]) for m in mats)) + 1e-9
+    shifted = [m + c * identity for m in mats]
+
+    def objective(ops):
+        return float(sum(np.trace(e @ r).real for e, r in zip(ops, mats)))
+
+    if warm_start is None:
+        current = [identity / n_out] * n_out
+    else:
+        current = [hermitian_part(np.asarray(w, dtype=complex)) for w in warm_start]
+    log = [objective(current)]
+    iterations = 0
+    for iterations in range(1, 2001):
+        lam = hermitian_part(sum(r @ e @ r for r, e in zip(shifted, current)))
+        l_inv = _inv_sqrt_psd(lam)
+        candidate = [psd_project(hermitian_part(l_inv @ r @ e @ r @ l_inv))
+                     for r, e in zip(shifted, current)]
+        defect = identity - sum(candidate)
+        candidate = [e + defect / n_out for e in candidate]
+        obj = objective(candidate)
+        if obj <= log[-1]:
+            break
+        current = candidate
+        log.append(obj)
+        if log[-1] - log[-2] < gain_tol:
+            break
+    return current, iterations, log
+
+
+@pytest.mark.parametrize("dim, n_out, warm", [
+    (1, 4, False), (1, 6, False), (2, 3, True), (4, 4, True), (3, 6, False),
+])
+def test_povm_update_stacked_iteration_matches_per_outcome_loop(dim, n_out, warm):
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        reduced = _random_reduced(rng, dim, n_out)
+        ws = _random_povm(rng, dim, n_out) if warm else None
+        result = povm_update(reduced, "complete", warm_start=ws, gain_tol=1e-10)
+        ops, iterations, log = _fixed_point_one_outcome_at_a_time(reduced, ws, 1e-10)
+        assert iterations > 1
+        assert result.iterations == iterations
+        assert result.objective_log == tuple(log)
+        assert result.objective == log[-1]
+        for got, want in zip(result.operators, ops):
+            assert got.tobytes() == want.tobytes()

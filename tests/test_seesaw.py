@@ -206,3 +206,11 @@ def test_seesaw_init_model_mismatches(chsh, chsh_optimal_model, magic_square_mod
         seesaw(chsh, SeesawConfig(dim=3, seeds=1), init_models=(chsh_optimal_model,))
     with pytest.raises(ValidationError):
         seesaw(chsh, SeesawConfig(dim=4, seeds=1), init_models=(magic_square_model,))
+
+
+@pytest.mark.xfail(strict=True, raises=ValidationError,
+                   reason="known defect: povm_update spreads defect / n_out even when "
+                          "I - sum E is not PSD, so capped runs can end on POVM elements "
+                          "with negative eigenvalues")
+def test_seesaw_capped_sweeps_return_valid_povms(magic_square):
+    seesaw(magic_square, SeesawConfig(dim=4, seeds=1, rng_seed=110, max_sweeps=3))
