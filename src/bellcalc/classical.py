@@ -32,16 +32,17 @@ from .core import (
 from .errors import ValidationError
 from .numerics import EQ, LE, LinearProgram, LpSolution, lp_solve
 from .polytope import (
+    ENUM_GUARD,
     assignment_table,
-    check_enum_guard,
-    check_vertex_guard,
+    check_guard,
     strategy_from_vertex,
     vertex_matrix,
 )
 
 # A behavior reproduced by vertex weights to within this max-norm error
-# counts as local; infeasibility margins inside the band just above it
-# are reported as boundary rather than given a verdict.
+# counts as local.  Margins within BOUNDARY_BAND above that tolerance get
+# no verdict ("boundary"); so does nu within BOUNDARY_BAND of 1, which is
+# snapped to exactly 1.
 MEMBERSHIP_TOL = 1e-8
 BOUNDARY_BAND = 1e-9
 
@@ -67,10 +68,7 @@ def _enumerated_extrema(coeffs: np.ndarray, reducer: str) -> tuple[float, float]
     best_hi = -np.inf
     best_lo = np.inf
     for start in range(0, count, _CHUNK):
-        ids = np.arange(start, min(start + _CHUNK, count))
-        assign = np.stack(
-            [(ids // ma ** (na - 1 - k)) % ma for k in range(na)], axis=1
-        )
+        assign = assignment_table(np.arange(start, min(start + _CHUNK, count)), na, ma)
         vals = tt[x_idx[None, :], assign].sum(axis=1)  # (chunk, y, b)
         if reducer == "abs":
             per_y = np.abs(vals).max(axis=2)
@@ -93,7 +91,7 @@ def signed_extrema(functional: BellFunctional) -> tuple[float, float]:
     if mb ** nb < ma ** na:
         coeffs = _swap_parties(coeffs)
         na, nb, ma, mb = coeffs.shape
-    check_enum_guard(ma ** na, "classical value enumeration")
+    check_guard(ma ** na, ENUM_GUARD, "classical value enumeration", "assignments")
     return _enumerated_extrema(coeffs, "signed")
 
 
@@ -131,7 +129,7 @@ def banach_norm(functional: BellFunctional) -> float:
     if (2 * mb) ** nb < (2 * ma) ** na:
         coeffs = _swap_parties(coeffs)
         na, nb, ma, mb = coeffs.shape
-    check_enum_guard((2 * ma) ** na, "signed enumeration")
+    check_guard((2 * ma) ** na, ENUM_GUARD, "signed enumeration", "assignments")
     signed = np.concatenate([coeffs, -coeffs], axis=2)  # outputs then negated outputs
     hi, _ = _enumerated_extrema(signed, "abs")
     return hi
@@ -198,10 +196,6 @@ def is_local(behavior: Behavior) -> MembershipCertificate:
     if not behavior.is_complete:
         raise ValidationError("membership is decided on complete behaviors; complete it first")
     scenario = behavior.scenario
-    check_vertex_guard(
-        scenario.alice_strategy_count() * scenario.bob_strategy_count(),
-        "membership test",
-    )
     ns = no_signaling_check(behavior)
     warning = None
     if not ns.ok:

@@ -33,15 +33,22 @@ from .generators import (
 )
 from .seesaw import SeesawConfig, seesaw
 from .violation import (
+    comm_bits,
     complete_behavior,
     dimension_witness_report,
     eq4_gap,
+    max_violation,
+    noise_robustness,
     violation_report,
 )
 
 PARSE_EXIT = 2
 GUARD_EXIT = 3
 UNDEFINED_EXIT = 4
+
+# eq4 "holds" when lhs >= rhs up to this slack, which absorbs the LP and
+# see-saw roundoff on the two sides.
+EQ4_SLACK = 1e-6
 
 
 def _input_name(doc: dict, fallback: str = "input") -> str:
@@ -145,12 +152,13 @@ def _cmd_behavior(args) -> dict:
             "warning": cert.warning,
         }
         return _report(scenario, payload, f"{name}-membership", provenance)
-    report = violation_report(behavior)
     if args.quantity == "robustness":
-        payload = {"pi": report.pi}
+        payload = {"pi": noise_robustness(behavior)}
     elif args.quantity == "commbits":
-        payload = {"comm_bound_bits": report.comm_bound_bits, "nu": report.nu}
-    else:  # nu: the full report
+        nu, _ = max_violation(behavior)
+        payload = {"comm_bound_bits": comm_bits(nu), "nu": nu}
+    else:  # nu: the full report, whose identity check needs both LPs
+        report = violation_report(behavior)
         payload = {
             "nu": report.nu,
             "pi": report.pi,
@@ -195,7 +203,7 @@ def _cmd_eq4(args) -> dict:
         "lhs_lower": lhs,
         "rhs": rhs,
         "gap": lhs - rhs,
-        "holds": lhs >= rhs - 1e-6,
+        "holds": lhs >= rhs - EQ4_SLACK,
     }
     provenance = (
         f"bell eq4 {name} --dim {args.dim} --seeds {args.seeds} "

@@ -7,10 +7,11 @@ residuals plus duality gap.  A solve whose own certificates miss the
 contract is downgraded to "failed" rather than reported optimal.
 
 povm_update solves  max sum_a tr(E_a R_a)  over POVMs {E_a}: the
-two-outcome case in closed form, more outcomes through a monotone
+two-outcome case in closed form, more outcomes through one monotone
 fixed-point iteration on the (n_out, d, d) stack of all outcomes at
 once, and the subnormalized variant by appending a dummy outcome with a
-zero reduced operator.
+zero reduced operator.  Every result carries a dual certificate computed
+once, on the final iterate.
 
 eigh and psd_project broadcast over leading axes, so a whole stack of
 matrices takes one LAPACK call; every (d, d) slice gets the same result
@@ -41,6 +42,9 @@ _HIGHS_OPTIONS = {
 }
 
 LE, EQ, GE = "<=", "==", ">="
+
+# Cap on povm_update's fixed-point iterations (more than two outcomes).
+MAX_POVM_ITERS = 2000
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,10 +89,6 @@ class LinearProgram:
         object.__setattr__(self, "upper", upper)
 
 
-def standard_bounds(n: int, lower=0.0, upper=np.inf) -> tuple[np.ndarray, np.ndarray]:
-    return np.full(n, lower, dtype=float), np.full(n, upper, dtype=float)
-
-
 @dataclass(frozen=True, eq=False)
 class LpSolution:
     """Solver outcome plus the certificates backing it.
@@ -108,32 +108,16 @@ class LpSolution:
     duality_gap: float
 
 
-def _row_split(lp: LinearProgram):
-    """Indices of <=-like rows (>= rows negated) and == rows."""
-    le_rows, ge_rows, eq_rows = [], [], []
-    for i, s in enumerate(lp.senses):
-        (le_rows if s == LE else ge_rows if s == GE else eq_rows).append(i)
-    return le_rows, ge_rows, eq_rows
+def _primal_residual(lp: LinearProgram, x: np.ndarray, le, ge, eq) -> float:
+    """Worst violation of a row or bound; le, ge, eq mask the rows by sense."""
+    gap = np.asarray(lp.a @ x).ravel() - lp.rhs
+    violations = np.concatenate([gap[le], -gap[ge], np.abs(gap[eq]), lp.lower - x, x - lp.upper])
+    return max(0.0, float(np.max(violations, initial=0.0)))  # +0.0, never -0.0
 
 
-def _primal_residual(lp: LinearProgram, x: np.ndarray) -> float:
-    ax = np.asarray(lp.a @ x).ravel()
-    worst = 0.0
-    for i, s in enumerate(lp.senses):
-        gap = ax[i] - lp.rhs[i]
-        if s == LE:
-            worst = max(worst, gap)
-        elif s == GE:
-            worst = max(worst, -gap)
-        else:
-            worst = max(worst, abs(gap))
-    worst = max(worst, float(np.max(np.maximum(lp.lower - x, 0.0), initial=0.0)))
-    worst = max(worst, float(np.max(np.maximum(x - lp.upper, 0.0), initial=0.0)))
-    return worst
-
-
-def _dual_certificates(lp: LinearProgram, y: np.ndarray, objective: float):
-    """Dual feasibility residual and duality gap for the posed problem.
+def _dual_certificates(lp: LinearProgram, y: np.ndarray, objective: float, le, ge):
+    """Dual feasibility residual and duality gap for the posed problem;
+    le and ge mask the <= and >= rows.
 
     Orientation: for a maximization, duals on <= rows are >= 0, on >=
     rows <= 0; a reduced cost c_j - (A^T y)_j that is positive must be
@@ -142,19 +126,12 @@ def _dual_certificates(lp: LinearProgram, y: np.ndarray, objective: float):
     """
     sign = 1.0 if lp.maximize else -1.0
     z = lp.c - np.asarray(lp.a.T @ y).ravel()
-    worst = 0.0
-    for i, s in enumerate(lp.senses):
-        if s == LE:
-            worst = max(worst, -sign * y[i] if sign * y[i] < 0 else 0.0)
-        elif s == GE:
-            worst = max(worst, sign * y[i] if sign * y[i] > 0 else 0.0)
+    ys = sign * y
     zs = sign * z
     bad_hi = (zs > 0) & ~np.isfinite(lp.upper)
     bad_lo = (zs < 0) & ~np.isfinite(lp.lower)
-    if bad_hi.any():
-        worst = max(worst, float(np.max(zs[bad_hi])))
-    if bad_lo.any():
-        worst = max(worst, float(np.max(-zs[bad_lo])))
+    violations = np.concatenate([-ys[le], ys[ge], zs[bad_hi], -zs[bad_lo]])
+    worst = max(0.0, float(np.max(violations, initial=0.0)))
     bound_term = np.where(zs > 0, np.where(np.isfinite(lp.upper), lp.upper, 0.0),
                           np.where(np.isfinite(lp.lower), lp.lower, 0.0))
     dual_obj = float(y @ lp.rhs + z @ bound_term)
@@ -164,36 +141,23 @@ def _dual_certificates(lp: LinearProgram, y: np.ndarray, objective: float):
 
 def lp_solve(lp: LinearProgram) -> LpSolution:
     """Solve a LinearProgram deterministically with dual certificates."""
-    le_rows, ge_rows, eq_rows = _row_split(lp)
+    senses = np.asarray(lp.senses)
+    le, ge, eq = senses == LE, senses == GE, senses == EQ
     dense = not sp.issparse(lp.a)
     a = lp.a if dense else lp.a.tocsr()
-
-    def take(rows, flip):
-        if not rows:
-            return None, None
-        block = a[rows, :] if dense else a[rows, :]
-        block = -block if flip else block
-        rhs = lp.rhs[rows]
-        return block, (-rhs if flip else rhs)
-
-    a_le, b_le = take(le_rows, False)
-    a_ge, b_ge = take(ge_rows, True)
-    if a_le is not None and a_ge is not None:
-        a_ub = np.vstack([a_le, a_ge]) if dense else sp.vstack([a_le, a_ge], format="csr")
-        b_ub = np.concatenate([b_le, b_ge])
-    elif a_le is not None:
-        a_ub, b_ub = a_le, b_le
-    elif a_ge is not None:
-        a_ub, b_ub = a_ge, b_ge
-    else:
-        a_ub, b_ub = None, None
-    a_eq, b_eq = take(eq_rows, False)
+    # >= rows are negated into <= form and follow the <= rows
+    a_ub = b_ub = a_eq = b_eq = None
+    if le.any() or ge.any():
+        blocks = [a[le], -a[ge]]
+        a_ub = np.vstack(blocks) if dense else sp.vstack(blocks, format="csr")
+        b_ub = np.concatenate([lp.rhs[le], -lp.rhs[ge]])
+    if eq.any():
+        a_eq, b_eq = a[eq], lp.rhs[eq]
 
     c_min = -lp.c if lp.maximize else lp.c
-    bounds = [(None if not np.isfinite(lo) else lo, None if not np.isfinite(hi) else hi)
-              for lo, hi in zip(lp.lower, lp.upper)]
     res = linprog(c_min, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                  bounds=bounds, method="highs-ds", options=dict(_HIGHS_OPTIONS))
+                  bounds=np.column_stack([lp.lower, lp.upper]), method="highs-ds",
+                  options=dict(_HIGHS_OPTIONS))
 
     if res.status == 2:
         return LpSolution("infeasible", None, None, None, np.inf, np.inf, np.inf)
@@ -208,22 +172,17 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
     # d(min objective)/d(rhs of the scipy-form row); a >= row was negated
     # into <= form, and a posed maximization negates the objective.
     y = np.zeros(len(lp.senses))
-    marg_ub = res.ineqlin.marginals if a_ub is not None else np.zeros(0)
-    pos = 0
-    for i in le_rows:
-        y[i] = marg_ub[pos]
-        pos += 1
-    for i in ge_rows:
-        y[i] = -marg_ub[pos]
-        pos += 1
-    if eq_rows:
-        for i, m in zip(eq_rows, res.eqlin.marginals):
-            y[i] = m
+    if a_ub is not None:
+        n_le = int(le.sum())
+        y[le] = res.ineqlin.marginals[:n_le]
+        y[ge] = -res.ineqlin.marginals[n_le:]
+    if a_eq is not None:
+        y[eq] = res.eqlin.marginals
     if lp.maximize:
         y = -y
 
-    primal_resid = _primal_residual(lp, x)
-    dual_resid, gap = _dual_certificates(lp, y, objective)
+    primal_resid = _primal_residual(lp, x, le, ge, eq)
+    dual_resid, gap = _dual_certificates(lp, y, objective, le, ge)
     status = "optimal"
     if (primal_resid > LP_PRIMAL_TOL or dual_resid > LP_DUAL_TOL
             or gap > LP_GAP_REL * (1.0 + abs(objective))):
@@ -372,7 +331,8 @@ def _inv_sqrt_psd(mat: np.ndarray) -> np.ndarray:
     dec = eigh(mat)
     w = dec.values
     cutoff = max(float(w[-1]), 0.0) * 1e-14
-    inv = np.where(w > cutoff, 1.0 / np.sqrt(np.maximum(w, cutoff)), 0.0)
+    keep = w > cutoff
+    inv = np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0)
     return (dec.vectors * inv) @ dec.vectors.conj().T
 
 
@@ -380,8 +340,6 @@ def povm_update(
     reduced: Sequence[np.ndarray],
     mode: str = COMPLETE,
     warm_start: Sequence[np.ndarray] | None = None,
-    max_iters: int = 2000,
-    gap_tol: float = 1e-7,
     gain_tol: float = 0.0,
 ) -> PovmUpdateResult:
     """Maximize sum_a tr(E_a R_a) over POVMs.
@@ -393,15 +351,15 @@ def povm_update(
         incomplete case appends a dummy outcome with R = 0 and solves the
         complete problem one outcome larger.
     warm_start : optional POVM to improve upon; the result never scores below it.
-    max_iters : cap on fixed-point iterations (more than two outcomes).
-    gap_tol : stop once the certified duality gap falls below this.
-    gain_tol : when positive, also stop once a step gains less than this,
-        skipping the per-iteration gap certificates; cheaper per call, but
-        the final gap is only whatever that leaves.  Meant for callers that
-        re-solve in an outer loop and only need monotone progress.
+    gain_tol : with more than two outcomes, the fixed-point iteration
+        stops on a stall, on a step that gains less than this, or after
+        MAX_POVM_ITERS steps.  The default 0 runs to a stall; callers that
+        re-solve in an outer loop and only need monotone progress pass a
+        small positive value.
 
-    Returns a PovmUpdateResult; ``converged`` is False only when the
-    iteration cap fired first.
+    The dual certificate (``dual_matrix``, ``dual_bound``) is computed
+    once, on the returned POVM.  Returns a PovmUpdateResult; ``converged``
+    is False only when the iteration cap fired first.
     """
     mats = _check_reduced_ops(reduced)
     if mode == INCOMPLETE:
@@ -411,7 +369,7 @@ def povm_update(
         if warm_start is not None:
             tail = np.eye(d) - sum(np.asarray(warm_start, dtype=np.complex128))
             ws = list(warm_start) + [psd_project(tail)]
-        inner = povm_update(extended, COMPLETE, ws, max_iters, gap_tol, gain_tol)
+        inner = povm_update(extended, COMPLETE, ws, gain_tol)
         ops = inner.operators[:-1]
         objective = _povm_objective(ops, mats)
         return PovmUpdateResult(ops, objective, inner.converged, inner.iterations,
@@ -428,15 +386,13 @@ def povm_update(
         y, bound = _dual_certificate(ops, mats)
         return PovmUpdateResult(ops, obj, True, 0, y, bound, (obj,))
 
-    if n_out == 2 and warm_start is None:
-        ops, obj, y = _two_outcome_exact(mats)
-        return PovmUpdateResult(ops, obj, True, 0, y, float(np.trace(y).real), (obj,))
     if n_out == 2:
         ops, obj, y = _two_outcome_exact(mats)
-        warm_obj = _povm_objective(warm_start, mats)
-        if warm_obj > obj:  # possible only through rounding; keep the better POVM
-            ops = tuple(hermitian_part(np.asarray(w, dtype=np.complex128)) for w in warm_start)
-            obj = warm_obj
+        if warm_start is not None:
+            warm_obj = _povm_objective(warm_start, mats)
+            if warm_obj > obj:  # possible only through rounding; keep the better POVM
+                ops = tuple(hermitian_part(np.asarray(w, dtype=np.complex128)) for w in warm_start)
+                obj = warm_obj
         return PovmUpdateResult(ops, obj, True, 0, y, float(np.trace(y).real), (obj,))
 
     # Shift to strictly positive operators; the objective moves by the
@@ -449,21 +405,14 @@ def povm_update(
         current = hermitian_part(np.asarray(warm_start, dtype=np.complex128))
     else:
         current = np.repeat((identity / n_out)[None], n_out, axis=0)
-    fast = gain_tol > 0.0
     best_obj = _povm_objective(current, mats)
     log = [best_obj]
-    best_y = None
-    best_bound = np.inf
-    if not fast:
-        best_y, best_bound = _dual_certificate(current, mats)
     iterations = 0
     converged = True
     # Matmul chains stay left to right and outcome sums use the builtin
     # sum (numpy's sum(0) goes pairwise at d = 1), so every iterate equals,
     # bit for bit, taking the outcomes one at a time.
-    for iterations in range(1, max_iters + 1):
-        if best_bound - best_obj <= gap_tol:
-            break
+    for iterations in range(1, MAX_POVM_ITERS + 1):
         lam = hermitian_part(sum(shifted @ current @ shifted))
         l_inv = _inv_sqrt_psd(lam)
         # the sandwich is Hermitian in exact arithmetic; flatten roundoff
@@ -477,16 +426,9 @@ def povm_update(
         current = candidate
         best_obj = obj
         log.append(best_obj)
-        if fast:
-            if gain < gain_tol:
-                break
-        else:
-            y, bound = _dual_certificate(current, mats)
-            if bound < best_bound:
-                best_y, best_bound = y, bound
+        if gain < gain_tol:
+            break
     else:
         converged = False
-    if fast:
-        best_y, best_bound = _dual_certificate(current, mats)
-    return PovmUpdateResult(tuple(current), best_obj, converged, iterations, best_y,
-                            best_bound, tuple(log))
+    y, bound = _dual_certificate(current, mats)
+    return PovmUpdateResult(tuple(current), best_obj, converged, iterations, y, bound, tuple(log))

@@ -26,48 +26,32 @@ VERTEX_GUARD = 100_000
 _ENV_GUARD = "BELL_GUARD_LIMIT"
 
 
-def guard_limit(default: int) -> int:
-    """Resolve a guard, honoring the BELL_GUARD_LIMIT override."""
+def check_guard(count: int, default: int, what: str, unit: str) -> None:
+    """Raise GuardExceededError when ``what`` needs more than the guard
+    ``default``, or its BELL_GUARD_LIMIT override, of ``unit``."""
     raw = os.environ.get(_ENV_GUARD)
-    if raw is None:
-        return default
     try:
-        return int(raw)
+        limit = default if raw is None else int(raw)
     except ValueError as exc:
         raise GuardExceededError(f"{_ENV_GUARD} must be an integer, got {raw!r}") from exc
-
-
-def check_enum_guard(count: int, what: str) -> None:
-    limit = guard_limit(ENUM_GUARD)
     if count > limit:
         raise GuardExceededError(
-            f"{what} needs {count} assignments, above the guard of {limit}; "
+            f"{what} needs {count} {unit}, above the guard of {limit}; "
             f"set {_ENV_GUARD} to override (unsafe)"
         )
 
 
-def check_vertex_guard(count: int, what: str) -> None:
-    limit = guard_limit(VERTEX_GUARD)
-    if count > limit:
-        raise GuardExceededError(
-            f"{what} needs {count} polytope vertices, above the guard of {limit}; "
-            f"set {_ENV_GUARD} to override (unsafe)"
-        )
+def assignment_table(ids, n_inputs: int, n_outputs: int) -> np.ndarray:
+    """Outputs of the given single-party assignment ids (an int or an
+    integer array), shape ids.shape + (n_inputs,).
 
-
-def assignment_table(n_inputs: int, n_outputs: int) -> np.ndarray:
-    """All deterministic single-party assignments, shape (S, n_inputs).
-
-    Row i holds the outputs of assignment i in the lexicographic order
-    described in the module docstring.
+    Assignment i holds its outputs in the lexicographic order described in
+    the module docstring.
     """
-    count = n_outputs ** n_inputs
-    ids = np.arange(count)
-    cols = []
-    for k in range(n_inputs):
-        divisor = n_outputs ** (n_inputs - 1 - k)
-        cols.append((ids // divisor) % n_outputs)
-    return np.stack(cols, axis=1)
+    ids = np.asarray(ids)
+    return np.stack(
+        [(ids // n_outputs ** (n_inputs - 1 - k)) % n_outputs for k in range(n_inputs)], axis=-1
+    )
 
 
 _VERTEX_CACHE: dict[Scenario, sp.csr_matrix] = {}
@@ -78,17 +62,18 @@ def vertex_matrix(scenario: Scenario) -> sp.csr_matrix:
 
     Shape (V, E) with V = S_A * S_B and E the flattened tensor size; the
     row for vertex v has a one at every entry (x, y, alpha(x), beta(y)).
-    Rows follow the fixed lexicographic vertex order.
+    Rows follow the fixed lexicographic vertex order.  Every LP over the
+    polytope goes through here, so this is where the vertex guard sits.
     """
-    cached = _VERTEX_CACHE.get(scenario)
-    if cached is not None:
-        return cached
     na, nb, ma, mb = scenario.shape
     sa = scenario.alice_strategy_count()
     sb = scenario.bob_strategy_count()
-    check_vertex_guard(sa * sb, "vertex matrix")
-    av = assignment_table(na, ma)            # (sa, na)
-    bv = assignment_table(nb, mb)            # (sb, nb)
+    check_guard(sa * sb, VERTEX_GUARD, "vertex matrix", "polytope vertices")
+    cached = _VERTEX_CACHE.get(scenario)
+    if cached is not None:
+        return cached
+    av = assignment_table(np.arange(sa), na, ma)  # (sa, na)
+    bv = assignment_table(np.arange(sb), nb, mb)  # (sb, nb)
     # entry index for (x, y, a, b) = ((x*nb + y)*ma + a)*mb + b
     x_idx = np.arange(na)[None, :, None]     # broadcast over (i, x, y)
     y_idx = np.arange(nb)[None, None, :]
@@ -112,6 +97,6 @@ def strategy_from_vertex(scenario: Scenario, vertex: int) -> DeterministicStrate
     """Inverse of the vertex ordering: index -> strategy."""
     sb = scenario.bob_strategy_count()
     i, j = divmod(int(vertex), sb)
-    alice = assignment_table(scenario.n_inputs_a, scenario.n_outputs_a)[i]
-    bob = assignment_table(scenario.n_inputs_b, scenario.n_outputs_b)[j]
+    alice = assignment_table(i, scenario.n_inputs_a, scenario.n_outputs_a)
+    bob = assignment_table(j, scenario.n_inputs_b, scenario.n_outputs_b)
     return DeterministicStrategy(tuple(alice), tuple(bob))

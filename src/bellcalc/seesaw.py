@@ -31,7 +31,7 @@ from .core import (
 )
 from .errors import GuardExceededError, UndefinedQuantityError, ValidationError
 from .classical import classical_value
-from .numerics import eigh, povm_update, psd_project
+from .numerics import _inv_sqrt_psd, eigh, povm_update, psd_project
 
 # Joint-space dimension cap; the Bell operator is dense (da*db)^2.
 MAX_JOINT_DIM = 4096
@@ -133,11 +133,7 @@ def _random_povm(rng: np.random.Generator, dim: int, n_out: int) -> list[np.ndar
     for _ in range(n_out):
         g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         blocks.append(psd_project(hermitian_part(g)))
-    total = hermitian_part(sum(blocks))
-    dec = eigh(total)
-    cutoff = 1e-12 * max(float(dec.values[-1]), 1.0)
-    scale = np.where(dec.values > cutoff, 1.0 / np.sqrt(np.maximum(dec.values, cutoff)), 0.0)
-    inv_sqrt = (dec.vectors * scale) @ dec.vectors.conj().T
+    inv_sqrt = _inv_sqrt_psd(hermitian_part(sum(blocks)))
     els = [hermitian_part(inv_sqrt @ b @ inv_sqrt) for b in blocks]
     # the conjugation leaves the discarded subspace empty; spread it evenly
     defect = np.eye(dim) - sum(els)

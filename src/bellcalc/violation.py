@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .classical import classical_value, classical_value_incomplete
+from .classical import BOUNDARY_BAND, classical_value, classical_value_incomplete
 from .core import (
     Behavior,
     BellFunctional,
@@ -44,12 +44,8 @@ from .errors import (
     ValidationError,
 )
 from .numerics import EQ, GE, LE, LinearProgram, lp_solve
-from .polytope import check_vertex_guard, vertex_matrix
+from .polytope import vertex_matrix
 from .seesaw import SeesawConfig, pad_quantum_model, seesaw
-
-# Behaviors whose nu lands within this band of 1 are reported as sitting
-# on the local boundary (nu snapped to exactly 1).
-BOUNDARY_BAND = 1e-9
 
 # Entrywise slack on the mixture equality of the pi program.  Absorbs
 # the no-signaling tolerance of the input; without it a residual of
@@ -126,9 +122,8 @@ def max_violation(behavior: Behavior) -> tuple[float, BellFunctional]:
     """
     _checked_complete(behavior, "max_violation")
     scenario = behavior.scenario
-    n_vertices = scenario.alice_strategy_count() * scenario.bob_strategy_count()
-    check_vertex_guard(n_vertices, "deterministic vertex enumeration")
     d = vertex_matrix(scenario)
+    n_vertices = d.shape[0]
     a = sp.vstack([d, d], format="csr")
     rhs = np.concatenate([np.ones(n_vertices), -np.ones(n_vertices)])
     senses = [LE] * n_vertices + [GE] * n_vertices
@@ -169,9 +164,8 @@ def noise_robustness(behavior: Behavior) -> float:
     """
     _checked_complete(behavior, "noise_robustness")
     scenario = behavior.scenario
-    n_vertices = scenario.alice_strategy_count() * scenario.bob_strategy_count()
-    check_vertex_guard(n_vertices, "deterministic vertex enumeration")
     dt = vertex_matrix(scenario).T.tocsr()        # (E, V)
+    n_vertices = dt.shape[1]
     n_entries = scenario.n_entries
     q_col = sp.csr_matrix(behavior.probs.ravel().reshape(-1, 1))
     # columns: [v | lambda (local part) | mu (noise part)]
@@ -211,11 +205,16 @@ def check_noise_identity(behavior: Behavior) -> float:
     return abs(nu - (2.0 / pi - 1.0))
 
 
-def comm_lower_bound(behavior: Behavior) -> float:
-    """Bits of classical communication needed to reproduce Q: log2(nu),
-    clipped at zero."""
-    nu, _ = max_violation(behavior)
+def comm_bits(nu: float) -> float:
+    """Bits of classical communication that a violation nu demands:
+    log2(nu), clipped at zero."""
     return max(0.0, math.log2(nu))
+
+
+def comm_lower_bound(behavior: Behavior) -> float:
+    """Bits of classical communication needed to reproduce Q."""
+    nu, _ = max_violation(behavior)
+    return comm_bits(nu)
 
 
 def violation_report(behavior: Behavior) -> ViolationReport:
@@ -228,7 +227,7 @@ def violation_report(behavior: Behavior) -> ViolationReport:
         witness=witness,
         pi=pi,
         identity_residual=abs(nu - (2.0 / pi - 1.0)),
-        comm_bound_bits=max(0.0, math.log2(nu)),
+        comm_bound_bits=comm_bits(nu),
         boundary=nu == 1.0,
     )
 

@@ -14,7 +14,6 @@ from bellcalc import (
     Behavior,
     BellFunctional,
     DeterministicStrategy,
-    LinearProgram,
     LocalModel,
     QuantumModel,
     Scenario,
@@ -23,7 +22,7 @@ from bellcalc import (
     magic_square_functional,
 )
 from bellcalc.generators import magic_square_column_bits, magic_square_row_bits
-from bellcalc.numerics import EQ, GE, LE
+from bellcalc.numerics import EQ, GE, LE, LinearProgram
 
 I2 = np.eye(2)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)

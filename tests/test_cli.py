@@ -11,7 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellcalc import Scenario, behavior_from_local, behavior_from_quantum, classical_value, pair
+from bellcalc import (
+    GuardExceededError,
+    Scenario,
+    behavior_from_local,
+    behavior_from_quantum,
+    classical_value,
+    is_local,
+    max_violation,
+    noise_robustness,
+    pair,
+)
 from bellcalc import io as bio
 from bellcalc.cli import main
 
@@ -243,6 +253,19 @@ def test_wrong_kind_exits_2(capsys, chsh_file):
 def test_guard_exit_3(capsys, chsh_file, monkeypatch):
     monkeypatch.setenv("BELL_GUARD_LIMIT", "3")
     code, out, err = run_cli(capsys, "classical", chsh_file)
+    assert code == 3
+    assert "BELL_GUARD_LIMIT" in err
+
+
+def test_vertex_guard_trips_on_a_cached_vertex_matrix(capsys, chsh_optimal_behavior,
+                                                      chsh_optimal_file, monkeypatch):
+    # nu caches the 16-vertex matrix of 2x2x2x2; a limit of 3 must still trip
+    max_violation(chsh_optimal_behavior)
+    monkeypatch.setenv("BELL_GUARD_LIMIT", "3")
+    for quantity in (max_violation, noise_robustness, is_local):
+        with pytest.raises(GuardExceededError, match="BELL_GUARD_LIMIT"):
+            quantity(chsh_optimal_behavior)
+    code, _, err = run_cli(capsys, "behavior", "nu", chsh_optimal_file)
     assert code == 3
     assert "BELL_GUARD_LIMIT" in err
 

@@ -6,20 +6,25 @@ dual bound everywhere else, and its stacked fixed point against the same
 iteration taken one outcome at a time.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
-from bellcalc import (
+from bellcalc import ValidationError
+from bellcalc.core import hermitian_part
+from bellcalc.numerics import (
+    EQ,
+    GE,
+    LE,
     EigenDecomposition,
     LinearProgram,
-    ValidationError,
+    _inv_sqrt_psd,
     eigh,
     lp_solve,
     povm_update,
     psd_project,
 )
-from bellcalc.core import hermitian_part
-from bellcalc.numerics import EQ, GE, LE, _inv_sqrt_psd
 from bellcalc.seesaw import _random_povm
 
 from conftest import random_feasible_lp
@@ -290,8 +295,8 @@ def test_povm_update_dual_bound_tightness_small():
 
 
 def _fixed_point_one_outcome_at_a_time(reduced, warm_start, gain_tol):
-    """The gain_tol > 0 fixed point of povm_update written per outcome, as
-    the reference the stacked iteration must match bit for bit."""
+    """The fixed point of povm_update written per outcome, as the
+    reference the stacked iteration must match bit for bit."""
     mats = [hermitian_part(np.asarray(r, dtype=complex)) for r in reduced]
     n_out, dim = len(mats), mats[0].shape[0]
     identity = np.eye(dim, dtype=complex)
@@ -328,12 +333,13 @@ def _fixed_point_one_outcome_at_a_time(reduced, warm_start, gain_tol):
     (1, 4, False), (1, 6, False), (2, 3, True), (4, 4, True), (3, 6, False),
 ])
 def test_povm_update_stacked_iteration_matches_per_outcome_loop(dim, n_out, warm):
-    for seed in range(3):
+    # the see-saw's loose stop, and the default that runs to a stall
+    for gain_tol, seed in itertools.product((1e-10, 0.0), range(3)):
         rng = np.random.default_rng(seed)
         reduced = _random_reduced(rng, dim, n_out)
         ws = _random_povm(rng, dim, n_out) if warm else None
-        result = povm_update(reduced, "complete", warm_start=ws, gain_tol=1e-10)
-        ops, iterations, log = _fixed_point_one_outcome_at_a_time(reduced, ws, 1e-10)
+        result = povm_update(reduced, "complete", warm_start=ws, gain_tol=gain_tol)
+        ops, iterations, log = _fixed_point_one_outcome_at_a_time(reduced, ws, gain_tol)
         assert iterations > 1
         assert result.iterations == iterations
         assert result.objective_log == tuple(log)
