@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .core import (
     Behavior,
@@ -29,8 +28,8 @@ from .core import (
     no_signaling_check,
     pair,
 )
-from .errors import ValidationError
-from .numerics import EQ, LE, LinearProgram, LpSolution, lp_solve
+from .errors import SolverError, ValidationError
+from .numerics import EQ, LE, LinearProgram, lp_backend, lp_solve
 from .polytope import (
     ENUM_GUARD,
     assignment_table,
@@ -159,6 +158,7 @@ class MembershipCertificate:
 def _membership_lp(behavior: Behavior):
     scenario = behavior.scenario
     verts = vertex_matrix(scenario)  # (V, E) sparse
+    sp, _ = lp_backend()
     n_vert = verts.shape[0]
     n_entries = verts.shape[1]
     q = behavior.probs.reshape(-1)
@@ -169,7 +169,7 @@ def _membership_lp(behavior: Behavior):
     a_sum = sp.hstack([sp.csr_matrix(np.ones((1, n_vert))), sp.csr_matrix((1, 1))], format="csr")
     a = sp.vstack([a_plus, a_minus, a_sum], format="csr")
     rhs = np.concatenate([q, -q, [1.0]])
-    senses = (LE,) * (2 * n_entries) + (EQ,)
+    senses = np.repeat([LE, EQ], [2 * n_entries, 1])
     c = np.zeros(n_vert + 1)
     c[-1] = 1.0
     lower = np.zeros(n_vert + 1)
@@ -205,7 +205,7 @@ def is_local(behavior: Behavior) -> MembershipCertificate:
         )
     sol, verts, n_entries = _membership_lp(behavior)
     if sol.status != "optimal":
-        raise ValidationError(f"membership LP ended with status {sol.status}")
+        raise SolverError(f"membership LP ended with status {sol.status!r}")
     distance = float(sol.objective)
     if distance <= MEMBERSHIP_TOL:
         weights = sol.x[:-1]

@@ -5,7 +5,8 @@ JSON document to stdout at the end.  Output bytes are a pure function
 of the command line and input files, so identical invocations produce
 identical bytes.  Exit codes: 0 success, 2 parse or validation
 problem, 3 resource guard exceeded, 4 the requested quantity is
-undefined for the input (for example nu of a signaling behavior).
+undefined for the input (for example nu of a signaling behavior), 5 a
+solver failed with no input at fault.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .errors import (
     DocumentError,
     GuardExceededError,
     ScenarioMismatchError,
+    SolverError,
     UndefinedQuantityError,
     ValidationError,
 )
@@ -45,6 +47,7 @@ from .violation import (
 PARSE_EXIT = 2
 GUARD_EXIT = 3
 UNDEFINED_EXIT = 4
+SOLVER_EXIT = 5
 
 # eq4 "holds" when lhs >= rhs up to this slack, which absorbs the LP and
 # see-saw roundoff on the two sides.
@@ -324,6 +327,9 @@ def main(argv=None) -> int:
     except UndefinedQuantityError as e:
         print(f"error: {e}", file=sys.stderr)
         return UNDEFINED_EXIT
+    except SolverError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return SOLVER_EXIT
     except BellError as e:
         print(f"error: {e}", file=sys.stderr)
         return PARSE_EXIT

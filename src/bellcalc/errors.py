@@ -1,8 +1,8 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto process exit codes, so the distinctions matter:
-validation/parse problems, resource guards, and genuinely undefined
-quantities are different failure modes.
+validation/parse problems, resource guards, genuinely undefined
+quantities and solver failures are different failure modes.
 """
 
 
@@ -45,6 +45,10 @@ class UndefinedQuantityError(BellError):
 
 class SignalingBehaviorError(UndefinedQuantityError):
     """Maximal violation is undefined because the behavior signals."""
+
+
+class SolverError(BellError):
+    """A solver ended without a certified optimum, with no input at fault."""
 
 
 class DocumentError(BellError):

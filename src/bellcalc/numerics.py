@@ -4,7 +4,9 @@ lp_solve wraps the HiGHS dual simplex behind a fixed contract: status in
 {optimal, infeasible, unbounded, failed}, primal and dual vectors in the
 orientation of the posed problem, and self-computed feasibility
 residuals plus duality gap.  A solve whose own certificates miss the
-contract is downgraded to "failed" rather than reported optimal.
+contract is downgraded to "failed" rather than reported optimal.  scipy
+is loaded lazily: lp_backend imports scipy.sparse and linprog on its
+first call, so a process that never solves an LP never imports scipy.
 
 povm_update solves  max sum_a tr(E_a R_a)  over POVMs {E_a}: the
 two-outcome case in closed form, more outcomes through one monotone
@@ -24,8 +26,6 @@ from dataclasses import dataclass
 from typing import Literal, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
 
 from .core import COMPLETE, INCOMPLETE, hermitian_part
 from .errors import ValidationError
@@ -47,19 +47,32 @@ LE, EQ, GE = "<=", "==", ">="
 MAX_POVM_ITERS = 2000
 
 
+def lp_backend():
+    """(scipy.sparse, scipy.optimize.linprog), imported on the first call.
+
+    The one place scipy enters the package: only the LP-backed
+    quantities need it, and its import is most of the start-up time of
+    a ``bell`` process.
+    """
+    import scipy.sparse
+    from scipy.optimize import linprog
+
+    return scipy.sparse, linprog
+
+
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
     """max (or min) c.x subject to senses-typed rows and variable bounds.
 
     ``a`` may be a dense ndarray or a scipy sparse matrix; ``senses``
-    holds one of "<=", "==", ">=" per row.  Bounds use +-inf for free
-    directions.
+    (an array, list or tuple, stored as an array) holds one of "<=",
+    "==", ">=" per row.  Bounds use +-inf for free directions.
     """
 
     c: np.ndarray
     a: object
     rhs: np.ndarray
-    senses: tuple[str, ...]
+    senses: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
     maximize: bool = True
@@ -69,14 +82,15 @@ class LinearProgram:
         rhs = np.asarray(self.rhs, dtype=np.float64)
         lower = np.asarray(self.lower, dtype=np.float64)
         upper = np.asarray(self.upper, dtype=np.float64)
-        senses = tuple(self.senses)
+        senses = np.asarray(self.senses)
+        sp, _ = lp_backend()
         a = self.a if sp.issparse(self.a) else np.asarray(self.a, dtype=np.float64)
         m, n = a.shape
-        if c.shape != (n,) or rhs.shape != (m,) or len(senses) != m:
+        if c.shape != (n,) or rhs.shape != (m,) or senses.shape != (m,):
             raise ValidationError("linear program dimensions are inconsistent")
         if lower.shape != (n,) or upper.shape != (n,):
             raise ValidationError("variable bound vectors must have one entry per column")
-        if any(s not in (LE, EQ, GE) for s in senses):
+        if not np.isin(senses, (LE, EQ, GE)).all():
             raise ValidationError(f"row senses must be one of {LE!r}, {EQ!r}, {GE!r}")
         entries = a.data if sp.issparse(a) else a
         if not (np.all(np.isfinite(entries)) and np.all(np.isfinite(c)) and np.all(np.isfinite(rhs))):
@@ -141,8 +155,8 @@ def _dual_certificates(lp: LinearProgram, y: np.ndarray, objective: float, le, g
 
 def lp_solve(lp: LinearProgram) -> LpSolution:
     """Solve a LinearProgram deterministically with dual certificates."""
-    senses = np.asarray(lp.senses)
-    le, ge, eq = senses == LE, senses == GE, senses == EQ
+    sp, linprog = lp_backend()
+    le, ge, eq = lp.senses == LE, lp.senses == GE, lp.senses == EQ
     dense = not sp.issparse(lp.a)
     a = lp.a if dense else lp.a.tocsr()
     # >= rows are negated into <= form and follow the <= rows

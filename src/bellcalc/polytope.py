@@ -10,12 +10,16 @@ being fixed.
 from __future__ import annotations
 
 import os
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .core import DeterministicStrategy, Scenario
 from .errors import GuardExceededError
+from .numerics import lp_backend
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # Hard caps, overridable through BELL_GUARD_LIMIT (documented as unsafe):
 # the number of single-party assignments a brute-force enumeration may
@@ -63,7 +67,9 @@ def vertex_matrix(scenario: Scenario) -> sp.csr_matrix:
     Shape (V, E) with V = S_A * S_B and E the flattened tensor size; the
     row for vertex v has a one at every entry (x, y, alpha(x), beta(y)).
     Rows follow the fixed lexicographic vertex order.  Every LP over the
-    polytope goes through here, so this is where the vertex guard sits.
+    polytope goes through here, so this is where the vertex guard sits,
+    and where the whole LP backend is loaded: the first LP of a process
+    pays scipy's import before it is posed, not inside the solve.
     """
     na, nb, ma, mb = scenario.shape
     sa = scenario.alice_strategy_count()
@@ -72,6 +78,7 @@ def vertex_matrix(scenario: Scenario) -> sp.csr_matrix:
     cached = _VERTEX_CACHE.get(scenario)
     if cached is not None:
         return cached
+    sp, _ = lp_backend()
     av = assignment_table(np.arange(sa), na, ma)  # (sa, na)
     bv = assignment_table(np.arange(sb), nb, mb)  # (sb, nb)
     # entry index for (x, y, a, b) = ((x*nb + y)*ma + a)*mb + b

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from .classical import BOUNDARY_BAND, classical_value, classical_value_incomplete
 from .core import (
@@ -40,10 +39,11 @@ from .core import (
 )
 from .errors import (
     SignalingBehaviorError,
+    SolverError,
     UndefinedQuantityError,
     ValidationError,
 )
-from .numerics import EQ, GE, LE, LinearProgram, lp_solve
+from .numerics import EQ, GE, LE, LinearProgram, lp_backend, lp_solve
 from .polytope import vertex_matrix
 from .seesaw import SeesawConfig, pad_quantum_model, seesaw
 
@@ -123,10 +123,11 @@ def max_violation(behavior: Behavior) -> tuple[float, BellFunctional]:
     _checked_complete(behavior, "max_violation")
     scenario = behavior.scenario
     d = vertex_matrix(scenario)
+    sp, _ = lp_backend()
     n_vertices = d.shape[0]
     a = sp.vstack([d, d], format="csr")
     rhs = np.concatenate([np.ones(n_vertices), -np.ones(n_vertices)])
-    senses = [LE] * n_vertices + [GE] * n_vertices
+    senses = np.repeat([LE, GE], n_vertices)
     n_entries = scenario.n_entries
     lp = LinearProgram(
         c=behavior.probs.ravel(),
@@ -141,7 +142,7 @@ def max_violation(behavior: Behavior) -> tuple[float, BellFunctional]:
     if sol.status == "unbounded":
         raise SignalingBehaviorError(_SIGNALING_MSG)
     if sol.status != "optimal":
-        raise ValidationError(f"violation LP ended with status {sol.status!r}")
+        raise SolverError(f"violation LP ended with status {sol.status!r}")
     nu = float(sol.objective)
     coeffs = sol.x.reshape(scenario.shape)
     witness = BellFunctional(scenario, coeffs)
@@ -165,6 +166,7 @@ def noise_robustness(behavior: Behavior) -> float:
     _checked_complete(behavior, "noise_robustness")
     scenario = behavior.scenario
     dt = vertex_matrix(scenario).T.tocsr()        # (E, V)
+    sp, _ = lp_backend()
     n_vertices = dt.shape[1]
     n_entries = scenario.n_entries
     q_col = sp.csr_matrix(behavior.probs.ravel().reshape(-1, 1))
@@ -182,7 +184,7 @@ def noise_robustness(behavior: Behavior) -> float:
         np.full(n_entries, -PI_SLACK),
         [1.0, 1.0],
     ])
-    senses = [LE] * n_entries + [GE] * n_entries + [EQ, EQ]
+    senses = np.repeat([LE, GE, EQ], [n_entries, n_entries, 2])
     n_cols = 1 + 2 * n_vertices
     c = np.zeros(n_cols)
     c[0] = 1.0
@@ -194,7 +196,7 @@ def noise_robustness(behavior: Behavior) -> float:
     )
     sol = lp_solve(lp)
     if sol.status != "optimal":
-        raise ValidationError(f"noise robustness LP ended with status {sol.status!r}")
+        raise SolverError(f"noise robustness LP ended with status {sol.status!r}")
     return float(min(max(sol.objective, 0.0), 1.0))
 
 

@@ -2,15 +2,23 @@
 the emitted bytes, and the exit-code contract.
 
 Commands run in-process through main(argv); stdout is captured per run.
+The import-boundary tests run main in a fresh interpreter instead, since
+an earlier test has already imported scipy into this one.
 """
 
+import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bellcalc
 from bellcalc import (
     GuardExceededError,
     Scenario,
@@ -24,6 +32,7 @@ from bellcalc import (
 )
 from bellcalc import io as bio
 from bellcalc.cli import main
+from bellcalc.numerics import LpSolution
 
 from conftest import build_chsh_optimal_model, random_local_model
 
@@ -283,6 +292,27 @@ def test_signaling_behavior_exits_4(tmp_path, capsys, scenario_2222):
     assert "signaling" in err
 
 
+@pytest.mark.parametrize("module, argv, status, expected", [
+    ("violation", ("behavior", "nu"), "failed", 5),
+    ("violation", ("behavior", "nu"), "infeasible", 5),
+    ("violation", ("behavior", "nu"), "unbounded", 4),
+    ("violation", ("behavior", "robustness"), "failed", 5),
+    ("classical", ("behavior", "membership"), "failed", 5),
+], ids=["nu-failed", "nu-infeasible", "nu-unbounded", "robustness-failed", "membership-failed"])
+def test_solver_failure_exits_5(capsys, chsh_optimal_file, monkeypatch,
+                                module, argv, status, expected):
+    # an LP without a certified optimum is the solver's failure, not the input's
+    ended = LpSolution(status, None, None, None, np.inf, np.inf, np.inf)
+    monkeypatch.setattr(importlib.import_module(f"bellcalc.{module}"), "lp_solve",
+                        lambda lp: ended)
+    code, out, err = run_cli(capsys, *argv, chsh_optimal_file)
+    assert code == expected
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if expected == 5:
+        assert f"status {status!r}" in err
+
+
 def test_bad_dim_exits_2(capsys, chsh_file):
     code, _, err = run_cli(capsys, "quantum", chsh_file, "--dim", "0", "--seeds", "1")
     assert code == 2
@@ -293,6 +323,63 @@ def test_argparse_usage_error_exits_2(capsys, chsh_file):
     with pytest.raises(SystemExit) as exc:
         main(["quantum", chsh_file])  # missing required --dim
     assert exc.value.code == 2
+
+
+# Runs main(argv) in a fresh interpreter and reports the scipy modules it loaded.
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+from bellcalc.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+def scipy_modules_after(cwd, argv):
+    src = str(Path(bellcalc.__file__).resolve().parent.parent)
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *argv], capture_output=True,
+                          text=True, cwd=cwd, env=env, check=True)
+    code, modules = json.loads(proc.stdout)
+    assert code == 0, proc.stderr
+    return set(modules)
+
+
+@pytest.fixture()
+def cli_inputs(tmp_path, chsh_file, chsh_optimal_behavior):
+    from bellcalc.core import Behavior  # noqa: PLC0415
+    lossy = tmp_path / "lossy.json"
+    lossy.write_text(bio.dump_document(bio.behavior_document(
+        Behavior(chsh_optimal_behavior.scenario, 0.8 * chsh_optimal_behavior.probs,
+                 completeness="incomplete"), "lossy", "test fixture")), encoding="utf-8")
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({
+        "weights": [[0.25, 0.25], [0.25, 0.25]],
+        "win": [[[[1, 0], [0, 1]], [[1, 0], [0, 1]]], [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]],
+    }), encoding="utf-8")
+    return {"chsh": chsh_file, "lossy": str(lossy), "table": str(table)}
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen", "chsh"),
+    ("gen", "magic-square"),
+    ("gen", "random", "--na", "2", "--nb", "2", "--ma", "3", "--mb", "2", "--seed", "5"),
+    ("gen", "game", "--table", "{table}"),
+    ("classical", "{chsh}"),
+    ("quantum", "{chsh}", "--dim", "2", "--seeds", "1"),
+    ("behavior", "complete", "{lossy}"),
+    ("witness", "{chsh}", "--observed", "2.5", "--max-dim", "2", "--seeds", "1"),
+], ids=["gen-chsh", "gen-magic-square", "gen-random", "gen-game", "classical", "quantum",
+        "behavior-complete", "witness"])
+def test_commands_without_an_lp_never_import_scipy(tmp_path, cli_inputs, argv):
+    argv = [arg.format(**cli_inputs) for arg in argv]
+    assert scipy_modules_after(tmp_path, argv) == set()
+
+
+def test_lp_command_loads_the_whole_lp_backend(tmp_path, chsh_optimal_file):
+    modules = scipy_modules_after(tmp_path, ["behavior", "nu", chsh_optimal_file])
+    assert {"scipy.sparse", "scipy.optimize"} <= modules
 
 
 @settings(max_examples=25, deadline=None)
