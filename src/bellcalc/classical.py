@@ -21,12 +21,9 @@ import numpy as np
 from .core import (
     Behavior,
     BellFunctional,
-    EPS_FEAS,
     LocalModel,
-    NS_TOL,
     Scenario,
     no_signaling_check,
-    pair,
 )
 from .errors import SolverError, ValidationError
 from .numerics import EQ, LE, LinearProgram, lp_backend, lp_solve
@@ -44,6 +41,9 @@ from .polytope import (
 # snapped to exactly 1.
 MEMBERSHIP_TOL = 1e-8
 BOUNDARY_BAND = 1e-9
+
+# Vertex weights at or below this are left out of a reconstructed LocalModel.
+DROP_WEIGHT = 1e-12
 
 _CHUNK = 1 << 14
 
@@ -159,8 +159,7 @@ def _membership_lp(behavior: Behavior):
     scenario = behavior.scenario
     verts = vertex_matrix(scenario)  # (V, E) sparse
     sp, _ = lp_backend()
-    n_vert = verts.shape[0]
-    n_entries = verts.shape[1]
+    n_vert, n_entries = verts.shape
     q = behavior.probs.reshape(-1)
     # variables: weights w (V), distance t (1); minimize t subject to
     #   sum_i w_i D_i - t <= q,  -(sum_i w_i D_i) - t <= -q,  sum w = 1
@@ -175,13 +174,12 @@ def _membership_lp(behavior: Behavior):
     lower = np.zeros(n_vert + 1)
     upper = np.full(n_vert + 1, np.inf)
     lp = LinearProgram(c, a, rhs, senses, lower, upper, maximize=False)
-    return lp_solve(lp), verts, n_entries
+    return lp_solve(lp), verts
 
 
-def local_model_from_weights(scenario: Scenario, weights: np.ndarray,
-                             drop_below: float = 1e-12) -> LocalModel:
+def local_model_from_weights(scenario: Scenario, weights: np.ndarray) -> LocalModel:
     entries = []
-    for v in np.flatnonzero(weights > drop_below):
+    for v in np.flatnonzero(weights > DROP_WEIGHT):
         entries.append((float(weights[v]), strategy_from_vertex(scenario, int(v))))
     return LocalModel(tuple(entries))
 
@@ -203,7 +201,7 @@ def is_local(behavior: Behavior) -> MembershipCertificate:
             f"behavior signals (worst residual {ns.max_residual:.3g} at {ns.location}); "
             "it cannot be local"
         )
-    sol, verts, n_entries = _membership_lp(behavior)
+    sol, verts = _membership_lp(behavior)
     if sol.status != "optimal":
         raise SolverError(f"membership LP ended with status {sol.status!r}")
     distance = float(sol.objective)
@@ -217,34 +215,24 @@ def is_local(behavior: Behavior) -> MembershipCertificate:
     # S = duals(minus rows) - duals(plus rows) up to orientation, then
     # shifted so its best vertex value is exactly one.
     duals = sol.row_duals
+    n_entries = scenario.n_entries
     s_vec = duals[:n_entries] - duals[n_entries:2 * n_entries]
-    functional = BellFunctional(scenario, s_vec.reshape(scenario.shape))
     vertex_vals = np.asarray(verts @ s_vec).ravel()
-    value_q = pair(functional, behavior)
+    value_q = float(np.sum(s_vec.reshape(scenario.shape) * behavior.probs))  # <S, P>
     if value_q - float(vertex_vals.max()) < 0:
         s_vec = -s_vec
-        functional = BellFunctional(scenario, s_vec.reshape(scenario.shape))
         vertex_vals = -vertex_vals
         value_q = -value_q
     max_vertex = float(vertex_vals.max())
     # additive shift: every complete behavior has total mass Na*Nb, so a
     # constant tensor moves all vertex values and value_q equally
     shift = (1.0 - max_vertex) / (scenario.n_inputs_a * scenario.n_inputs_b)
-    s_shifted = s_vec.reshape(scenario.shape) + shift
-    functional = BellFunctional(scenario, s_shifted)
+    functional = BellFunctional(scenario, s_vec.reshape(scenario.shape) + shift)
     value_q = value_q + (1.0 - max_vertex)
     margin = value_q - 1.0
-    if margin <= MEMBERSHIP_TOL + BOUNDARY_BAND:
-        return MembershipCertificate(
-            "boundary",
-            separating=functional,
-            value_on_behavior=value_q,
-            max_vertex_value=1.0,
-            margin=margin,
-            warning=warning,
-        )
+    verdict = "boundary" if margin <= MEMBERSHIP_TOL + BOUNDARY_BAND else "nonlocal"
     return MembershipCertificate(
-        "nonlocal",
+        verdict,
         separating=functional,
         value_on_behavior=value_q,
         max_vertex_value=1.0,

@@ -17,7 +17,6 @@ import sys
 
 from . import io as bio
 from .classical import banach_norm, classical_value, classical_value_incomplete, is_local
-from .core import behavior_from_quantum
 from .errors import (
     BellError,
     DocumentError,
@@ -48,6 +47,15 @@ PARSE_EXIT = 2
 GUARD_EXIT = 3
 UNDEFINED_EXIT = 4
 SOLVER_EXIT = 5
+
+# Exit code of each error class, most specific first; any other
+# BellError exits PARSE_EXIT.
+EXIT_CODES = (
+    ((DocumentError, ValidationError, ScenarioMismatchError), PARSE_EXIT),
+    (GuardExceededError, GUARD_EXIT),
+    (UndefinedQuantityError, UNDEFINED_EXIT),
+    (SolverError, SOLVER_EXIT),
+)
 
 # eq4 "holds" when lhs >= rhs up to this slack, which absorbs the LP and
 # see-saw roundoff on the two sides.
@@ -318,20 +326,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         doc = args.run(args)
-    except (DocumentError, ValidationError, ScenarioMismatchError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return PARSE_EXIT
-    except GuardExceededError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return GUARD_EXIT
-    except UndefinedQuantityError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return UNDEFINED_EXIT
-    except SolverError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return SOLVER_EXIT
     except BellError as e:
         print(f"error: {e}", file=sys.stderr)
-        return PARSE_EXIT
+        return next((code for cls, code in EXIT_CODES if isinstance(e, cls)), PARSE_EXIT)
     sys.stdout.write(bio.dump_document(doc))
     return 0

@@ -17,7 +17,6 @@ error states.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -199,31 +198,23 @@ class LocalModel:
         return COMPLETE if self.total_weight >= 1.0 - EPS_FEAS else INCOMPLETE
 
 
-def _coerce_matrix_list(mats, dim: int, what: str):
-    out = []
-    for m in mats:
-        arr = np.asarray(m, dtype=np.complex128)
-        if arr.shape != (dim, dim):
-            raise ValidationError(f"{what} has shape {arr.shape}, expected ({dim}, {dim})")
-        out.append(_readonly(arr.copy()))
-    return tuple(out)
-
-
 @dataclass(frozen=True, eq=False)
 class QuantumModel:
     """Shared state plus per-input POVMs for both parties.
 
     ``state`` is a density matrix on the (dim_a * dim_b)-dimensional
     joint space, basis ordered Alice-major (index i*dim_b + k).
-    ``alice_povms[x]`` is the list of POVM elements for input x, one per
-    outcome; likewise for Bob.
+    ``alice_povms`` is one read-only complex array of shape
+    (inputs, outcomes, dim_a, dim_a): ``alice_povms[x, a]`` is the POVM
+    element of input x and outcome a; likewise for Bob.  Any nested
+    sequence of that shape is accepted and coerced.
     """
 
     dim_a: int
     dim_b: int
     state: np.ndarray
-    alice_povms: tuple[tuple[np.ndarray, ...], ...]
-    bob_povms: tuple[tuple[np.ndarray, ...], ...]
+    alice_povms: np.ndarray
+    bob_povms: np.ndarray
     completeness: str = COMPLETE
 
     def __post_init__(self):
@@ -240,23 +231,24 @@ class QuantumModel:
                 f"state has shape {state.shape}, expected ({da * db}, {da * db})"
             )
         object.__setattr__(self, "state", _readonly(state.copy()))
-        alice = tuple(_coerce_matrix_list(povm, da, "Alice POVM element") for povm in self.alice_povms)
-        bob = tuple(_coerce_matrix_list(povm, db, "Bob POVM element") for povm in self.bob_povms)
-        if not alice or not bob:
-            raise ValidationError("each party needs at least one input")
-        if len({len(p) for p in alice}) != 1 or len({len(p) for p in bob}) != 1:
-            raise ValidationError("every input must carry the same number of outcomes")
-        object.__setattr__(self, "alice_povms", alice)
-        object.__setattr__(self, "bob_povms", bob)
+        for name, dim in (("alice_povms", da), ("bob_povms", db)):
+            try:
+                stack = np.array(getattr(self, name), dtype=np.complex128)
+            except ValueError:
+                raise ValidationError(f"{name}: every input must carry the same number of "
+                                      f"outcomes, each a ({dim}, {dim}) matrix") from None
+            if stack.ndim != 4 or 0 in stack.shape[:2] or stack.shape[2:] != (dim, dim):
+                raise ValidationError(
+                    f"{name} has shape {stack.shape}, expected (inputs, outcomes, {dim}, {dim}) "
+                    "with at least one input and one outcome"
+                )
+            object.__setattr__(self, name, _readonly(stack))
 
     @property
     def scenario(self) -> Scenario:
-        return Scenario(
-            len(self.alice_povms),
-            len(self.bob_povms),
-            len(self.alice_povms[0]),
-            len(self.bob_povms[0]),
-        )
+        na, ma = self.alice_povms.shape[:2]
+        nb, mb = self.bob_povms.shape[:2]
+        return Scenario(na, nb, ma, mb)
 
 
 @dataclass(frozen=True)
@@ -312,10 +304,6 @@ def behavior_from_local(model: LocalModel, scenario: Scenario) -> Behavior:
     return clipped_behavior(scenario, probs, completeness)
 
 
-def _stacked_povms(povms) -> np.ndarray:
-    return np.stack([np.stack(list(per_input)) for per_input in povms])
-
-
 def behavior_from_quantum(model: QuantumModel) -> Behavior:
     """Evaluate p(a,b|x,y) = tr(rho (E_a^x tensor F_b^y)).
 
@@ -327,10 +315,8 @@ def behavior_from_quantum(model: QuantumModel) -> Behavior:
         raise ValidationError("quantum model violates invariants", report)
     da, db = model.dim_a, model.dim_b
     rho4 = model.state.reshape(da, db, da, db)
-    es = _stacked_povms(model.alice_povms)   # (Na, Ma, da, da)
-    fs = _stacked_povms(model.bob_povms)     # (Nb, Mb, db, db)
     # tr(rho (E tensor F)) = sum E[i,j] F[k,l] rho4[j,l,i,k]
-    raw = np.einsum("xaij,ybkl,jlik->xyab", es, fs, rho4, optimize=True)
+    raw = np.einsum("xaij,ybkl,jlik->xyab", model.alice_povms, model.bob_povms, rho4, optimize=True)
     worst_imag = float(np.max(np.abs(raw.imag))) if raw.size else 0.0
     if worst_imag > IMAG_TOL:
         raise ValidationError(f"imaginary residue {worst_imag:.3g} exceeds {IMAG_TOL}")

@@ -209,19 +209,19 @@ def behavior_from_document(doc: dict) -> Behavior:
 # -- quantum models -----------------------------------------------------
 
 def _matrix_out(matrix: np.ndarray):
+    """[re, im] pairs for every entry of a matrix or a stack of matrices."""
     m = np.asarray(matrix, dtype=np.complex128)
     return np.stack([m.real, m.imag], axis=-1)
 
 
-def _matrix_in(raw, dim: int, path: str) -> np.ndarray:
+def _matrix_in(raw, shape: tuple[int, ...], path: str) -> np.ndarray:
+    """Complex array of the given shape from nested [re, im] pairs."""
     try:
         arr = np.asarray(raw, dtype=np.float64)
     except (TypeError, ValueError) as e:
-        raise DocumentError(f"{path} is not a numeric matrix: {e}") from e
-    if arr.shape != (dim, dim, 2):
-        raise DocumentError(
-            f"{path} has shape {arr.shape}, expected ({dim}, {dim}, 2) [re, im] entries"
-        )
+        raise DocumentError(f"{path} is not a numeric array: {e}") from e
+    if arr.shape != shape + (2,):
+        raise DocumentError(f"{path} has shape {arr.shape}, expected {shape + (2,)} [re, im] entries")
     if not np.all(np.isfinite(arr)):
         raise DocumentError(f"{path} contains non-finite entries")
     return arr[..., 0] + 1j * arr[..., 1]
@@ -233,8 +233,8 @@ def quantum_model_document(model: QuantumModel, name: str, provenance: str) -> d
         "dim_b": model.dim_b,
         "completeness": model.completeness,
         "state": _matrix_out(model.state),
-        "alice_povms": [[_matrix_out(el) for el in povm] for povm in model.alice_povms],
-        "bob_povms": [[_matrix_out(el) for el in povm] for povm in model.bob_povms],
+        "alice_povms": _matrix_out(model.alice_povms),
+        "bob_povms": _matrix_out(model.bob_povms),
     }
     return document("quantum_model", model.scenario, payload, name, provenance)
 
@@ -248,20 +248,12 @@ def quantum_model_from_document(doc: dict) -> QuantumModel:
     for label, v in (("dim_a", da), ("dim_b", db)):
         if not isinstance(v, int) or isinstance(v, bool) or v < 1:
             raise DocumentError(f"payload.{label} must be a positive integer")
-    state = _matrix_in(payload["state"], da * db, "payload.state")
+    state = _matrix_in(payload["state"], (da * db, da * db), "payload.state")
 
     def povms_in(raw, dim, label):
-        if not isinstance(raw, list) or not raw:
-            raise DocumentError(f"payload.{label} must be a non-empty list")
-        out = []
-        for x, povm in enumerate(raw):
-            if not isinstance(povm, list) or not povm:
-                raise DocumentError(f"payload.{label}[{x}] must be a non-empty list")
-            out.append(tuple(
-                _matrix_in(el, dim, f"payload.{label}[{x}][{a}]")
-                for a, el in enumerate(povm)
-            ))
-        return tuple(out)
+        if not (isinstance(raw, list) and raw and isinstance(raw[0], list) and raw[0]):
+            raise DocumentError(f"payload.{label} must be a non-empty list of non-empty lists")
+        return _matrix_in(raw, (len(raw), len(raw[0]), dim, dim), f"payload.{label}")
 
     return QuantumModel(
         da, db, state,

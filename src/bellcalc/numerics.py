@@ -255,13 +255,16 @@ def psd_project(matrix: np.ndarray) -> np.ndarray:
 class PovmUpdateResult:
     """Optimized POVM plus the certificates of how good it is.
 
+    ``operators`` is the (n_out, d, d) stack of POVM elements, one per
+    outcome in the order of the reduced operators.
+
     ``dual_matrix`` is the multiplier estimate Y ~ sum_a R_a E_a;
     ``dual_bound`` is tr of a feasibility-shifted Y, a true upper bound
     on the achievable objective.  ``objective_log`` is the monotone
     sequence of accepted objective values.
     """
 
-    operators: tuple[np.ndarray, ...]
+    operators: np.ndarray
     objective: float
     converged: bool
     iterations: int
@@ -332,12 +335,11 @@ def _two_outcome_exact(reduced):
     keep = dec.values > 0.0
     vecs = dec.vectors[:, keep]
     e1 = vecs @ vecs.conj().T
-    e2 = np.eye(d) - e1
     objective = float(np.trace(r2).real + dec.values[keep].sum())
     # exact dual: Y = R_2 + positive part of (R_1 - R_2)
     pos = hermitian_part((dec.vectors * np.maximum(dec.values, 0.0)) @ dec.vectors.conj().T)
     y = hermitian_part(r2 + pos)
-    return (hermitian_part(e1), hermitian_part(e2)), objective, y
+    return hermitian_part(np.stack([e1, np.eye(d) - e1])), objective, y
 
 
 def _inv_sqrt_psd(mat: np.ndarray) -> np.ndarray:
@@ -381,8 +383,8 @@ def povm_update(
         extended = np.concatenate([mats, np.zeros((1, d, d), dtype=np.complex128)])
         ws = None
         if warm_start is not None:
-            tail = np.eye(d) - sum(np.asarray(warm_start, dtype=np.complex128))
-            ws = list(warm_start) + [psd_project(tail)]
+            ws = np.asarray(warm_start, dtype=np.complex128)
+            ws = np.concatenate([ws, psd_project(np.eye(d) - sum(ws))[None]])
         inner = povm_update(extended, COMPLETE, ws, gain_tol)
         ops = inner.operators[:-1]
         objective = _povm_objective(ops, mats)
@@ -395,7 +397,7 @@ def povm_update(
     identity = np.eye(d, dtype=np.complex128)
 
     if n_out == 1:
-        ops = (identity.copy(),)
+        ops = identity[None]
         obj = float(np.trace(mats[0]).real)
         y, bound = _dual_certificate(ops, mats)
         return PovmUpdateResult(ops, obj, True, 0, y, bound, (obj,))
@@ -405,7 +407,7 @@ def povm_update(
         if warm_start is not None:
             warm_obj = _povm_objective(warm_start, mats)
             if warm_obj > obj:  # possible only through rounding; keep the better POVM
-                ops = tuple(hermitian_part(np.asarray(w, dtype=np.complex128)) for w in warm_start)
+                ops = hermitian_part(np.asarray(warm_start, dtype=np.complex128))
                 obj = warm_obj
         return PovmUpdateResult(ops, obj, True, 0, y, float(np.trace(y).real), (obj,))
 
@@ -445,4 +447,4 @@ def povm_update(
     else:
         converged = False
     y, bound = _dual_certificate(current, mats)
-    return PovmUpdateResult(tuple(current), best_obj, converged, iterations, y, bound, tuple(log))
+    return PovmUpdateResult(current, best_obj, converged, iterations, y, bound, tuple(log))

@@ -15,12 +15,11 @@ dimension chains reuse the best model found one dimension lower.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
-    Behavior,
     BellFunctional,
     COMPLETE,
     INCOMPLETE,
@@ -64,10 +63,9 @@ class SeesawConfig:
 
 @dataclass(frozen=True, eq=False)
 class SeesawResult:
-    """Best model over all
-
-    seeds and both signs, with its recomputed value |<T, Q(model)>|,
-    the winning run's monotone sweep log, and the per-seed best values.
+    """Best model over all seeds and both signs, with its recomputed
+    value |<T, Q(model)>|, the winning run's monotone sweep log, and the
+    per-seed best values.
     """
 
     value: float
@@ -79,47 +77,44 @@ class SeesawResult:
 
 
 def bell_operator(functional: BellFunctional, alice_povms, bob_povms) -> np.ndarray:
-    """B = sum T[x,y,a,b] E_a^x tensor F_b^y, Hermitian by construction."""
-    es = np.stack([np.stack(list(p)) for p in alice_povms])
-    fs = np.stack([np.stack(list(p)) for p in bob_povms])
-    na, ma, da, _ = es.shape
-    nb, mb, db, _ = fs.shape
+    """B = sum T[x,y,a,b] E_a^x tensor F_b^y over (inputs, outcomes, d, d)
+    POVM stacks, Hermitian by construction."""
+    na, ma, da, _ = alice_povms.shape
+    nb, mb, db, _ = bob_povms.shape
     if functional.scenario.shape != (na, nb, ma, mb):
         raise ValidationError(
             f"POVM layout {(na, nb, ma, mb)} does not match scenario "
             f"{functional.scenario.shape}"
         )
-    op = np.einsum("xyab,xaij,ybkl->ikjl", functional.coeffs, es, fs, optimize=True)
+    op = np.einsum("xyab,xaij,ybkl->ikjl", functional.coeffs, alice_povms, bob_povms, optimize=True)
     return hermitian_part(op.reshape(da * db, da * db))
 
 
 def reduced_operators(functional: BellFunctional, state: np.ndarray,
-                      other_povms, party: str) -> list[list[np.ndarray]]:
-    """Per-input reduced operators R_a^x for one party.
+                      other_povms: np.ndarray, party: str) -> np.ndarray:
+    """Reduced operators R_a^x of one party, as an (inputs, outcomes, d, d) stack.
 
     They satisfy sum_{x,a} tr(E_a^x R_a^x) = <T, Q> for every POVM set
-    of the named party, with the other party's POVMs and the state held
-    fixed.  Hermitized so the defining identity holds for Hermitian E.
+    of the named party, with the other party's POVM stack and the state
+    held fixed.  Hermitized so the defining identity holds for Hermitian E.
     """
     coeffs = functional.coeffs
-    os_ = np.stack([np.stack(list(p)) for p in other_povms])
     if party == "alice":
-        nb, mb, db, _ = os_.shape
+        db = other_povms.shape[-1]
         da = state.shape[0] // db
         rho4 = state.reshape(da, db, da, db)
         # partial trace over Bob of (1 tensor F) rho
-        partial = np.einsum("ybkc,icjk->ybij", os_, rho4, optimize=True)
+        partial = np.einsum("ybkc,icjk->ybij", other_povms, rho4, optimize=True)
         raw = np.einsum("xyab,ybij->xaij", coeffs, partial, optimize=True)
     elif party == "bob":
-        na, ma, da, _ = os_.shape
+        da = other_povms.shape[-1]
         db = state.shape[0] // da
         rho4 = state.reshape(da, db, da, db)
-        partial = np.einsum("xaic,ckil->xakl", os_, rho4, optimize=True)
+        partial = np.einsum("xaic,ckil->xakl", other_povms, rho4, optimize=True)
         raw = np.einsum("xyab,xakl->ybkl", coeffs, partial, optimize=True)
     else:
         raise ValidationError(f"party must be 'alice' or 'bob', got {party!r}")
-    raw = hermitian_part(raw)
-    return [[raw[x, a] for a in range(raw.shape[1])] for x in range(raw.shape[0])]
+    return hermitian_part(raw)
 
 
 def _random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -145,8 +140,8 @@ def _random_model(rng: np.random.Generator, scenario, dim: int, mode: str) -> Qu
     return QuantumModel(
         dim, dim,
         _random_state(rng, dim * dim),
-        tuple(tuple(_random_povm(rng, dim, ma)) for _ in range(na)),
-        tuple(tuple(_random_povm(rng, dim, mb)) for _ in range(nb)),
+        [_random_povm(rng, dim, ma) for _ in range(na)],
+        [_random_povm(rng, dim, mb) for _ in range(nb)],
         completeness=mode,
     )
 
@@ -165,19 +160,14 @@ def pad_quantum_model(model: QuantumModel, dim: int) -> QuantumModel:
     state = rho4.reshape(dim * dim, dim * dim)
 
     def pad_side(povms, old_dim):
-        fill = np.zeros((dim, dim), dtype=np.complex128)
-        fill[old_dim:, old_dim:] = np.eye(dim - old_dim)
-        out = []
-        for povm in povms:
-            padded = []
-            for i, el in enumerate(povm):
-                big = np.zeros((dim, dim), dtype=np.complex128)
-                big[:old_dim, :old_dim] = el
-                if i == 0 and model.completeness == COMPLETE:
-                    big = big + fill
-                padded.append(big)
-            out.append(tuple(padded))
-        return tuple(out)
+        big = np.zeros(povms.shape[:2] + (dim, dim), dtype=np.complex128)
+        big[..., :old_dim, :old_dim] = povms
+        if model.completeness == COMPLETE:
+            fill = np.zeros((dim, dim), dtype=np.complex128)
+            fill[old_dim:, old_dim:] = np.eye(dim - old_dim)
+            # added, not assigned: a -0.0 entry of outcome 0 becomes +0.0
+            big[:, 0] = big[:, 0] + fill
+        return big
 
     return QuantumModel(dim, dim, state, pad_side(model.alice_povms, da),
                         pad_side(model.bob_povms, db), completeness=model.completeness)
@@ -185,8 +175,8 @@ def pad_quantum_model(model: QuantumModel, dim: int) -> QuantumModel:
 
 def _one_run(functional: BellFunctional, cfg: SeesawConfig, model: QuantumModel):
     """Sweep one model to a stall; returns (value, model, log, converged, sweeps)."""
-    alice = [list(p) for p in model.alice_povms]
-    bob = [list(p) for p in model.bob_povms]
+    alice = np.array(model.alice_povms)  # writable copies, updated input by input
+    bob = np.array(model.bob_povms)
     state = np.asarray(model.state)
     log = []
     prev = -np.inf
@@ -200,21 +190,18 @@ def _one_run(functional: BellFunctional, cfg: SeesawConfig, model: QuantumModel)
         # loose inner stop: the outer sweeps re-solve every sub-step anyway
         for x, reduced in enumerate(reduced_operators(functional, state, bob, "alice")):
             upd = povm_update(reduced, cfg.mode, warm_start=alice[x], gain_tol=1e-10)
-            alice[x] = list(upd.operators)
+            alice[x] = upd.operators
         value = 0.0
         for y, reduced in enumerate(reduced_operators(functional, state, alice, "bob")):
             upd = povm_update(reduced, cfg.mode, warm_start=bob[y], gain_tol=1e-10)
-            bob[y] = list(upd.operators)
+            bob[y] = upd.operators
             value += upd.objective
         log.append(value)
         if value - prev < cfg.tol:
             converged = True
             break
         prev = value
-    out = QuantumModel(cfg.dim, cfg.dim, state,
-                       tuple(tuple(p) for p in alice),
-                       tuple(tuple(p) for p in bob),
-                       completeness=cfg.mode)
+    out = QuantumModel(cfg.dim, cfg.dim, state, alice, bob, completeness=cfg.mode)
     return log[-1], out, log, converged, sweeps
 
 

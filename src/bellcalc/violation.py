@@ -281,12 +281,10 @@ def complete_quantum_model(model: QuantumModel) -> QuantumModel:
     element.  The behavior of the result restricts to the original on
     the old outcomes and is complete by construction."""
     def extend(povms, dim):
-        eye = np.eye(dim)
-        out = []
-        for povm in povms:
-            dummy = hermitian_part(eye - sum(povm))
-            out.append(tuple(povm) + (dummy,))
-        return tuple(out)
+        # builtin sum over the outcome axis, as numpy's pairwise sum
+        # would round differently at d = 1
+        dummy = hermitian_part(np.eye(dim) - sum(povms.swapaxes(0, 1)))
+        return np.concatenate([povms, dummy[:, None]], axis=1)
 
     return QuantumModel(
         model.dim_a,

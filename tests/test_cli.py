@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import bellcalc
 from bellcalc import (
+    DocumentError,
     GuardExceededError,
     Scenario,
     behavior_from_local,
@@ -412,6 +413,19 @@ def test_quantum_model_document_round_trip():
     for orig, rebuilt in zip(model.alice_povms, back.alice_povms):
         for e1, e2 in zip(orig, rebuilt):
             assert np.asarray(e2).tolist() == np.asarray(e1, dtype=complex).tolist()
+
+
+@pytest.mark.parametrize("mangle", [
+    lambda povms: povms[1].append(povms[1][0]),   # ragged outcome counts
+    lambda povms: povms.__setitem__(1, []),       # an input with no outcomes
+    lambda povms: povms[0].__setitem__(0, [[0.5, 0.0], [0.0, 0.5]]),  # a 2x2 real matrix
+])
+def test_quantum_model_document_rejects_malformed_povms(mangle):
+    doc = bio.quantum_model_document(build_chsh_optimal_model(), "bad", "test")
+    doc = json.loads(bio.dump_document(doc))
+    mangle(doc["payload"]["alice_povms"])
+    with pytest.raises(DocumentError, match="payload.alice_povms"):
+        bio.quantum_model_from_document(doc)
 
 
 def test_stdout_is_a_single_terminated_document(capsys, chsh_file):

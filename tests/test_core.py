@@ -13,12 +13,14 @@ from bellcalc import (
     QuantumModel,
     Scenario,
     ScenarioMismatchError,
+    SeesawConfig,
     ValidationError,
     behavior_from_local,
     behavior_from_quantum,
     hermitian_part,
     no_signaling_check,
     pair,
+    seesaw,
     validate,
 )
 from conftest import chsh_optimal_probs, random_local_model
@@ -198,3 +200,32 @@ def test_local_model_total_weight(scenario_2222, rng):
     model = random_local_model(rng, scenario_2222, total=0.8)
     assert model.total_weight == pytest.approx(0.8, abs=1e-12)
     assert model.completeness == "incomplete"
+
+
+def test_quantum_model_holds_readonly_povm_stacks(chsh_optimal_model, chsh):
+    found = seesaw(chsh, SeesawConfig(dim=2, seeds=1)).model
+    for model in (chsh_optimal_model, found):
+        for stack, dim in ((model.alice_povms, model.dim_a), (model.bob_povms, model.dim_b)):
+            assert isinstance(stack, np.ndarray)
+            assert stack.dtype == np.complex128
+            assert stack.shape == (2, 2, dim, dim)
+            assert not stack.flags.writeable
+        assert model.scenario == Scenario(2, 2, 2, 2)
+
+
+def test_quantum_model_copies_its_povms(chsh_optimal_model):
+    povms = np.array(chsh_optimal_model.alice_povms)
+    model = QuantumModel(2, 2, chsh_optimal_model.state, povms, chsh_optimal_model.bob_povms)
+    povms[0, 0] = 0.0
+    assert np.array_equal(model.alice_povms, chsh_optimal_model.alice_povms)
+
+
+def test_quantum_model_rejects_bad_povm_layouts(chsh_optimal_model):
+    state, bob = chsh_optimal_model.state, chsh_optimal_model.bob_povms
+    e = np.eye(2) / 2
+    with pytest.raises(ValidationError, match="same number of outcomes"):
+        QuantumModel(2, 2, state, [[e, e], [e, e, np.zeros((2, 2))]], bob)
+    with pytest.raises(ValidationError, match="at least one input"):
+        QuantumModel(2, 2, state, [], bob)
+    with pytest.raises(ValidationError, match=r"expected \(inputs, outcomes, 2, 2\)"):
+        QuantumModel(2, 2, state, [[np.eye(3), np.eye(3)]], bob)

@@ -175,6 +175,36 @@ def test_pad_quantum_model_preserves_behavior(chsh_optimal_model):
     )
 
 
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("mode", ["complete", "incomplete"])
+def test_pad_quantum_model_matches_per_element_padding(rng, dim, mode):
+    model = _random_model(rng, Scenario(2, 2, 3, 2), dim, mode)
+    alice = np.array(model.alice_povms)
+    alice.imag[:, 0, 0, 0] = -0.0
+    model = QuantumModel(dim, dim, model.state, alice, model.bob_povms, completeness=mode)
+    big = dim + 2
+    fill = np.zeros((big, big), dtype=np.complex128)
+    fill[dim:, dim:] = np.eye(big - dim)
+
+    def reference(povms):
+        out = []
+        for povm in povms:
+            padded = []
+            for a, el in enumerate(povm):
+                m = np.zeros((big, big), dtype=np.complex128)
+                m[:dim, :dim] = el
+                padded.append(m + fill if a == 0 and mode == "complete" else m)
+            out.append(padded)
+        return np.array(out)
+
+    padded = pad_quantum_model(model, big)
+    assert padded.alice_povms.tobytes() == reference(model.alice_povms).tobytes()
+    assert padded.bob_povms.tobytes() == reference(model.bob_povms).tobytes()
+    # the identity fill is added, so outcome 0 carries +0.0 where it had -0.0
+    sign = np.signbit(padded.alice_povms[:, 0, 0, 0].imag)
+    assert not sign.any() if mode == "complete" else sign.all()
+
+
 def test_pad_quantum_model_rejects_shrinking(chsh_optimal_model):
     with pytest.raises(ValidationError):
         pad_quantum_model(chsh_optimal_model, 1)

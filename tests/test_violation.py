@@ -32,7 +32,7 @@ from bellcalc import (
     validate,
     violation_report,
 )
-from bellcalc.core import QuantumModel, no_signaling_check
+from bellcalc.core import QuantumModel, hermitian_part, no_signaling_check
 from bellcalc.seesaw import _random_model
 
 from conftest import build_chsh_optimal_model, random_local_model
@@ -218,6 +218,20 @@ def test_complete_quantum_model_restriction(rng):
     assert validate(done) == ()
     restricted = behavior_from_quantum(done).probs[:, :, :2, :2]
     np.testing.assert_allclose(restricted, behavior_from_quantum(model).probs, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_complete_quantum_model_matches_per_element_sums(rng, dim):
+    # nine outcomes: at d = 1 numpy's pairwise .sum(axis=1) would round
+    # differently from adding the outcomes one at a time
+    model = _random_model(rng, Scenario(6, 3, 9, 2), dim, "complete")
+    scaled = QuantumModel(dim, dim, model.state, 0.7 * model.alice_povms,
+                          0.9 * model.bob_povms, completeness="incomplete")
+    done = complete_quantum_model(scaled)
+    for got, povms in ((done.alice_povms, scaled.alice_povms),
+                       (done.bob_povms, scaled.bob_povms)):
+        want = np.array([list(p) + [hermitian_part(np.eye(dim) - sum(list(p)))] for p in povms])
+        assert got.tobytes() == want.tobytes()
 
 
 def test_eq4_chsh_gap_closes(chsh):
