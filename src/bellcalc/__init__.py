@@ -56,7 +56,6 @@ from .seesaw import (
     SeesawResult,
     bell_operator,
     pad_quantum_model,
-    quantum_ratio,
     reduced_operators,
     seesaw,
 )
@@ -64,8 +63,7 @@ from .violation import (
     DimensionEntry,
     DimensionWitnessReport,
     ViolationReport,
-    check_noise_identity,
-    comm_lower_bound,
+    comm_bits,
     complete_behavior,
     complete_quantum_model,
     dimension_witness_report,
@@ -104,11 +102,10 @@ __all__ = [
     "behavior_from_local",
     "behavior_from_quantum",
     "bell_operator",
-    "check_noise_identity",
     "chsh_functional",
     "classical_value",
     "classical_value_incomplete",
-    "comm_lower_bound",
+    "comm_bits",
     "complete_behavior",
     "complete_quantum_model",
     "dimension_witness_report",
@@ -122,7 +119,6 @@ __all__ = [
     "noise_robustness",
     "pad_quantum_model",
     "pair",
-    "quantum_ratio",
     "random_correlation_functional",
     "random_functional",
     "reduced_operators",

@@ -163,10 +163,8 @@ def _membership_lp(behavior: Behavior):
     q = behavior.probs.reshape(-1)
     # variables: weights w (V), distance t (1); minimize t subject to
     #   sum_i w_i D_i - t <= q,  -(sum_i w_i D_i) - t <= -q,  sum w = 1
-    a_plus = sp.hstack([verts.T, sp.csr_matrix(-np.ones((n_entries, 1)))], format="csr")
-    a_minus = sp.hstack([-verts.T, sp.csr_matrix(-np.ones((n_entries, 1)))], format="csr")
-    a_sum = sp.hstack([sp.csr_matrix(np.ones((1, n_vert))), sp.csr_matrix((1, 1))], format="csr")
-    a = sp.vstack([a_plus, a_minus, a_sum], format="csr")
+    minus_t = -np.ones((n_entries, 1))
+    a = sp.bmat([[verts.T, minus_t], [-verts.T, minus_t], [np.ones((1, n_vert)), None]], format="csr")
     rhs = np.concatenate([q, -q, [1.0]])
     senses = np.repeat([LE, EQ], [2 * n_entries, 1])
     c = np.zeros(n_vert + 1)

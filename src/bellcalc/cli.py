@@ -12,7 +12,6 @@ solver failed with no input at fault.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import io as bio
@@ -69,14 +68,18 @@ def _input_name(doc: dict, fallback: str = "input") -> str:
     return fallback
 
 
+def _load_functional(path: str):
+    """(functional, name) from a functional document."""
+    doc = bio.load_document(path, "functional")
+    return bio.functional_from_document(doc), _input_name(doc)
+
+
 def _report(scenario, payload: dict, name: str, provenance: str) -> dict:
     return bio.document("report", scenario, payload, name, provenance)
 
 
 def _cmd_classical(args) -> dict:
-    doc = bio.load_document(args.file, "functional")
-    functional = bio.functional_from_document(doc)
-    name = _input_name(doc)
+    functional, name = _load_functional(args.file)
     cv = classical_value(functional)
     cvi = classical_value_incomplete(functional)
     norm = banach_norm(functional)
@@ -102,9 +105,7 @@ def _seesaw_config(args) -> SeesawConfig:
 
 
 def _cmd_quantum(args) -> dict:
-    doc = bio.load_document(args.file, "functional")
-    functional = bio.functional_from_document(doc)
-    name = _input_name(doc)
+    functional, name = _load_functional(args.file)
     cfg = _seesaw_config(args)
     result = seesaw(functional, cfg)
     denom = (
@@ -183,9 +184,7 @@ def _cmd_behavior(args) -> dict:
 
 
 def _cmd_witness(args) -> dict:
-    doc = bio.load_document(args.file, "functional")
-    functional = bio.functional_from_document(doc)
-    name = _input_name(doc)
+    functional, name = _load_functional(args.file)
     cfg = SeesawConfig(dim=1, seeds=args.seeds, rng_seed=args.rng_seed)
     report = dimension_witness_report(functional, args.observed, args.max_dim, cfg)
     payload = {
@@ -205,9 +204,7 @@ def _cmd_witness(args) -> dict:
 
 
 def _cmd_eq4(args) -> dict:
-    doc = bio.load_document(args.file, "functional")
-    functional = bio.functional_from_document(doc)
-    name = _input_name(doc)
+    functional, name = _load_functional(args.file)
     cfg = SeesawConfig(dim=args.dim, seeds=args.seeds, rng_seed=args.rng_seed)
     lhs, rhs = eq4_gap(functional, cfg)
     payload = {
@@ -224,15 +221,7 @@ def _cmd_eq4(args) -> dict:
 
 
 def _game_table(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as e:
-        raise DocumentError(f"cannot read {path}: {e.strerror}") from e
-    except json.JSONDecodeError as e:
-        raise DocumentError(
-            f"JSON parse error at byte {e.pos} (line {e.lineno}, column {e.colno}): {e.msg}"
-        ) from e
+    raw = bio.parse_json(bio.read_text(path))
     if not isinstance(raw, dict) or "weights" not in raw or "win" not in raw:
         raise DocumentError("game table must be an object with 'weights' and 'win'")
     return raw["weights"], raw["win"]

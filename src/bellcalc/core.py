@@ -161,16 +161,6 @@ class DeterministicStrategy:
         if any(b < 0 or b >= scenario.n_outputs_b for b in self.bob_outputs):
             raise ValidationError(f"Bob outputs {self.bob_outputs} out of range")
 
-    def behavior(self, scenario: Scenario) -> Behavior:
-        """The deterministic behavior: an indicator tensor."""
-        self.check_against(scenario)
-        na, nb, _, _ = scenario.shape
-        probs = np.zeros(scenario.shape)
-        for x in range(na):
-            for y in range(nb):
-                probs[x, y, self.alice_outputs[x], self.bob_outputs[y]] = 1.0
-        return Behavior(scenario, probs, COMPLETE)
-
 
 @dataclass(frozen=True)
 class LocalModel:
@@ -286,22 +276,17 @@ def behavior_from_local(model: LocalModel, scenario: Scenario) -> Behavior:
     Raises ValidationError for negative weights, total weight above one,
     or strategies that do not fit the scenario.
     """
-    total = 0.0
     probs = np.zeros(scenario.shape)
+    x, y = np.ix_(range(scenario.n_inputs_a), range(scenario.n_inputs_b))
     for i, (w, strat) in enumerate(model.weights):
         if w < -EPS_FEAS:
             raise ValidationError(f"weight {i} is negative: {w}")
         strat.check_against(scenario)
-        total += w
-        if w <= 0.0:
-            continue
-        for x in range(scenario.n_inputs_a):
-            for y in range(scenario.n_inputs_b):
-                probs[x, y, strat.alice_outputs[x], strat.bob_outputs[y]] += w
-    if total > 1.0 + EPS_FEAS:
-        raise ValidationError(f"total weight {total} exceeds 1")
-    completeness = COMPLETE if total >= 1.0 - EPS_FEAS else INCOMPLETE
-    return clipped_behavior(scenario, probs, completeness)
+        if w > 0.0:  # one entry per (x, y), so the fancy-indexed add has no repeats
+            probs[x, y, np.array(strat.alice_outputs)[:, None], np.array(strat.bob_outputs)] += w
+    if model.total_weight > 1.0 + EPS_FEAS:
+        raise ValidationError(f"total weight {model.total_weight} exceeds 1")
+    return clipped_behavior(scenario, probs, model.completeness)
 
 
 def behavior_from_quantum(model: QuantumModel) -> Behavior:
@@ -419,21 +404,16 @@ def no_signaling_check(behavior: Behavior) -> NoSignalingResult:
     if not behavior.is_complete:
         raise ValidationError("no-signaling check is undefined for incomplete behaviors")
     probs = behavior.probs
-    # marg_a[x, a, y] = sum_b p(ab|xy); spread across y must vanish
-    marg_a = probs.sum(axis=3).transpose(0, 2, 1)
-    marg_b = probs.sum(axis=2).transpose(1, 2, 0)
+    # marg[x, a, y] = sum_b p(ab|xy), spread across y must vanish; Bob's likewise
+    margins = (("alice", "xa", probs.sum(axis=3).transpose(0, 2, 1)),
+               ("bob", "yb", probs.sum(axis=2).transpose(1, 2, 0)))
     worst = 0.0
     location = ""
-    spread_a = marg_a.max(axis=2) - marg_a.min(axis=2)
-    if spread_a.size:
-        x, a = np.unravel_index(int(np.argmax(spread_a)), spread_a.shape)
-        if float(spread_a[x, a]) > worst:
-            worst = float(spread_a[x, a])
-            location = f"alice marginal (x={int(x)}, a={int(a)})"
-    spread_b = marg_b.max(axis=2) - marg_b.min(axis=2)
-    if spread_b.size:
-        y, b = np.unravel_index(int(np.argmax(spread_b)), spread_b.shape)
-        if float(spread_b[y, b]) > worst:
-            worst = float(spread_b[y, b])
-            location = f"bob marginal (y={int(y)}, b={int(b)})"
+    for party, (i, o), marg in margins:  # strict >: Alice's marginal wins a tie
+        spread = marg.max(axis=2) - marg.min(axis=2)
+        if spread.size:
+            s, t = np.unravel_index(int(np.argmax(spread)), spread.shape)
+            if float(spread[s, t]) > worst:
+                worst = float(spread[s, t])
+                location = f"{party} marginal ({i}={int(s)}, {o}={int(t)})"
     return NoSignalingResult(worst <= NS_TOL, worst, location)

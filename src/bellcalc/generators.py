@@ -55,18 +55,21 @@ def magic_square_functional() -> BellFunctional:
 def game_functional(weights: np.ndarray, win: np.ndarray) -> BellFunctional:
     """Functional of a generic game: input weights times the win predicate.
 
-    ``weights`` has shape (Na, Nb) with nonnegative entries summing to
-    one; ``win`` is a 0/1 tensor of shape (Na, Nb, Ma, Mb).
+    ``weights`` has shape (Na, Nb) with finite nonnegative entries
+    summing to one; ``win`` is a 0/1 tensor of shape (Na, Nb, Ma, Mb).
     """
-    win = np.asarray(win, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
+    try:
+        win = np.asarray(win, dtype=np.float64)
+        weights = np.asarray(weights, dtype=np.float64)
+    except (TypeError, ValueError) as e:
+        raise ValidationError(f"weights and win predicate must be numeric arrays: {e}") from e
     if win.ndim != 4:
         raise ValidationError(f"win predicate must be a 4-index tensor, got {win.ndim} indices")
     if weights.shape != win.shape[:2]:
         raise ValidationError(
             f"weights shape {weights.shape} does not match win inputs {win.shape[:2]}"
         )
-    if np.any(weights < 0) or abs(float(weights.sum()) - 1.0) > 1e-9:
+    if not np.all(np.isfinite(weights)) or np.any(weights < 0) or abs(float(weights.sum()) - 1.0) > 1e-9:
         raise ValidationError("input weights must be nonnegative and sum to 1")
     if not np.isin(win, (0.0, 1.0)).all():
         raise ValidationError("win predicate entries must be 0 or 1")

@@ -40,41 +40,34 @@ FORMAT_VERSION = "1"
 KINDS = ("functional", "behavior", "quantum_model", "report")
 
 
-def _py(value):
-    """Recursively convert numpy scalars/arrays to plain Python types."""
+def _plain(value, path: str):
+    """Copy of a payload in plain Python types: numpy arrays and scalars
+    converted, complex numbers as [re, im].  A non-finite float raises,
+    naming its path."""
     if isinstance(value, np.ndarray):
-        return _py(value.tolist())
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
+        value = value.tolist()
+    elif isinstance(value, np.floating):
+        value = float(value)
+    elif isinstance(value, np.integer):
+        value = int(value)
+    elif isinstance(value, np.bool_):
+        value = bool(value)
     if isinstance(value, complex):
-        return [value.real, value.imag]
-    if isinstance(value, dict):
-        return {k: _py(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_py(v) for v in value]
-    return value
-
-
-def _check_finite(value, path):
+        value = [value.real, value.imag]
     if isinstance(value, float) and not math.isfinite(value):
         raise DocumentError(f"non-finite number at {path}")
     if isinstance(value, dict):
-        for k, v in value.items():
-            _check_finite(v, f"{path}.{k}")
-    elif isinstance(value, list):
-        for i, v in enumerate(value):
-            _check_finite(v, f"{path}[{i}]")
+        return {k: _plain(v, f"{path}.{k}") for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    return value
 
 
 def document(kind: str, scenario: Scenario | None, payload: dict,
              name: str, provenance: str) -> dict:
     if kind not in KINDS:
         raise DocumentError(f"unknown document kind {kind!r}")
-    doc = {
+    return {
         "format_version": FORMAT_VERSION,
         "kind": kind,
         "scenario": None if scenario is None else {
@@ -83,11 +76,9 @@ def document(kind: str, scenario: Scenario | None, payload: dict,
             "ma": scenario.n_outputs_a,
             "mb": scenario.n_outputs_b,
         },
-        "payload": _py(payload),
+        "payload": _plain(payload, "payload"),
         "metadata": {"name": name, "provenance": provenance},
     }
-    _check_finite(doc["payload"], "payload")
-    return doc
 
 
 def dump_document(doc: dict) -> str:
@@ -95,13 +86,27 @@ def dump_document(doc: dict) -> str:
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
-def parse_document(text: str, expect_kind: str | None = None) -> dict:
+def read_text(path: str) -> str:
+    """Contents of a UTF-8 file; an unreadable file raises DocumentError."""
     try:
-        doc = json.loads(text)
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as e:
+        raise DocumentError(f"cannot read {path}: {e.strerror}") from e
+
+
+def parse_json(text: str):
+    """Parsed JSON value; a syntax error raises DocumentError naming where."""
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise DocumentError(
             f"JSON parse error at byte {e.pos} (line {e.lineno}, column {e.colno}): {e.msg}"
         ) from e
+
+
+def parse_document(text: str, expect_kind: str | None = None) -> dict:
+    doc = parse_json(text)
     if not isinstance(doc, dict):
         raise DocumentError("document root must be an object")
     version = doc.get("format_version")
@@ -120,12 +125,13 @@ def parse_document(text: str, expect_kind: str | None = None) -> dict:
 
 
 def load_document(path: str, expect_kind: str | None = None) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
-        raise DocumentError(f"cannot read {path}: {e.strerror}") from e
-    return parse_document(text, expect_kind)
+    return parse_document(read_text(path), expect_kind)
+
+
+def _positive_int(value, path: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise DocumentError(f"{path} must be a positive integer")
+    return value
 
 
 def _scenario_from_doc(doc: dict) -> Scenario:
@@ -136,10 +142,7 @@ def _scenario_from_doc(doc: dict) -> Scenario:
         fields = {k: raw[k] for k in ("na", "nb", "ma", "mb")}
     except KeyError as e:
         raise DocumentError(f"scenario is missing key {e.args[0]!r}") from e
-    for k, v in fields.items():
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise DocumentError(f"scenario.{k} must be a positive integer")
-    return Scenario(fields["na"], fields["nb"], fields["ma"], fields["mb"])
+    return Scenario(*(_positive_int(v, f"scenario.{k}") for k, v in fields.items()))
 
 
 def _tensor_from_payload(payload: dict, key: str, scenario: Scenario) -> np.ndarray:
@@ -241,13 +244,12 @@ def quantum_model_document(model: QuantumModel, name: str, provenance: str) -> d
 
 def quantum_model_from_document(doc: dict) -> QuantumModel:
     payload = _payload_of(doc)
+    scenario = _scenario_from_doc(doc)
     for key in ("dim_a", "dim_b", "state", "alice_povms", "bob_povms"):
         if key not in payload:
             raise DocumentError(f"payload is missing {key!r}")
-    da, db = payload["dim_a"], payload["dim_b"]
-    for label, v in (("dim_a", da), ("dim_b", db)):
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise DocumentError(f"payload.{label} must be a positive integer")
+    da = _positive_int(payload["dim_a"], "payload.dim_a")
+    db = _positive_int(payload["dim_b"], "payload.dim_b")
     state = _matrix_in(payload["state"], (da * db, da * db), "payload.state")
 
     def povms_in(raw, dim, label):
@@ -255,12 +257,16 @@ def quantum_model_from_document(doc: dict) -> QuantumModel:
             raise DocumentError(f"payload.{label} must be a non-empty list of non-empty lists")
         return _matrix_in(raw, (len(raw), len(raw[0]), dim, dim), f"payload.{label}")
 
-    return QuantumModel(
+    model = QuantumModel(
         da, db, state,
         povms_in(payload["alice_povms"], da, "alice_povms"),
         povms_in(payload["bob_povms"], db, "bob_povms"),
         completeness=_completeness_from_payload(payload),
     )
+    if model.scenario != scenario:
+        raise DocumentError(f"scenario {scenario.shape} does not match the POVM stacks, "
+                            f"which imply {model.scenario.shape}")
+    return model
 
 
 # -- local models (embedded in membership reports) ----------------------

@@ -204,22 +204,15 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
     return LpSolution(status, x, y, objective, primal_resid, dual_resid, gap)
 
 
-@dataclass(frozen=True, eq=False)
-class EigenDecomposition:
-    """Eigenvalues ascending, eigenvectors as columns of ``vectors``."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
 def _squared_frobenius(m: np.ndarray) -> np.ndarray:
     """Squared Frobenius norm of every (d, d) slice."""
     return (m * m.conj()).real.sum(axis=(-2, -1))
 
 
-def eigh(matrix: np.ndarray) -> EigenDecomposition:
-    """Hermitian eigendecomposition with the reconstruction contract,
-    broadcast over leading axes.
+def eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hermitian eigendecomposition ``(w, v)`` with the reconstruction
+    contract, broadcast over leading axes: eigenvalues ascending,
+    eigenvectors as the columns of v, as from np.linalg.eigh.
 
     Rejects inputs where any (d, d) slice has a Hermitian defect above
     1e-9 relative to that slice's Frobenius norm, symmetrizes the rest,
@@ -234,8 +227,7 @@ def eigh(matrix: np.ndarray) -> EigenDecomposition:
     if bad.any():
         worst = float(np.sqrt(defect[bad].max()))
         raise ValidationError(f"matrix is not Hermitian: defect {worst:.3g}")
-    w, v = np.linalg.eigh(hermitian_part(h))
-    return EigenDecomposition(w, v)
+    return np.linalg.eigh(hermitian_part(h))
 
 
 def psd_project(matrix: np.ndarray) -> np.ndarray:
@@ -245,10 +237,8 @@ def psd_project(matrix: np.ndarray) -> np.ndarray:
     Symmetrize, clip negative eigenvalues at zero, reconstruct.
     Idempotent up to floating point.
     """
-    dec = eigh(matrix)
-    w = np.maximum(dec.values, 0.0)
-    v = dec.vectors
-    return hermitian_part((v * w[..., None, :]) @ np.swapaxes(v.conj(), -1, -2))
+    w, v = eigh(matrix)
+    return hermitian_part((v * np.maximum(w, 0.0)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,25 +321,24 @@ def _two_outcome_exact(reduced):
     positive eigenspace of R_1 - R_2, ties going to E_2."""
     r1, r2 = reduced
     d = r1.shape[0]
-    dec = eigh(r1 - r2)
-    keep = dec.values > 0.0
-    vecs = dec.vectors[:, keep]
+    w, v = eigh(r1 - r2)
+    keep = w > 0.0
+    vecs = v[:, keep]
     e1 = vecs @ vecs.conj().T
-    objective = float(np.trace(r2).real + dec.values[keep].sum())
+    objective = float(np.trace(r2).real + w[keep].sum())
     # exact dual: Y = R_2 + positive part of (R_1 - R_2)
-    pos = hermitian_part((dec.vectors * np.maximum(dec.values, 0.0)) @ dec.vectors.conj().T)
+    pos = hermitian_part((v * np.maximum(w, 0.0)) @ v.conj().T)
     y = hermitian_part(r2 + pos)
     return hermitian_part(np.stack([e1, np.eye(d) - e1])), objective, y
 
 
 def _inv_sqrt_psd(mat: np.ndarray) -> np.ndarray:
     """Pseudo inverse square root; tiny eigenvalues are dropped."""
-    dec = eigh(mat)
-    w = dec.values
+    w, v = eigh(mat)
     cutoff = max(float(w[-1]), 0.0) * 1e-14
     keep = w > cutoff
     inv = np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0)
-    return (dec.vectors * inv) @ dec.vectors.conj().T
+    return (v * inv) @ v.conj().T
 
 
 def povm_update(

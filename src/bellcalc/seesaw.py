@@ -28,8 +28,7 @@ from .core import (
     hermitian_part,
     pair,
 )
-from .errors import GuardExceededError, UndefinedQuantityError, ValidationError
-from .classical import classical_value
+from .errors import GuardExceededError, ValidationError
 from .numerics import _inv_sqrt_psd, eigh, povm_update, psd_project
 
 # Joint-space dimension cap; the Bell operator is dense (da*db)^2.
@@ -184,8 +183,7 @@ def _one_run(functional: BellFunctional, cfg: SeesawConfig, model: QuantumModel)
     sweeps = 0
     for sweeps in range(1, cfg.max_sweeps + 1):
         op = bell_operator(functional, alice, bob)
-        dec = eigh(op)
-        top = dec.vectors[:, -1]
+        top = eigh(op)[1][:, -1]
         state = np.outer(top, top.conj())
         # loose inner stop: the outer sweeps re-solve every sub-step anyway
         for x, reduced in enumerate(reduced_operators(functional, state, bob, "alice")):
@@ -245,13 +243,3 @@ def seesaw(functional: BellFunctional, cfg: SeesawConfig,
     final = abs(pair(functional, behavior))
     return SeesawResult(final, model, converged, sweeps, tuple(per_seed), tuple(log))
 
-
-def quantum_ratio(functional: BellFunctional, cfg: SeesawConfig) -> float:
-    """seesaw value divided by the exact classical value.
-
-    Undefined (raises) when the classical value is zero.
-    """
-    cv = classical_value(functional)
-    if cv == 0.0:
-        raise UndefinedQuantityError("quantum/classical ratio is undefined: classical value is 0")
-    return seesaw(functional, cfg).value / cv

@@ -172,13 +172,9 @@ def noise_robustness(behavior: Behavior) -> float:
     q_col = sp.csr_matrix(behavior.probs.ravel().reshape(-1, 1))
     # columns: [v | lambda (local part) | mu (noise part)]
     mix = sp.hstack([q_col, -dt, dt], format="csr")
-    ones_lam = sp.hstack(
-        [sp.csr_matrix((1, 1)), sp.csr_matrix(np.ones((1, n_vertices))), sp.csr_matrix((1, n_vertices))]
-    )
-    ones_mu = sp.hstack(
-        [sp.csr_matrix(np.ones((1, 1))), sp.csr_matrix((1, n_vertices)), sp.csr_matrix(np.ones((1, n_vertices)))]
-    )
-    a = sp.vstack([mix, mix, ones_lam, ones_mu], format="csr")
+    ones, zeros = np.ones((1, n_vertices)), np.zeros((1, n_vertices))
+    masses = np.block([[0.0, ones, zeros], [1.0, zeros, ones]])  # sum lambda = 1, v + sum mu = 1
+    a = sp.vstack([mix, mix, sp.csr_matrix(masses)], format="csr")
     rhs = np.concatenate([
         np.full(n_entries, PI_SLACK),
         np.full(n_entries, -PI_SLACK),
@@ -200,23 +196,10 @@ def noise_robustness(behavior: Behavior) -> float:
     return float(min(max(sol.objective, 0.0), 1.0))
 
 
-def check_noise_identity(behavior: Behavior) -> float:
-    """|nu - (2/pi - 1)| from two independently solved programs."""
-    nu, _ = max_violation(behavior)
-    pi = noise_robustness(behavior)
-    return abs(nu - (2.0 / pi - 1.0))
-
-
 def comm_bits(nu: float) -> float:
     """Bits of classical communication that a violation nu demands:
     log2(nu), clipped at zero."""
     return max(0.0, math.log2(nu))
-
-
-def comm_lower_bound(behavior: Behavior) -> float:
-    """Bits of classical communication needed to reproduce Q."""
-    nu, _ = max_violation(behavior)
-    return comm_bits(nu)
 
 
 def violation_report(behavior: Behavior) -> ViolationReport:
@@ -250,12 +233,7 @@ def complete_behavior(behavior: Behavior) -> Behavior:
         raise ValidationError("complete_behavior requires a valid behavior", report)
     scenario = behavior.scenario
     probs = behavior.probs
-    mass = probs.sum(axis=(2, 3))
-    worst = np.unravel_index(np.argmax(mass), mass.shape)
-    if mass[worst] > 1.0 + EPS_FEAS:
-        raise ValidationError(
-            f"block mass {mass[worst]:.12g} exceeds 1 at inputs (x={worst[0]}, y={worst[1]})"
-        )
+    mass = probs.sum(axis=(2, 3))  # validate() bounded each block by 1 + EPS_FEAS
     na, nb, ma, mb = scenario.shape
     # blocks complete up to feasibility dust get exactly-zero dummies
     mass = np.where(np.abs(1.0 - mass) <= EPS_FEAS, 1.0, mass)

@@ -24,17 +24,17 @@ from bellcalc import (
     banach_norm,
     behavior_from_local,
     behavior_from_quantum,
-    check_noise_identity,
     chsh_functional,
     classical_value,
     classical_value_incomplete,
-    comm_lower_bound,
+    comm_bits,
     eq4_gap,
     is_local,
     magic_square_functional,
     max_violation,
     pair,
     seesaw,
+    violation_report,
 )
 import bellcalc
 from bellcalc import io as bio
@@ -135,7 +135,7 @@ def test_05_noise_resistance_identity():
         for _ in range(100)
     ]
     for i, behavior in enumerate(behaviors):
-        residual = check_noise_identity(behavior)
+        residual = violation_report(behavior).identity_residual
         worst = max(worst, residual)
         assert residual <= 1e-6, (
             f"ACCEPTANCE 05 FAIL: behavior {i} identity residual {residual:.3e}"
@@ -231,14 +231,14 @@ def test_09_communication_bound():
     rng = np.random.default_rng(9)
     scenario = Scenario(2, 2, 2, 2)
     quantum = behavior_from_quantum(build_chsh_optimal_model())
-    bits = comm_lower_bound(quantum)
+    bits = comm_bits(max_violation(quantum)[0])
     assert abs(bits - 0.5) <= 1e-6, f"ACCEPTANCE 09 FAIL: CHSH-optimal bits {bits!r}"
     uniform = Behavior(scenario, np.full(scenario.shape, 0.25))
     locals_ = [uniform] + [
         behavior_from_local(random_local_model(rng, scenario), scenario) for _ in range(5)
     ]
     for i, behavior in enumerate(locals_):
-        b = comm_lower_bound(behavior)
+        b = comm_bits(max_violation(behavior)[0])
         assert b == 0.0, f"ACCEPTANCE 09 FAIL: local behavior {i} bits {b!r} not exactly 0"
     print(f"ACCEPTANCE 09 PASS: CHSH-optimal needs {bits:.9f} bits, local behaviors exactly 0")
 
@@ -259,8 +259,8 @@ def test_10_numerics_contracts():
     for i in range(100):
         dim = int(rng.integers(1, 17))
         h = hermitian_part(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-        dec = eigh(h)
-        residual = float(np.max(np.abs(h @ dec.vectors - dec.vectors * dec.values)))
+        w, v = eigh(h)
+        residual = float(np.max(np.abs(h @ v - v * w)))
         worst_resid = max(worst_resid, residual)
         assert residual <= 1e-10, f"ACCEPTANCE 10 FAIL: eigh residual {residual:.2e} on matrix {i}"
     worst_povm = 0.0

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import bellcalc
 from bellcalc import (
+    BellFunctional,
     DocumentError,
     GuardExceededError,
     Scenario,
@@ -216,6 +217,27 @@ def test_gen_game(tmp_path, capsys):
     functional = bio.functional_from_document(doc)
     # the table above is the CHSH game; its classical value is 3/4
     assert classical_value(functional) == 0.75
+
+
+CHSH_WIN = [
+    [[[1, 0], [0, 1]], [[1, 0], [0, 1]]],
+    [[[1, 0], [0, 1]], [[0, 1], [1, 0]]],
+]
+
+
+@pytest.mark.parametrize("table", [
+    {"weights": "abc", "win": CHSH_WIN},
+    {"weights": [[0.25, 0.25], [0.25, 0.25]], "win": [CHSH_WIN[0], [CHSH_WIN[1][0], [[0, 1]]]]},
+    {"weights": [[0.25, 0.25], [0.25, float("nan")]], "win": CHSH_WIN},
+], ids=["string-weights", "ragged-win", "nan-weight"])
+def test_gen_game_rejects_a_malformed_table(tmp_path, capsys, table):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(table), encoding="utf-8")
+    code, out, err = run_cli(capsys, "gen", "game", "--table", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "weights" in err
 
 
 def test_gen_game_requires_table(capsys):
@@ -426,6 +448,29 @@ def test_quantum_model_document_rejects_malformed_povms(mangle):
     mangle(doc["payload"]["alice_povms"])
     with pytest.raises(DocumentError, match="payload.alice_povms"):
         bio.quantum_model_from_document(doc)
+
+
+@pytest.mark.parametrize("header, match", [
+    ({"na": 5, "nb": 1, "ma": 7, "mb": 3}, "does not match the POVM stacks"),
+    (None, "missing its scenario"),
+], ids=["mismatched", "missing"])
+def test_quantum_model_document_checks_its_scenario_header(header, match):
+    doc = json.loads(bio.dump_document(bio.quantum_model_document(build_chsh_optimal_model(), "bad", "test")))
+    if header is None:
+        del doc["scenario"]
+    else:
+        doc["scenario"] = header
+    with pytest.raises(DocumentError, match=match):
+        bio.quantum_model_from_document(doc)
+
+
+def test_quantum_ratio_is_null_for_a_zero_functional(tmp_path, capsys):
+    path = tmp_path / "zero.json"
+    zero = BellFunctional(Scenario(2, 2, 2, 2), np.zeros((2, 2, 2, 2)))
+    path.write_text(bio.dump_document(bio.functional_document(zero, "zero", "test")), encoding="utf-8")
+    payload = run_json(capsys, "quantum", str(path), "--dim", "2", "--seeds", "1")["payload"]
+    assert payload["value"] == 0.0
+    assert payload["ratio"] is None
 
 
 def test_stdout_is_a_single_terminated_document(capsys, chsh_file):

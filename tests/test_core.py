@@ -41,7 +41,7 @@ def test_functional_shape_is_enforced(scenario_2222):
 def test_pair_on_deterministic_strategy_picks_coefficients(chsh):
     # all-zero outputs pick T[x][y][0][0] for every input pair
     strategy = DeterministicStrategy((0, 0), (0, 0))
-    behavior = strategy.behavior(chsh.scenario)
+    behavior = behavior_from_local(LocalModel(((1.0, strategy),)), chsh.scenario)
     expected = chsh.coeffs[:, :, 0, 0].sum()
     assert pair(chsh, behavior) == pytest.approx(expected, abs=1e-12)
     assert expected == 2.0

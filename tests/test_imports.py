@@ -1,4 +1,5 @@
-"""Every module of the package uses what it imports.
+"""Every module of the package uses what it imports, and the package
+exports exactly what its ``__init__`` imports.
 
 No linter ships with the toolchain, so this walks the syntax tree of
 each module (the package ``__init__``, which re-exports, excepted) and
@@ -32,6 +33,17 @@ def _unused_imports(source: str) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_init_all_lists_exactly_the_imported_names():
+    tree = ast.parse(Path(bellcalc.__file__).read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name
+                for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert len(bellcalc.__all__) == len(set(bellcalc.__all__))
+    assert imported == set(bellcalc.__all__)
+    for name in bellcalc.__all__:
+        assert getattr(bellcalc, name) is not None
 
 
 def test_checker_flags_an_unused_import():

@@ -11,7 +11,6 @@ from bellcalc import (
     QuantumModel,
     Scenario,
     SeesawConfig,
-    UndefinedQuantityError,
     ValidationError,
     behavior_from_quantum,
     bell_operator,
@@ -20,7 +19,6 @@ from bellcalc import (
     magic_square_functional,
     pad_quantum_model,
     pair,
-    quantum_ratio,
     reduced_operators,
     seesaw,
     validate,
@@ -154,14 +152,8 @@ def test_seesaw_magic_square_finds_perfect_strategy(magic_square):
 
 
 def test_quantum_ratio_chsh(chsh):
-    ratio = quantum_ratio(chsh, SeesawConfig(dim=2, seeds=5))
+    ratio = seesaw(chsh, SeesawConfig(dim=2, seeds=5)).value / classical_value(chsh)
     assert ratio == pytest.approx(ROOT2, abs=1e-9)
-
-
-def test_quantum_ratio_undefined_for_zero_functional():
-    f = BellFunctional(Scenario(2, 2, 2, 2), np.zeros((2, 2, 2, 2)))
-    with pytest.raises(UndefinedQuantityError):
-        quantum_ratio(f, SeesawConfig(dim=2, seeds=1))
 
 
 def test_pad_quantum_model_preserves_behavior(chsh_optimal_model):

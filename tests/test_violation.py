@@ -16,10 +16,9 @@ from bellcalc import (
     ValidationError,
     behavior_from_local,
     behavior_from_quantum,
-    check_noise_identity,
     chsh_functional,
     classical_value,
-    comm_lower_bound,
+    comm_bits,
     complete_behavior,
     complete_quantum_model,
     dimension_witness_report,
@@ -89,18 +88,18 @@ def test_chsh_optimal_pi_value(chsh_optimal_behavior):
 
 
 def test_chsh_optimal_identity_residual(chsh_optimal_behavior):
-    assert check_noise_identity(chsh_optimal_behavior) <= 1e-6
+    assert violation_report(chsh_optimal_behavior).identity_residual <= 1e-6
 
 
 def test_chsh_optimal_communication_bits(chsh_optimal_behavior):
-    bits = comm_lower_bound(chsh_optimal_behavior)
+    bits = comm_bits(max_violation(chsh_optimal_behavior)[0])
     assert bits == pytest.approx(0.5, abs=1e-6)
 
 
 def test_magic_square_communication_bits(magic_square_model):
     b = behavior_from_quantum(magic_square_model)
     nu, witness = max_violation(b)
-    bits = comm_lower_bound(b)
+    bits = comm_bits(max_violation(b)[0])
     assert bits == pytest.approx(np.log2(nu), abs=1e-12)
     # the game functional rescaled to classical value one already pays
     # 9/8 on this behavior, so at least log2(9/8) bits
@@ -112,7 +111,7 @@ def test_magic_square_communication_bits(magic_square_model):
 def test_identity_residual_on_random_models(rng):
     for _ in range(10):
         b = _random_quantum_behavior(rng)
-        assert check_noise_identity(b) <= 1e-6
+        assert violation_report(b).identity_residual <= 1e-6
 
 
 def test_nu_is_quasi_convex_along_local_mixtures(rng, chsh_optimal_behavior, scenario_2222):
