@@ -7,6 +7,10 @@ variant adds an abstain output with zero coefficients to each party.  The
 bilinear-form norm does the same enumeration over signed assignments,
 with the responding party maximizing an absolute value.
 
+Assignments sharing a prefix of inputs share its partial sum, about one add
+of an (nb, mb) block each: O(ma**na nb mb) in all.  The norm visits one sign
+of input 0 (flipping every sign keeps |value|); its guard counts all signs.
+
 Membership of a behavior in the local polytope is decided by a Chebyshev
 linear program over the polytope vertices; its dual yields a separating
 functional when the behavior is outside.
@@ -29,7 +33,6 @@ from .errors import SolverError, ValidationError
 from .numerics import EQ, LE, LinearProgram, lp_backend, lp_solve
 from .polytope import (
     ENUM_GUARD,
-    assignment_table,
     check_guard,
     strategy_from_vertex,
     vertex_matrix,
@@ -55,31 +58,38 @@ def _swap_parties(coeffs: np.ndarray) -> np.ndarray:
 def _enumerated_extrema(coeffs: np.ndarray, reducer: str) -> tuple[float, float]:
     """Enumerate Alice assignments; Bob best-responds per input.
 
+    Column s of a (b, y, s) level sums one prefix of Alice's inputs, adding
+    inputs in order 0 .. na-1: the head prefixes are summed once, then
+    extended in blocks of at most _CHUNK columns through the tail inputs.
+
     reducer "signed" tracks both max_b and min_b inner responses and
     returns (largest, smallest) totals; reducer "abs" maximizes
-    max_b |...| and returns (largest, largest).
+    max_b |...| and returns (largest, largest), visiting only the first
+    half of input 0's outputs, whose second half must negate the first.
     """
     na, nb, ma, mb = coeffs.shape
-    count = ma ** na
-    # value[s, y, b] = sum_x coeffs[x, y, assign[s, x], b]
-    tt = coeffs.transpose(0, 2, 1, 3)  # (x, a, y, b)
-    x_idx = np.arange(na)
-    best_hi = -np.inf
-    best_lo = np.inf
-    for start in range(0, count, _CHUNK):
-        assign = assignment_table(np.arange(start, min(start + _CHUNK, count)), na, ma)
-        vals = tt[x_idx[None, :], assign].sum(axis=1)  # (chunk, y, b)
+    tt = np.ascontiguousarray(coeffs.transpose(0, 3, 1, 2))[..., None]  # (x, b, y, a, 1)
+
+    def extend(level, inputs):
+        for x in inputs:
+            level = (level[:, :, None] + tt[x]).reshape(mb, nb, -1)
+        return level
+
+    def totals(per_y):
+        # the sum over y runs on contiguous (nb,) rows, which numpy sums pairwise
+        return np.ascontiguousarray(per_y.T).sum(axis=1)
+
+    tail = max(k for k in range(na) if ma ** k <= _CHUNK)
+    head = extend(tt[0, :, :, : ma // 2 if reducer == "abs" else ma, 0], range(1, na - tail))
+    step = max(1, _CHUNK // ma ** tail)
+    best_hi, best_lo = -np.inf, np.inf
+    for start in range(0, head.shape[2], step):
+        vals = extend(head[:, :, start:start + step], range(na - tail, na))
         if reducer == "abs":
-            per_y = np.abs(vals).max(axis=2)
-            totals = per_y.sum(axis=1)
-            hi = float(totals.max())
-            best_hi = max(best_hi, hi)
-            best_lo = best_hi
+            best_hi = best_lo = max(best_hi, float(totals(np.abs(vals).max(axis=0)).max()))
         else:
-            hi = float(vals.max(axis=2).sum(axis=1).max())
-            lo = float(vals.min(axis=2).sum(axis=1).min())
-            best_hi = max(best_hi, hi)
-            best_lo = min(best_lo, lo)
+            best_hi = max(best_hi, float(totals(vals.max(axis=0)).max()))
+            best_lo = min(best_lo, float(totals(vals.min(axis=0)).min()))
     return best_hi, best_lo
 
 

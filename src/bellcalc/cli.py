@@ -126,8 +126,7 @@ def _cmd_quantum(args) -> dict:
             f"{name}-seesaw-d{cfg.dim}",
             f"bell quantum {name} {flags}",
         )
-        with open(args.emit_model, "w", encoding="utf-8") as fh:
-            fh.write(bio.dump_document(model_doc))
+        bio.write_text(args.emit_model, bio.dump_document(model_doc))
         model_path = args.emit_model
     payload = {
         "value": result.value,
@@ -249,8 +248,7 @@ def _cmd_gen(args) -> dict:
         doc_name, provenance = "game", f"bell gen game --table {args.table}"
     doc = bio.functional_document(functional, doc_name, provenance)
     if args.output is not None:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(bio.dump_document(doc))
+        bio.write_text(args.output, bio.dump_document(doc))
     return doc
 
 

@@ -87,12 +87,23 @@ def dump_document(doc: dict) -> str:
 
 
 def read_text(path: str) -> str:
-    """Contents of a UTF-8 file; an unreadable file raises DocumentError."""
+    """Contents of a UTF-8 file; an unreadable or non-UTF-8 file raises DocumentError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as e:
         raise DocumentError(f"cannot read {path}: {e.strerror}") from e
+    except UnicodeDecodeError as e:
+        raise DocumentError(f"cannot read {path}: not UTF-8 ({e.reason} at byte {e.start})") from e
+
+
+def write_text(path: str, text: str) -> None:
+    """Write a UTF-8 file; one that cannot be written raises DocumentError."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise DocumentError(f"cannot write {path}: {e.strerror}") from e
 
 
 def parse_json(text: str):

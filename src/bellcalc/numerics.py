@@ -237,7 +237,11 @@ def psd_project(matrix: np.ndarray) -> np.ndarray:
     Symmetrize, clip negative eigenvalues at zero, reconstruct.
     Idempotent up to floating point.
     """
-    w, v = eigh(matrix)
+    return _clip_negative(*eigh(matrix))
+
+
+def _clip_negative(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """psd_project of the matrix with eigendecomposition (w, v)."""
     return hermitian_part((v * np.maximum(w, 0.0)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2))
 
 
@@ -333,8 +337,10 @@ def _two_outcome_exact(reduced):
 
 
 def _inv_sqrt_psd(mat: np.ndarray) -> np.ndarray:
-    """Pseudo inverse square root; tiny eigenvalues are dropped."""
-    w, v = eigh(mat)
+    """Pseudo inverse square root of an exactly Hermitian matrix (a
+    hermitian_part output, which eigh would pass unchanged); tiny
+    eigenvalues are dropped."""
+    w, v = np.linalg.eigh(mat)
     cutoff = max(float(w[-1]), 0.0) * 1e-14
     keep = w > cutoff
     inv = np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0)
@@ -420,8 +426,10 @@ def povm_update(
     for iterations in range(1, MAX_POVM_ITERS + 1):
         lam = hermitian_part(sum(shifted @ current @ shifted))
         l_inv = _inv_sqrt_psd(lam)
-        # the sandwich is Hermitian in exact arithmetic; flatten roundoff
-        candidate = psd_project(hermitian_part(l_inv @ shifted @ current @ shifted @ l_inv))
+        # the sandwich is Hermitian in exact arithmetic; flatten roundoff,
+        # after which eigh's Hermitian check and symmetrization change no bit
+        sandwich = hermitian_part(l_inv @ shifted @ current @ shifted @ l_inv)
+        candidate = _clip_negative(*np.linalg.eigh(sandwich))
         # redistribute whatever the pseudo-inverse cut off
         candidate = candidate + (identity - sum(candidate)) / n_out
         obj = _povm_objective(candidate, mats)

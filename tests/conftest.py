@@ -23,6 +23,7 @@ from bellcalc import (
 )
 from bellcalc.generators import magic_square_column_bits, magic_square_row_bits
 from bellcalc.numerics import EQ, GE, LE, LinearProgram
+from bellcalc.polytope import assignment_table
 
 I2 = np.eye(2)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -132,6 +133,27 @@ def random_feasible_lp(rng: np.random.Generator) -> LinearProgram:
         upper=upper,
         maximize=bool(rng.random() < 0.5),
     )
+
+
+def reference_enumerated_extrema(coeffs: np.ndarray, reducer: str) -> tuple[float, float]:
+    """classical._enumerated_extrema by gathering: every Alice assignment
+    gathers its na (y, b) slices and sums them, in blocks of 2**14
+    assignments, visiting every signed assignment for reducer "abs"."""
+    na, nb, ma, mb = coeffs.shape
+    count = ma ** na
+    tt = coeffs.transpose(0, 2, 1, 3)  # (x, a, y, b)
+    x_idx = np.arange(na)
+    best_hi, best_lo = -np.inf, np.inf
+    for start in range(0, count, 1 << 14):
+        assign = assignment_table(np.arange(start, min(start + (1 << 14), count)), na, ma)
+        vals = tt[x_idx[None, :], assign].sum(axis=1)  # (block, y, b)
+        if reducer == "abs":
+            best_hi = max(best_hi, float(np.abs(vals).max(axis=2).sum(axis=1).max()))
+            best_lo = best_hi
+        else:
+            best_hi = max(best_hi, float(vals.max(axis=2).sum(axis=1).max()))
+            best_lo = min(best_lo, float(vals.min(axis=2).sum(axis=1).min()))
+    return best_hi, best_lo
 
 
 def pr_box_probs() -> np.ndarray:

@@ -3,10 +3,14 @@ local-polytope membership test.
 
 The oracles below enumerate deterministic strategy pairs with plain
 itertools loops, independent of the library's vectorized enumeration.
+The prefix-shared enumeration is also checked bit for bit against the
+gather-based reference in conftest.
 """
 
+import functools
 import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -29,10 +33,11 @@ from bellcalc import (
     pair,
     signed_extrema,
 )
+from bellcalc import classical
 from bellcalc.core import Behavior
 from bellcalc.generators import magic_square_column_bits, magic_square_row_bits
 
-from conftest import pr_box_probs, random_local_model
+from conftest import pr_box_probs, random_local_model, reference_enumerated_extrema
 
 
 def brute_force_extrema(functional):
@@ -170,6 +175,74 @@ def test_enum_guard_on_oversized_scenario():
     f = BellFunctional(scenario, np.zeros(scenario.shape))
     with pytest.raises(GuardExceededError):
         classical_value(f)
+
+
+def test_enumeration_guard_messages_count_every_signed_assignment(monkeypatch):
+    # CHSH: 4 assignments, 16 signed ones although banach_norm visits 8
+    f = chsh_functional()
+    monkeypatch.setenv("BELL_GUARD_LIMIT", "3")
+    with pytest.raises(GuardExceededError) as exc:
+        classical_value(f)
+    assert str(exc.value) == ("classical value enumeration needs 4 assignments, above the "
+                              "guard of 3; set BELL_GUARD_LIMIT to override (unsafe)")
+    monkeypatch.setenv("BELL_GUARD_LIMIT", "15")
+    with pytest.raises(GuardExceededError) as exc:
+        banach_norm(f)
+    assert str(exc.value) == ("signed enumeration needs 16 assignments, above the guard "
+                              "of 15; set BELL_GUARD_LIMIT to override (unsafe)")
+    monkeypatch.setenv("BELL_GUARD_LIMIT", "16")
+    assert banach_norm(f) == 2.0
+
+
+# na and nb >= 8 (the sum over y is then pairwise), parties swapped before
+# enumerating, one output on either side, three outputs (block counts that
+# do not divide the prefixes at a block size of 200)
+BATTERY_SHAPES = [(8, 9, 2, 2), (9, 8, 2, 2), (3, 9, 1, 2), (9, 3, 2, 1), (6, 7, 3, 3)]
+
+
+def _battery_coeffs(rng, shape, kind):
+    if kind == "normal":
+        return rng.standard_normal(shape)
+    if kind == "dyadic":
+        return rng.integers(-16, 17, shape) / 32.0
+    return -np.abs(rng.standard_normal(shape)) - 0.25  # all negative
+
+
+def _classical_trio(f):
+    return np.array([*signed_extrema(f), classical_value_incomplete(f), banach_norm(f)])
+
+
+@pytest.mark.parametrize("chunk", [classical._CHUNK, 200])
+@pytest.mark.parametrize("shape", BATTERY_SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_prefix_shared_enumeration_matches_the_gather_reference_bit_for_bit(
+        monkeypatch, shape, chunk):
+    monkeypatch.setattr(classical, "_CHUNK", chunk)
+    rng = np.random.default_rng(sum(shape))
+    for kind in ("normal", "dyadic", "negative"):
+        f = BellFunctional(Scenario(*shape), _battery_coeffs(rng, shape, kind))
+        got = _classical_trio(f)
+        with monkeypatch.context() as m:
+            m.setattr(classical, "_enumerated_extrema", reference_enumerated_extrema)
+            want = _classical_trio(f)
+        assert got.tobytes() == want.tobytes(), (kind, got - want)
+
+
+def test_banach_norm_visits_one_sign_of_input_0_without_loss(rng):
+    # both halves of input 0 give the full signed enumeration bit for bit
+    for shape in [(3, 4, 2, 3), (5, 2, 3, 2), (1, 3, 1, 2), (6, 6, 2, 2)]:
+        c = rng.standard_normal(shape)
+        full = np.array(reference_enumerated_extrema(np.concatenate([c, -c], axis=2), "abs"))
+        for signed in (np.concatenate([c, -c], axis=2), np.concatenate([-c, c], axis=2)):
+            half = np.array(classical._enumerated_extrema(signed, "abs"))
+            assert half.tobytes() == full.tobytes()
+
+
+def test_one_output_scenario_sums_its_inputs_in_order():
+    # a single assignment on each side: the value is the left-to-right sum
+    # of the coefficients (numpy would sum 12 contiguous ones pairwise)
+    coeffs = np.random.default_rng(3).standard_normal((12, 1, 1, 1))
+    total = functools.reduce(operator.add, coeffs.ravel().tolist())
+    assert signed_extrema(BellFunctional(Scenario(12, 1, 1, 1), coeffs)) == (total, total)
 
 
 def test_uniform_behavior_is_local(scenario_2222):

@@ -275,6 +275,30 @@ def test_missing_file_exits_2(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command", [("classical",), ("gen", "game", "--table")],
+                         ids=["classical", "gen-game-table"])
+def test_non_utf8_input_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    code, out, err = run_cli(capsys, *command, str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot read {path}: not UTF-8 (invalid start byte at byte 0)\n"
+
+
+@pytest.mark.parametrize("command", [
+    ("gen", "chsh", "-o"),
+    ("quantum", "CHSH", "--dim", "2", "--seeds", "1", "--emit-model"),
+], ids=["gen-output", "quantum-emit-model"])
+def test_unwritable_output_exits_2(tmp_path, capsys, chsh_file, command):
+    target = str(tmp_path / "no-such-dir" / "out.json")
+    argv = [chsh_file if a == "CHSH" else a for a in command]
+    code, out, err = run_cli(capsys, *argv, target)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+
+
 def test_wrong_kind_exits_2(capsys, chsh_file):
     # a functional document fed to a behavior command
     code, _, err = run_cli(capsys, "behavior", "nu", chsh_file)
