@@ -107,6 +107,8 @@ def _seesaw_config(args) -> SeesawConfig:
 def _cmd_quantum(args) -> dict:
     functional, name = _load_functional(args.file)
     cfg = _seesaw_config(args)
+    if args.emit_model is not None:  # fail before the see-saw, not after it
+        bio.check_writable(args.emit_model)
     result = seesaw(functional, cfg)
     denom = (
         classical_value_incomplete(functional)

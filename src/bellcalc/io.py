@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 
 import numpy as np
 
@@ -95,6 +96,21 @@ def read_text(path: str) -> str:
         raise DocumentError(f"cannot read {path}: {e.strerror}") from e
     except UnicodeDecodeError as e:
         raise DocumentError(f"cannot read {path}: not UTF-8 ({e.reason} at byte {e.start})") from e
+
+
+def check_writable(path: str) -> None:
+    """Raise DocumentError now if path cannot be opened for writing.
+
+    Opening for append leaves an existing file as it is; a file that the
+    check itself creates is removed again.
+    """
+    existed = os.path.lexists(path)
+    try:
+        open(path, "a", encoding="utf-8").close()
+    except OSError as e:
+        raise DocumentError(f"cannot write {path}: {e.strerror}") from e
+    if not existed:
+        os.remove(path)
 
 
 def write_text(path: str, text: str) -> None:

@@ -17,7 +17,10 @@ once, on the final iterate.
 
 eigh and psd_project broadcast over leading axes, so a whole stack of
 matrices takes one LAPACK call; every (d, d) slice gets the same result
-as it would on its own.
+as it would on its own.  eigh checks that its input is Hermitian.
+povm_update and the see-saw call _eigh_unchecked instead, without that
+check or np.linalg.eigh's wrapper: they pass it hermitian_part outputs,
+which are exactly Hermitian, made where eigh would have made them.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from dataclasses import dataclass
 from typing import Literal, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .core import COMPLETE, INCOMPLETE, hermitian_part
 from .errors import ValidationError
@@ -110,7 +114,7 @@ class LpSolution:
     ``row_duals`` are sensitivities of the optimal objective to the row
     right-hand sides, in the orientation of the posed problem.  The
     residuals and ``duality_gap`` are recomputed here from scratch, not
-    taken from the solver.
+    taken from the solver; ``iterations`` is HiGHS's simplex iteration count.
     """
 
     status: Literal["optimal", "infeasible", "unbounded", "failed"]
@@ -120,6 +124,7 @@ class LpSolution:
     primal_residual: float
     dual_residual: float
     duality_gap: float
+    iterations: int
 
 
 def _primal_residual(lp: LinearProgram, x: np.ndarray, le, ge, eq) -> float:
@@ -173,12 +178,9 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
                   bounds=np.column_stack([lp.lower, lp.upper]), method="highs-ds",
                   options=dict(_HIGHS_OPTIONS))
 
-    if res.status == 2:
-        return LpSolution("infeasible", None, None, None, np.inf, np.inf, np.inf)
-    if res.status == 3:
-        return LpSolution("unbounded", None, None, None, np.inf, np.inf, np.inf)
     if res.status != 0 or res.x is None:
-        return LpSolution("failed", None, None, None, np.inf, np.inf, np.inf)
+        status = {2: "infeasible", 3: "unbounded"}.get(res.status, "failed")
+        return LpSolution(status, None, None, None, np.inf, np.inf, np.inf, int(res.nit))
 
     x = np.asarray(res.x, dtype=float)
     objective = float(lp.c @ x)
@@ -201,7 +203,7 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
     if (primal_resid > LP_PRIMAL_TOL or dual_resid > LP_DUAL_TOL
             or gap > LP_GAP_REL * (1.0 + abs(objective))):
         status = "failed"
-    return LpSolution(status, x, y, objective, primal_resid, dual_resid, gap)
+    return LpSolution(status, x, y, objective, primal_resid, dual_resid, gap, int(res.nit))
 
 
 def _squared_frobenius(m: np.ndarray) -> np.ndarray:
@@ -230,6 +232,18 @@ def eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(hermitian_part(h))
 
 
+def _nonconvergence(err, flag):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+# np.linalg.eigh minus its Python wrapper: numpy's LAPACK gufunc, bit for
+# bit the same on the complex128 hermitian_part outputs it is given.  LAPACK
+# non-convergence raises LinAlgError, as in eigh, only under @_lapack_errors.
+_eigh_unchecked = _umath_linalg.eigh_lo
+_lapack_errors = np.errstate(call=_nonconvergence, invalid="call",
+                             over="ignore", divide="ignore", under="ignore")
+
+
 def psd_project(matrix: np.ndarray) -> np.ndarray:
     """Nearest positive semidefinite matrix in Frobenius norm, broadcast
     over leading axes.
@@ -242,7 +256,7 @@ def psd_project(matrix: np.ndarray) -> np.ndarray:
 
 def _clip_negative(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """psd_project of the matrix with eigendecomposition (w, v)."""
-    return hermitian_part((v * np.maximum(w, 0.0)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2))
+    return hermitian_part((v * np.maximum(w, 0.0)[..., None, :]) @ v.conj().swapaxes(-1, -2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,7 +300,7 @@ def _check_reduced_ops(reduced: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _povm_objective(operators, reduced) -> float:
-    traces = np.trace(np.asarray(operators) @ reduced, axis1=-2, axis2=-1)
+    traces = (np.asarray(operators) @ reduced).trace(axis1=-2, axis2=-1)
     return float(sum(traces.real))
 
 
@@ -301,10 +315,10 @@ def _dual_certificate(operators, reduced):
     """
     d = reduced.shape[-1]
     y0 = hermitian_part(sum(reduced @ np.asarray(operators)))
-    w, v = np.linalg.eigh(hermitian_part(reduced - y0))
+    w, v = _eigh_unchecked(hermitian_part(reduced - y0))
     deficit = max(0.0, float(np.max(w[:, -1])))
     if deficit <= 0.0:
-        return y0, float(np.trace(y0).real)
+        return y0, float(y0.trace().real)
     # positive parts have per-outcome rank, so they are summed one by one
     pos_trace = 0.0
     pos_sum = np.zeros_like(y0)
@@ -317,7 +331,7 @@ def _dual_certificate(operators, reduced):
         y = hermitian_part(y0 + pos_sum)
     else:
         y = y0 + deficit * np.eye(d)
-    return y, float(np.trace(y).real)
+    return y, float(y.trace().real)
 
 
 def _two_outcome_exact(reduced):
@@ -325,7 +339,7 @@ def _two_outcome_exact(reduced):
     positive eigenspace of R_1 - R_2, ties going to E_2."""
     r1, r2 = reduced
     d = r1.shape[0]
-    w, v = eigh(r1 - r2)
+    w, v = _eigh_unchecked(hermitian_part(r1 - r2))
     keep = w > 0.0
     vecs = v[:, keep]
     e1 = vecs @ vecs.conj().T
@@ -337,16 +351,16 @@ def _two_outcome_exact(reduced):
 
 
 def _inv_sqrt_psd(mat: np.ndarray) -> np.ndarray:
-    """Pseudo inverse square root of an exactly Hermitian matrix (a
-    hermitian_part output, which eigh would pass unchanged); tiny
+    """Pseudo inverse square root of a hermitian_part output; tiny
     eigenvalues are dropped."""
-    w, v = np.linalg.eigh(mat)
+    w, v = _eigh_unchecked(mat)
     cutoff = max(float(w[-1]), 0.0) * 1e-14
     keep = w > cutoff
     inv = np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0)
     return (v * inv) @ v.conj().T
 
 
+@_lapack_errors
 def povm_update(
     reduced: Sequence[np.ndarray],
     mode: str = COMPLETE,
@@ -426,10 +440,9 @@ def povm_update(
     for iterations in range(1, MAX_POVM_ITERS + 1):
         lam = hermitian_part(sum(shifted @ current @ shifted))
         l_inv = _inv_sqrt_psd(lam)
-        # the sandwich is Hermitian in exact arithmetic; flatten roundoff,
-        # after which eigh's Hermitian check and symmetrization change no bit
+        # Hermitian in exact arithmetic; hermitian_part flattens roundoff
         sandwich = hermitian_part(l_inv @ shifted @ current @ shifted @ l_inv)
-        candidate = _clip_negative(*np.linalg.eigh(sandwich))
+        candidate = _clip_negative(*_eigh_unchecked(sandwich))
         # redistribute whatever the pseudo-inverse cut off
         candidate = candidate + (identity - sum(candidate)) / n_out
         obj = _povm_objective(candidate, mats)

@@ -299,6 +299,33 @@ def test_unwritable_output_exits_2(tmp_path, capsys, chsh_file, command):
     assert err == f"error: cannot write {target}: No such file or directory\n"
 
 
+def test_unwritable_emit_model_fails_before_the_seesaw(tmp_path, capsys, chsh_file, monkeypatch):
+    def no_seesaw(*args, **kwargs):
+        pytest.fail("the see-saw ran before the unwritable --emit-model path was reported")
+    monkeypatch.setattr(importlib.import_module("bellcalc.cli"), "seesaw", no_seesaw)
+    target = str(tmp_path / "no-such-dir" / "model.json")
+    code, out, err = run_cli(capsys, "quantum", chsh_file, "--dim", "2", "--seeds", "1",
+                             "--emit-model", target)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+
+
+def test_failed_seesaw_leaves_emit_model_path_as_it_was(tmp_path, capsys, chsh_file, monkeypatch):
+    def failing_seesaw(*args, **kwargs):
+        raise GuardExceededError("see-saw stopped")
+    monkeypatch.setattr(importlib.import_module("bellcalc.cli"), "seesaw", failing_seesaw)
+    existing = tmp_path / "existing.json"
+    existing.write_text("keep me\n", encoding="utf-8")
+    fresh = tmp_path / "fresh.json"
+    for target in (existing, fresh):
+        code, out, err = run_cli(capsys, "quantum", chsh_file, "--dim", "2", "--seeds", "1",
+                                 "--emit-model", str(target))
+        assert (code, out, err) == (3, "", "error: see-saw stopped\n")
+    assert existing.read_text(encoding="utf-8") == "keep me\n"
+    assert not fresh.exists()
+
+
 def test_wrong_kind_exits_2(capsys, chsh_file):
     # a functional document fed to a behavior command
     code, _, err = run_cli(capsys, "behavior", "nu", chsh_file)
@@ -349,7 +376,7 @@ def test_signaling_behavior_exits_4(tmp_path, capsys, scenario_2222):
 def test_solver_failure_exits_5(capsys, chsh_optimal_file, monkeypatch,
                                 module, argv, status, expected):
     # an LP without a certified optimum is the solver's failure, not the input's
-    ended = LpSolution(status, None, None, None, np.inf, np.inf, np.inf)
+    ended = LpSolution(status, None, None, None, np.inf, np.inf, np.inf, 0)
     monkeypatch.setattr(importlib.import_module(f"bellcalc.{module}"), "lp_solve",
                         lambda lp: ended)
     code, out, err = run_cli(capsys, *argv, chsh_optimal_file)

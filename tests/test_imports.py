@@ -48,3 +48,10 @@ def test_init_all_lists_exactly_the_imported_names():
 
 def test_checker_flags_an_unused_import():
     assert _unused_imports("import os\nfrom typing import Sequence\nos.sep\n") == ["line 2: Sequence"]
+
+
+def test_private_numpy_linalg_module_is_used_only_in_numerics():
+    # numerics._eigh_unchecked is the one entry into numpy's private LAPACK
+    # gufuncs; a numpy upgrade that moves them then breaks a single module
+    users = sorted(p.name for p in MODULES if "_umath_linalg" in p.read_text(encoding="utf-8"))
+    assert users == ["numerics.py"]
