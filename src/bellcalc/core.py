@@ -45,6 +45,7 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
     """0.5 * (M + M^dagger), broadcast over leading axes."""
+    m = np.asarray(m)
     return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 

@@ -102,15 +102,16 @@ def check_writable(path: str) -> None:
     """Raise DocumentError now if path cannot be opened for writing.
 
     Opening for append leaves an existing file as it is; a file that the
-    check itself creates is removed again.
+    check itself creates, also at the target of a dangling symlink, is
+    removed again.
     """
-    existed = os.path.lexists(path)
+    existed = os.path.exists(path)
     try:
         open(path, "a", encoding="utf-8").close()
     except OSError as e:
         raise DocumentError(f"cannot write {path}: {e.strerror}") from e
     if not existed:
-        os.remove(path)
+        os.remove(os.path.realpath(path))
 
 
 def write_text(path: str, text: str) -> None:

@@ -17,19 +17,21 @@ once, on the final iterate.
 
 eigh and psd_project broadcast over leading axes, so a whole stack of
 matrices takes one LAPACK call; every (d, d) slice gets the same result
-as it would on its own.  eigh checks that its input is Hermitian.
-povm_update and the see-saw call _eigh_unchecked instead, without that
-check or np.linalg.eigh's wrapper: they pass it hermitian_part outputs,
-which are exactly Hermitian, made where eigh would have made them.
+as it would on its own.  eigh checks that its input is Hermitian;
+povm_update and its helpers skip that check and np.linalg.eigh's wrapper
+(_eigh_unchecked), as they only decompose hermitian_part outputs, which
+are exactly Hermitian, made where eigh would have made them.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
 import numpy as np
-from numpy.linalg import _umath_linalg
+# np.linalg.eigh's LAPACK gufunc without its Python wrapper: the same bits
+from numpy.linalg._umath_linalg import eigh_lo as _eigh_unchecked
 
 from .core import COMPLETE, INCOMPLETE, hermitian_part
 from .errors import ValidationError
@@ -232,16 +234,16 @@ def eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(hermitian_part(h))
 
 
-def _nonconvergence(err, flag):
-    raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-
-# np.linalg.eigh minus its Python wrapper: numpy's LAPACK gufunc, bit for
-# bit the same on the complex128 hermitian_part outputs it is given.  LAPACK
-# non-convergence raises LinAlgError, as in eigh, only under @_lapack_errors.
-_eigh_unchecked = _umath_linalg.eigh_lo
-_lapack_errors = np.errstate(call=_nonconvergence, invalid="call",
-                             over="ignore", divide="ignore", under="ignore")
+@contextlib.contextmanager
+def _lapack_errors():
+    """The error state np.linalg.eigh sets around LAPACK, under which
+    _eigh_unchecked raises LinAlgError on non-convergence.  A fresh errstate
+    on every use: numpy < 2 keeps the saved state on the instance."""
+    def nonconvergence(err, flag):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    with np.errstate(call=nonconvergence, invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        yield
 
 
 def psd_project(matrix: np.ndarray) -> np.ndarray:
@@ -351,8 +353,7 @@ def _two_outcome_exact(reduced):
 
 
 def _inv_sqrt_psd(mat: np.ndarray) -> np.ndarray:
-    """Pseudo inverse square root of a hermitian_part output; tiny
-    eigenvalues are dropped."""
+    """Pseudo inverse square root of a hermitian_part output, tiny eigenvalues dropped."""
     w, v = _eigh_unchecked(mat)
     cutoff = max(float(w[-1]), 0.0) * 1e-14
     keep = w > cutoff
@@ -360,7 +361,7 @@ def _inv_sqrt_psd(mat: np.ndarray) -> np.ndarray:
     return (v * inv) @ v.conj().T
 
 
-@_lapack_errors
+@_lapack_errors()
 def povm_update(
     reduced: Sequence[np.ndarray],
     mode: str = COMPLETE,

@@ -29,7 +29,7 @@ from .core import (
     pair,
 )
 from .errors import GuardExceededError, ValidationError
-from .numerics import _eigh_unchecked, _inv_sqrt_psd, _lapack_errors, povm_update, psd_project
+from .numerics import _inv_sqrt_psd, _lapack_errors, eigh, povm_update, psd_project
 
 # Joint-space dimension cap; the Bell operator is dense (da*db)^2.
 MAX_JOINT_DIM = 4096
@@ -122,7 +122,7 @@ def _random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-@_lapack_errors
+@_lapack_errors()
 def _random_povm(rng: np.random.Generator, dim: int, n_out: int) -> list[np.ndarray]:
     blocks = []
     for _ in range(n_out):
@@ -173,7 +173,6 @@ def pad_quantum_model(model: QuantumModel, dim: int) -> QuantumModel:
                         pad_side(model.bob_povms, db), completeness=model.completeness)
 
 
-@_lapack_errors
 def _one_run(functional: BellFunctional, cfg: SeesawConfig, model: QuantumModel):
     """Sweep one model to a stall; returns (value, model, log, converged, sweeps)."""
     alice = np.array(model.alice_povms)  # writable copies, updated input by input
@@ -185,7 +184,7 @@ def _one_run(functional: BellFunctional, cfg: SeesawConfig, model: QuantumModel)
     sweeps = 0
     for sweeps in range(1, cfg.max_sweeps + 1):
         op = bell_operator(functional, alice, bob)
-        top = _eigh_unchecked(hermitian_part(op))[1][:, -1]  # what eigh passed to LAPACK
+        top = eigh(op)[1][:, -1]
         state = np.outer(top, top.conj())
         # loose inner stop: the outer sweeps re-solve every sub-step anyway
         for x, reduced in enumerate(reduced_operators(functional, state, bob, "alice")):

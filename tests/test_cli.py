@@ -318,12 +318,15 @@ def test_failed_seesaw_leaves_emit_model_path_as_it_was(tmp_path, capsys, chsh_f
     existing = tmp_path / "existing.json"
     existing.write_text("keep me\n", encoding="utf-8")
     fresh = tmp_path / "fresh.json"
-    for target in (existing, fresh):
+    dangling = tmp_path / "dangling.json"  # a symlink whose target does not exist
+    dangling.symlink_to(tmp_path / "target.json")
+    for target in (existing, fresh, dangling):
         code, out, err = run_cli(capsys, "quantum", chsh_file, "--dim", "2", "--seeds", "1",
                                  "--emit-model", str(target))
         assert (code, out, err) == (3, "", "error: see-saw stopped\n")
     assert existing.read_text(encoding="utf-8") == "keep me\n"
     assert not fresh.exists()
+    assert dangling.is_symlink() and not (tmp_path / "target.json").exists()
 
 
 def test_wrong_kind_exits_2(capsys, chsh_file):

@@ -174,10 +174,26 @@ def test_eigh_unchecked_raises_on_nan():
     h = np.full((3, 3), np.nan, dtype=complex)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.eigh(h)
-    with pytest.raises(np.linalg.LinAlgError):
-        _lapack_errors(_eigh_unchecked)(h)
+    with pytest.raises(np.linalg.LinAlgError), _lapack_errors():
+        _eigh_unchecked(h)
     with pytest.raises(np.linalg.LinAlgError):
         povm_update([h, np.eye(3)])  # two outcomes: the closed form's eigendecomposition
+
+
+def test_povm_update_restores_the_floating_point_error_state():
+    # the incomplete mode nests povm_update in itself; each level must put
+    # back exactly the state it found, and leave no LinAlgError hook behind
+    def hook(err, flag):
+        pass
+    rng = np.random.default_rng(13)
+    reduced = _random_reduced(rng, 3, 3)
+    with np.errstate(all="warn", call=hook):
+        before = (np.geterr(), np.geterrcall())
+        povm_update(reduced, "incomplete", warm_start=np.array(_random_povm(rng, 3, 3)) * 0.5)
+        _random_povm(rng, 3, 4)
+        assert (np.geterr(), np.geterrcall()) == before
+    with pytest.warns(RuntimeWarning):
+        np.sqrt(-np.ones(1))
 
 
 def test_eigh_rejects_non_hermitian():
