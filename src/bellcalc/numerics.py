@@ -4,9 +4,11 @@ lp_solve wraps the HiGHS dual simplex behind a fixed contract: status in
 {optimal, infeasible, unbounded, failed}, primal and dual vectors in the
 orientation of the posed problem, and self-computed feasibility
 residuals plus duality gap.  A solve whose own certificates miss the
-contract is downgraded to "failed" rather than reported optimal.  scipy
-is loaded lazily: lp_backend imports scipy.sparse and linprog on its
-first call, so a process that never solves an LP never imports scipy.
+contract is downgraded to "failed" rather than reported optimal.  HiGHS
+takes two-sided rows lo <= a.x <= hi, so a >= block that mirrors the <=
+block goes to it as the lower bounds of those rows.  scipy is loaded
+lazily: lp_backend imports scipy.sparse and HiGHS on its first call, so
+a process that never solves an LP never imports scipy.
 
 povm_update solves  max sum_a tr(E_a R_a)  over POVMs {E_a}: the
 two-outcome case in closed form, more outcomes through one monotone
@@ -41,11 +43,14 @@ LP_PRIMAL_TOL = 1e-8
 LP_DUAL_TOL = 1e-8
 LP_GAP_REL = 1e-7
 
-_HIGHS_OPTIONS = {
-    "presolve": True,
-    "primal_feasibility_tolerance": 1e-10,
-    "dual_feasibility_tolerance": 1e-10,
-}
+# Dual simplex (strategy 1) after presolve, logging off.
+_HIGHS_OPTIONS = {"solver": "simplex", "simplex_strategy": 1, "presolve": True,
+                  "primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10,
+                  "output_flag": False, "log_to_console": False}
+# HiGHS model status -> LpSolution.status; anything else, unbounded-or-
+# infeasible and iteration limits among it, is "failed".
+_HIGHS_STATUS = {"kOptimal": "optimal", "kInfeasible": "infeasible",
+                 "kModelError": "infeasible", "kUnbounded": "unbounded"}
 
 LE, EQ, GE = "<=", "==", ">="
 
@@ -54,16 +59,19 @@ MAX_POVM_ITERS = 2000
 
 
 def lp_backend():
-    """(scipy.sparse, scipy.optimize.linprog), imported on the first call.
+    """(scipy.sparse, HiGHS's solve entry), imported on the first call.
 
     The one place scipy enters the package: only the LP-backed
     quantities need it, and its import is most of the start-up time of
-    a ``bell`` process.
+    a ``bell`` process.  HiGHS is reached through scipy's private
+    ``_highs_wrapper``, its one entry that takes two-sided rows
+    lo <= a.x <= hi and also returns row duals; a scipy release that
+    moves it breaks this function alone.
     """
     import scipy.sparse
-    from scipy.optimize import linprog
+    from scipy.optimize._highspy._highs_wrapper import _highs_wrapper
 
-    return scipy.sparse, linprog
+    return scipy.sparse, _highs_wrapper
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,51 +169,48 @@ def _dual_certificates(lp: LinearProgram, y: np.ndarray, objective: float, le, g
 
 
 def lp_solve(lp: LinearProgram) -> LpSolution:
-    """Solve a LinearProgram deterministically with dual certificates."""
-    sp, linprog = lp_backend()
-    le, ge, eq = lp.senses == LE, lp.senses == GE, lp.senses == EQ
-    dense = not sp.issparse(lp.a)
-    a = lp.a if dense else lp.a.tocsr()
-    # >= rows are negated into <= form and follow the <= rows
-    a_ub = b_ub = a_eq = b_eq = None
-    if le.any() or ge.any():
-        blocks = [a[le], -a[ge]]
-        a_ub = np.vstack(blocks) if dense else sp.vstack(blocks, format="csr")
-        b_ub = np.concatenate([lp.rhs[le], -lp.rhs[ge]])
-    if eq.any():
-        a_eq, b_eq = a[eq], lp.rhs[eq]
+    """Solve a LinearProgram deterministically with dual certificates.
 
-    c_min = -lp.c if lp.maximize else lp.c
-    res = linprog(c_min, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                  bounds=np.column_stack([lp.lower, lp.upper]), method="highs-ds",
-                  options=dict(_HIGHS_OPTIONS))
+    Every row goes to HiGHS as lo <= a.x <= hi.  When the >= rows repeat
+    the <= rows row for row, each >= row becomes the lower bound of its
+    <= twin, so HiGHS sees the pair as one row.
+    """
+    sp, highs = lp_backend()
+    le, ge = lp.senses == LE, lp.senses == GE
+    a = sp.csr_matrix(lp.a)
+    lo = np.where(le, -np.inf, lp.rhs)
+    hi = np.where(ge, np.inf, lp.rhs)
+    folded = le.sum() == ge.sum() > 0 and (a[le] != a[ge]).nnz == 0
+    if folded:
+        lo[le] = lp.rhs[ge]
+    rows = ~ge if folded else slice(None)  # the rows HiGHS gets
+    a_rows = sp.csc_matrix(a[rows])
+    res = highs(-lp.c if lp.maximize else lp.c, a_rows.indptr, a_rows.indices, a_rows.data,
+                lo[rows], hi[rows], lp.lower, lp.upper, np.empty(0, np.uint8), _HIGHS_OPTIONS)
+    status = _HIGHS_STATUS.get(res["status"].name, "failed")
+    iterations = int(res.get("simplex_nit", 0))
+    if status != "optimal":
+        return LpSolution(status, None, None, None, np.inf, np.inf, np.inf, iterations)
 
-    if res.status != 0 or res.x is None:
-        status = {2: "infeasible", 3: "unbounded"}.get(res.status, "failed")
-        return LpSolution(status, None, None, None, np.inf, np.inf, np.inf, int(res.nit))
-
-    x = np.asarray(res.x, dtype=float)
+    x = res["x"]
     objective = float(lp.c @ x)
-    # Reassemble row duals in posed orientation.  scipy's marginals are
-    # d(min objective)/d(rhs of the scipy-form row); a >= row was negated
-    # into <= form, and a posed maximization negates the objective.
+    # HiGHS's row duals are d(min objective)/d(row bound); a posed
+    # maximization negates the objective.  On a folded pair the sign tells
+    # which bound is active: <= duals are >= 0 and >= duals <= 0 for a
+    # maximization, the other way round for a minimization.
     y = np.zeros(len(lp.senses))
-    if a_ub is not None:
-        n_le = int(le.sum())
-        y[le] = res.ineqlin.marginals[:n_le]
-        y[ge] = -res.ineqlin.marginals[n_le:]
-    if a_eq is not None:
-        y[eq] = res.eqlin.marginals
-    if lp.maximize:
-        y = -y
+    y[rows] = -res["lambda"] if lp.maximize else res["lambda"]
+    if folded:
+        pair, sign = y[le], 1.0 if lp.maximize else -1.0
+        y[le], y[ge] = np.where(sign * pair > 0, pair, 0.0), np.where(sign * pair < 0, pair, 0.0)
 
-    primal_resid = _primal_residual(lp, x, le, ge, eq)
+    primal_resid = _primal_residual(lp, x, le, ge, lp.senses == EQ)
     dual_resid, gap = _dual_certificates(lp, y, objective, le, ge)
-    status = "optimal"
-    if (primal_resid > LP_PRIMAL_TOL or dual_resid > LP_DUAL_TOL
-            or gap > LP_GAP_REL * (1.0 + abs(objective))):
+    # written so that a NaN anywhere in the certificates fails it
+    if not (primal_resid <= LP_PRIMAL_TOL and dual_resid <= LP_DUAL_TOL
+            and gap <= LP_GAP_REL * (1.0 + abs(objective))):
         status = "failed"
-    return LpSolution(status, x, y, objective, primal_resid, dual_resid, gap, int(res.nit))
+    return LpSolution(status, x, y, objective, primal_resid, dual_resid, gap, iterations)
 
 
 def _squared_frobenius(m: np.ndarray) -> np.ndarray:

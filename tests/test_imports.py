@@ -55,3 +55,12 @@ def test_private_numpy_linalg_module_is_used_only_in_numerics():
     # gufuncs; a numpy upgrade that moves them then breaks a single module
     users = sorted(p.name for p in MODULES if "_umath_linalg" in p.read_text(encoding="utf-8"))
     assert users == ["numerics.py"]
+
+
+def test_private_scipy_highs_module_is_used_only_in_numerics():
+    # numerics.lp_backend is the one entry into scipy's private HiGHS
+    # wrapper, and every LP goes through it rather than through linprog
+    users = sorted(p.name for p in MODULES if "_highspy" in p.read_text(encoding="utf-8"))
+    assert users == ["numerics.py"]
+    sources = sorted(Path(bellcalc.__file__).parent.rglob("*.py"))
+    assert [p.name for p in sources if "linprog" in p.read_text(encoding="utf-8")] == []

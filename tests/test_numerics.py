@@ -1,5 +1,9 @@
 """LP backend contracts, eigendecomposition, POVM sub-step solver.
 
+The LP layer is checked against scipy's linprog dual simplex, a second
+front end to HiGHS that takes >= rows negated into <= form and never
+folds a mirrored pair.
+
 The POVM solver is checked against an independent semidefinite
 formulation (cvxpy, when installed) on small instances, against its own
 dual bound everywhere else, and its stacked fixed point against the same
@@ -7,11 +11,15 @@ iteration taken one outcome at a time.
 """
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.optimize import linprog
 
-from bellcalc import ValidationError
+from bellcalc import Scenario, ValidationError, behavior_from_quantum
+from bellcalc import classical, numerics
 from bellcalc.core import hermitian_part
 from bellcalc.numerics import (
     EQ,
@@ -26,7 +34,7 @@ from bellcalc.numerics import (
     povm_update,
     psd_project,
 )
-from bellcalc.seesaw import _random_povm
+from bellcalc.seesaw import _random_model, _random_povm
 
 from conftest import random_feasible_lp
 
@@ -121,6 +129,148 @@ def test_lp_rejects_shape_mismatch():
             c=np.array([1.0, 2.0]), a=np.array([[1.0]]), rhs=np.array([1.0]),
             senses=[LE], lower=np.zeros(2), upper=np.ones(2),
         )
+
+
+def _linprog_reference(lp):
+    """(x, posed row duals, objective) from linprog's dual simplex, each
+    >= row negated into <= form after the <= rows, the == rows apart."""
+    le, ge, eq = (lp.senses == sense for sense in (LE, GE, EQ))
+    a = sp.csr_matrix(lp.a)
+    a_ub = sp.vstack([a[le], -a[ge]], format="csr") if (le | ge).any() else None
+    b_ub = np.concatenate([lp.rhs[le], -lp.rhs[ge]]) if (le | ge).any() else None
+    res = linprog(-lp.c if lp.maximize else lp.c, A_ub=a_ub, b_ub=b_ub,
+                  A_eq=a[eq] if eq.any() else None, b_eq=lp.rhs[eq] if eq.any() else None,
+                  bounds=np.column_stack([lp.lower, lp.upper]), method="highs-ds",
+                  options={"presolve": True, "primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert res.status == 0, res.message
+    y = np.zeros(len(lp.senses))
+    n_le = int(le.sum())
+    if a_ub is not None:
+        y[le], y[ge] = res.ineqlin.marginals[:n_le], -res.ineqlin.marginals[n_le:]
+    if eq.any():
+        y[eq] = res.eqlin.marginals
+    return res.x, -y if lp.maximize else y, float(lp.c @ res.x)
+
+
+def _mirrored_lp(rng, maximize, nudge=0.0):
+    """A random block posed as <= and again as >= (the >= copy's first
+    coefficient moved by ``nudge``), then a few == rows; bounded."""
+    n = int(rng.integers(2, 7))
+    k = int(rng.integers(n, 2 * n + 4))
+    n_eq = int(rng.integers(0, 3))
+    block = rng.standard_normal((k, n))
+    eqs = rng.standard_normal((n_eq, n))
+    x0 = rng.standard_normal(n)
+    twin = block.copy()
+    twin[0, 0] += nudge
+    a = np.vstack([block, twin, eqs])
+    rhs = np.concatenate([block @ x0 + rng.random(k), twin @ x0 - rng.random(k), eqs @ x0])
+    free = rng.random(n) < 0.5
+    return LinearProgram(
+        c=rng.standard_normal(n), a=sp.csr_matrix(a) if rng.random() < 0.5 else a,
+        rhs=rhs, senses=np.repeat([LE, GE, EQ], [k, k, n_eq]),
+        lower=np.where(free, -np.inf, x0 - 1.0 - rng.random(n)),
+        upper=np.where(free, np.inf, x0 + 1.0 + rng.random(n)), maximize=maximize,
+    )
+
+
+@pytest.fixture
+def rows_to_highs(monkeypatch):
+    """The row count of every LP that lp_solve hands HiGHS."""
+    sparse, highs = numerics.lp_backend()
+    seen = []
+
+    def spy(c, indptr, indices, data, lo, hi, *rest):
+        seen.append(len(lo))
+        return highs(c, indptr, indices, data, lo, hi, *rest)
+
+    monkeypatch.setattr(numerics, "lp_backend", lambda: (sparse, spy))
+    return seen
+
+
+@pytest.mark.parametrize("maximize", [True, False], ids=["max", "min"])
+def test_mirrored_rows_are_folded_and_match_linprog(maximize, rows_to_highs):
+    rng = np.random.default_rng(31 if maximize else 32)
+    for _ in range(40):
+        lp = _mirrored_lp(rng, maximize)
+        sol = lp_solve(lp)
+        assert sol.status == "optimal"
+        _, _, ref = _linprog_reference(lp)
+        assert abs(sol.objective - ref) <= 1e-9 * (1.0 + abs(ref))
+        k = int((lp.senses == LE).sum())
+        assert rows_to_highs[-1] == len(lp.senses) - k
+        # on each folded pair at most one dual is nonzero, with the posed sign
+        y_le, y_ge = sol.row_duals[:k], sol.row_duals[k:2 * k]
+        assert not np.any((y_le != 0) & (y_ge != 0))
+        sign = 1.0 if maximize else -1.0
+        assert np.all(sign * y_le >= 0) and np.all(sign * y_ge <= 0)
+
+
+def test_near_mirror_is_not_folded(rows_to_highs):
+    rng = np.random.default_rng(33)
+    for i in range(20):
+        lp = _mirrored_lp(rng, maximize=bool(i % 2), nudge=1e-3)
+        sol = lp_solve(lp)
+        assert rows_to_highs[-1] == len(lp.senses)
+        assert sol.status == "optimal"
+        _, _, ref = _linprog_reference(lp)
+        assert abs(sol.objective - ref) <= 1e-9 * (1.0 + abs(ref))
+
+
+@pytest.mark.parametrize("maximize", [True, False], ids=["max", "min"])
+def test_mirrored_pair_with_crossed_bounds_is_infeasible(maximize, rows_to_highs):
+    # x + 2y <= 1 and x + 2y >= 2: folded into one row with lo > hi
+    lp = LinearProgram(
+        c=np.ones(2), a=np.array([[1.0, 2.0], [1.0, 2.0]]), rhs=np.array([1.0, 2.0]),
+        senses=[LE, GE], lower=np.zeros(2), upper=np.full(2, np.inf), maximize=maximize,
+    )
+    assert lp_solve(lp).status == "infeasible"
+    assert rows_to_highs == [1]
+
+
+def test_one_sided_rows_give_linprogs_bytes(monkeypatch):
+    # the membership LP poses <= rows followed by one == row: nothing folds,
+    # and HiGHS gets exactly what linprog gave it
+    posed = []
+
+    def keep(lp):
+        posed.append(lp)
+        return lp_solve(lp)
+
+    monkeypatch.setattr(classical, "lp_solve", keep)
+    rng = np.random.default_rng(44)
+    behavior = behavior_from_quantum(_random_model(rng, Scenario(4, 4, 2, 2), 2, "complete"))
+    sol, _ = classical._membership_lp(behavior)
+    x, y, objective = _linprog_reference(posed[0])
+    assert sol.status == "optimal" and sol.objective > 0
+    assert np.array_equal(sol.x, x)
+    assert np.array_equal(sol.row_duals, y)
+    assert sol.objective == objective
+
+
+@pytest.mark.parametrize("highs_status, status", [
+    ("kInfeasible", "infeasible"), ("kModelError", "infeasible"), ("kUnbounded", "unbounded"),
+    ("kUnboundedOrInfeasible", "failed"), ("kIterationLimit", "failed"), ("kTimeLimit", "failed"),
+])
+def test_highs_status_map(monkeypatch, highs_status, status):
+    sparse, _ = numerics.lp_backend()
+    monkeypatch.setattr(numerics, "lp_backend", lambda: (sparse, lambda *args: {
+        "x": None, "status": SimpleNamespace(name=highs_status), "simplex_nit": 17}))
+    sol = lp_solve(random_feasible_lp(np.random.default_rng(0)))
+    assert (sol.status, sol.iterations, sol.x, sol.row_duals) == (status, 17, None, None)
+
+
+def test_nan_solution_is_failed(monkeypatch):
+    sparse, _ = numerics.lp_backend()
+    monkeypatch.setattr(numerics, "lp_backend", lambda: (sparse, lambda *args: {
+        "x": np.array([np.nan]), "lambda": np.zeros(1),
+        "status": SimpleNamespace(name="kOptimal"), "simplex_nit": 1}))
+    lp = LinearProgram(
+        c=np.array([1.0]), a=np.array([[1.0]]), rhs=np.array([3.0]),
+        senses=[LE], lower=np.array([0.0]), upper=np.array([np.inf]),
+    )
+    assert lp_solve(lp).status == "failed"
 
 
 def test_eigh_contract_on_random_hermitian():
