@@ -310,14 +310,23 @@ def behavior_from_quantum(model: QuantumModel) -> Behavior:
     return clipped_behavior(scenario, raw.real, model.completeness)
 
 
-def _check_hermitian_psd(mat: np.ndarray, name: str, out: list) -> None:
-    herm = float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
+def _hermitian_psd_defects(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hermitian defect and lowest eigenvalue of every (d, d) slice of a
+    stack; the eigenvalue, of the Hermitian part, is taken only where the
+    defect does not exceed EPS_FEAS, and is 0 elsewhere."""
+    herm = np.max(np.abs(stack - stack.conj().swapaxes(-1, -2)), axis=(-2, -1))
+    low = np.zeros(herm.shape)
+    checked = ~(herm > EPS_FEAS)  # a NaN defect goes on to the eigenvalues
+    low[checked] = np.linalg.eigvalsh(hermitian_part(stack[checked]))[:, 0]
+    return herm, low
+
+
+def _hermitian_psd_report(herm, low, location: str) -> list[InvariantViolation]:
     if herm > EPS_FEAS:
-        out.append(InvariantViolation("hermitian", name, herm))
-        return
-    w = np.linalg.eigvalsh(hermitian_part(mat))
-    if w.size and w[0] < -EPS_FEAS:
-        out.append(InvariantViolation("positive semidefinite", name, float(-w[0])))
+        return [InvariantViolation("hermitian", location, float(herm))]
+    if low < -EPS_FEAS:
+        return [InvariantViolation("positive semidefinite", location, float(-low))]
+    return []
 
 
 def validate(obj) -> tuple[InvariantViolation, ...]:
@@ -335,28 +344,18 @@ def validate(obj) -> tuple[InvariantViolation, ...]:
             idx = tuple(int(v) for v in np.argwhere(bad)[0])
             out.append(InvariantViolation("finite entries", f"probs{list(idx)}", float("inf")))
             return tuple(out)
-        neg = probs < -EPS_FEAS
-        for idx in np.argwhere(neg):
-            x, y, a, b = (int(v) for v in idx)
-            out.append(
-                InvariantViolation(
-                    "nonnegative probability",
-                    f"probs[{x}][{y}][{a}][{b}]",
-                    float(-probs[x, y, a, b]),
-                )
-            )
+        out += [InvariantViolation("nonnegative probability", f"probs[{x}][{y}][{a}][{b}]",
+                                   float(-probs[x, y, a, b]))
+                for x, y, a, b in np.argwhere(probs < -EPS_FEAS)]
         sums = probs.sum(axis=(2, 3))
-        for x in range(obj.scenario.n_inputs_a):
-            for y in range(obj.scenario.n_inputs_b):
-                s = float(sums[x, y])
-                if obj.is_complete and abs(s - 1.0) > EPS_FEAS:
-                    out.append(
-                        InvariantViolation("block mass = 1", f"(x={x}, y={y})", abs(s - 1.0))
-                    )
-                elif not obj.is_complete and s > 1.0 + EPS_FEAS:
-                    out.append(
-                        InvariantViolation("block mass <= 1", f"(x={x}, y={y})", s - 1.0)
-                    )
+        if obj.is_complete:
+            name, slack = "block mass = 1", np.abs(sums - 1.0)
+            bad = slack > EPS_FEAS
+        else:
+            name, slack = "block mass <= 1", sums - 1.0
+            bad = sums > 1.0 + EPS_FEAS
+        out += [InvariantViolation(name, f"(x={x}, y={y})", float(slack[x, y]))
+                for x, y in np.argwhere(bad)]
     elif isinstance(obj, LocalModel):
         for i, (w, _) in enumerate(obj.weights):
             if w < -EPS_FEAS:
@@ -365,32 +364,28 @@ def validate(obj) -> tuple[InvariantViolation, ...]:
         if total > 1.0 + EPS_FEAS:
             out.append(InvariantViolation("total weight <= 1", "weights", total - 1.0))
     elif isinstance(obj, QuantumModel):
-        _check_hermitian_psd(obj.state, "state", out)
+        herm, low = _hermitian_psd_defects(obj.state[None])
+        out += _hermitian_psd_report(herm[0], low[0], "state")
         tr = float(np.trace(obj.state).real)
         if abs(tr - 1.0) > EPS_FEAS:
             out.append(InvariantViolation("unit trace", "state", abs(tr - 1.0)))
-        for party, povms, dim in (
-            ("alice", obj.alice_povms, obj.dim_a),
-            ("bob", obj.bob_povms, obj.dim_b),
-        ):
-            for x, povm in enumerate(povms):
-                for a, el in enumerate(povm):
-                    _check_hermitian_psd(el, f"{party} POVM[{x}][{a}]", out)
-                total = sum(povm)
-                if obj.completeness == COMPLETE:
-                    dev = float(np.max(np.abs(total - np.eye(dim))))
-                    if dev > EPS_FEAS:
-                        out.append(
-                            InvariantViolation("POVM sums to identity", f"{party} input {x}", dev)
-                        )
-                else:
-                    w = np.linalg.eigvalsh(hermitian_part(total))
-                    if w[-1] > 1.0 + EPS_FEAS:
-                        out.append(
-                            InvariantViolation(
-                                "POVM sum below identity", f"{party} input {x}", float(w[-1] - 1.0)
-                            )
-                        )
+        complete = obj.completeness == COMPLETE
+        for party, povms in (("alice", obj.alice_povms), ("bob", obj.bob_povms)):
+            herm, low = _hermitian_psd_defects(povms)
+            totals = sum(povms.swapaxes(0, 1))  # per input, the outcomes added in order
+            if complete:
+                dev = np.max(np.abs(totals - np.eye(totals.shape[-1])), axis=(-2, -1))
+            else:
+                top = np.linalg.eigvalsh(hermitian_part(totals))[:, -1]
+            for x in range(povms.shape[0]):
+                for a in range(povms.shape[1]):
+                    out += _hermitian_psd_report(herm[x, a], low[x, a], f"{party} POVM[{x}][{a}]")
+                if complete and dev[x] > EPS_FEAS:
+                    out.append(InvariantViolation("POVM sums to identity", f"{party} input {x}",
+                                                  float(dev[x])))
+                elif not complete and top[x] > 1.0 + EPS_FEAS:
+                    out.append(InvariantViolation("POVM sum below identity", f"{party} input {x}",
+                                                  float(top[x] - 1.0)))
     else:
         raise TypeError(f"validate() does not handle {type(obj).__name__}")
     return tuple(out)

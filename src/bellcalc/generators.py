@@ -39,17 +39,10 @@ def magic_square_column_bits(b: int) -> tuple[int, int, int]:
 
 def magic_square_functional() -> BellFunctional:
     """The 3-input, 4-outcome magic square game, coefficients 1/9 per win."""
-    s = Scenario(3, 3, 4, 4)
-    coeffs = np.zeros(s.shape)
-    for x in range(3):
-        for y in range(3):
-            for a in range(4):
-                row = magic_square_row_bits(a)
-                for b in range(4):
-                    col = magic_square_column_bits(b)
-                    if row[y] == col[x]:
-                        coeffs[x, y, a, b] = 1.0 / 9.0
-    return BellFunctional(s, coeffs)
+    rows = np.array([magic_square_row_bits(a) for a in range(4)])  # rows[a, y]
+    cols = np.array([magic_square_column_bits(b) for b in range(4)])  # cols[b, x]
+    win = rows.T[None, :, :, None] == cols.T[:, None, None, :]  # win[x, y, a, b]
+    return BellFunctional(Scenario(3, 3, 4, 4), np.where(win, 1.0 / 9.0, 0.0))
 
 
 def game_functional(weights: np.ndarray, win: np.ndarray) -> BellFunctional:

@@ -20,14 +20,14 @@ once, on the final iterate.
 eigh and psd_project broadcast over leading axes, so a whole stack of
 matrices takes one LAPACK call; every (d, d) slice gets the same result
 as it would on its own.  eigh checks that its input is Hermitian;
-povm_update and its helpers skip that check and np.linalg.eigh's wrapper
-(_eigh_unchecked), as they only decompose hermitian_part outputs, which
-are exactly Hermitian, made where eigh would have made them.
+povm_update, random_povms and their helpers skip that check and
+np.linalg.eigh's wrapper (_eigh_unchecked), as they only decompose
+hermitian_part outputs, which are exactly Hermitian, made where eigh
+would have made them.
 """
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
@@ -239,16 +239,16 @@ def eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(hermitian_part(h))
 
 
-@contextlib.contextmanager
-def _lapack_errors():
-    """The error state np.linalg.eigh sets around LAPACK, under which
-    _eigh_unchecked raises LinAlgError on non-convergence.  A fresh errstate
-    on every use: numpy < 2 keeps the saved state on the instance."""
-    def nonconvergence(err, flag):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-    with np.errstate(call=nonconvergence, invalid="call",
-                     over="ignore", divide="ignore", under="ignore"):
-        yield
+def _nonconvergence(err, flag):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+# The error state np.linalg.eigh sets around LAPACK, under which
+# _eigh_unchecked raises LinAlgError on non-convergence.  Use it only as a
+# decorator: numpy >= 2 then enters a fresh state per call, so povm_update
+# may recurse, while `with` on this one shared instance works only once.
+_lapack_errors = np.errstate(call=_nonconvergence, invalid="call",
+                             over="ignore", divide="ignore", under="ignore")
 
 
 def psd_project(matrix: np.ndarray) -> np.ndarray:
@@ -366,7 +366,20 @@ def _inv_sqrt_psd(mat: np.ndarray) -> np.ndarray:
     return (v * inv) @ v.conj().T
 
 
-@_lapack_errors()
+@_lapack_errors
+def random_povms(rng: np.random.Generator, n_in: int, n_out: int, dim: int) -> np.ndarray:
+    """Random POVMs as an (n_in, n_out, dim, dim) stack: PSD parts of complex
+    Gaussians (one draw; per element the real part, then the imaginary part),
+    conjugated per input by the inverse square root of their sum."""
+    g = rng.standard_normal((n_in, n_out, 2, dim, dim))
+    blocks = psd_project(hermitian_part(g[:, :, 0] + 1j * g[:, :, 1]))
+    inv_sqrt = np.array([_inv_sqrt_psd(hermitian_part(sum(b))) for b in blocks])[:, None]
+    els = hermitian_part(inv_sqrt @ blocks @ inv_sqrt)
+    # the conjugation leaves the discarded subspace empty; spread it evenly
+    return hermitian_part(els + (np.eye(dim) - sum(els.swapaxes(0, 1)))[:, None] / n_out)
+
+
+@_lapack_errors
 def povm_update(
     reduced: Sequence[np.ndarray],
     mode: str = COMPLETE,

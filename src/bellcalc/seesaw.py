@@ -27,9 +27,10 @@ from .core import (
     behavior_from_quantum,
     hermitian_part,
     pair,
+    validate,
 )
-from .errors import GuardExceededError, ValidationError
-from .numerics import _inv_sqrt_psd, _lapack_errors, eigh, povm_update, psd_project
+from .errors import GuardExceededError, SolverError, ValidationError
+from .numerics import eigh, povm_update, random_povms
 
 # Joint-space dimension cap; the Bell operator is dense (da*db)^2.
 MAX_JOINT_DIM = 4096
@@ -122,26 +123,13 @@ def _random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-@_lapack_errors()
-def _random_povm(rng: np.random.Generator, dim: int, n_out: int) -> list[np.ndarray]:
-    blocks = []
-    for _ in range(n_out):
-        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        blocks.append(psd_project(hermitian_part(g)))
-    inv_sqrt = _inv_sqrt_psd(hermitian_part(sum(blocks)))
-    els = [hermitian_part(inv_sqrt @ b @ inv_sqrt) for b in blocks]
-    # the conjugation leaves the discarded subspace empty; spread it evenly
-    defect = np.eye(dim) - sum(els)
-    return [hermitian_part(e + defect / n_out) for e in els]
-
-
 def _random_model(rng: np.random.Generator, scenario, dim: int, mode: str) -> QuantumModel:
     na, nb, ma, mb = scenario.shape
     return QuantumModel(
         dim, dim,
         _random_state(rng, dim * dim),
-        [_random_povm(rng, dim, ma) for _ in range(na)],
-        [_random_povm(rng, dim, mb) for _ in range(nb)],
+        random_povms(rng, na, ma, dim),
+        random_povms(rng, nb, mb, dim),
         completeness=mode,
     )
 
@@ -212,6 +200,8 @@ def seesaw(functional: BellFunctional, cfg: SeesawConfig,
     (both sign runs start from the given model).  The reported value is
     recomputed from the returned model, so the invariant
     value == |pair(T, behavior_from_quantum(model))| holds to 1e-9.
+    An init model that breaks an invariant raises ValidationError; a
+    returned model that would break one raises SolverError.
     """
     if cfg.dim * cfg.dim > MAX_JOINT_DIM:
         raise GuardExceededError(
@@ -223,6 +213,9 @@ def seesaw(functional: BellFunctional, cfg: SeesawConfig,
             raise ValidationError("init model dimension does not match cfg.dim")
         if m.scenario != scenario:
             raise ValidationError("init model scenario does not match the functional")
+        report = validate(m)
+        if report:
+            raise ValidationError("init model violates invariants", report)
     neg = BellFunctional(scenario, -functional.coeffs)
     best = None  # (value, model, log, converged, sweeps)
     per_seed = []
@@ -240,7 +233,10 @@ def seesaw(functional: BellFunctional, cfg: SeesawConfig,
                 best = run
         per_seed.append(seed_best)
     value, model, log, converged, sweeps = best
-    behavior = behavior_from_quantum(model)
+    try:
+        behavior = behavior_from_quantum(model)
+    except ValidationError as e:  # the see-saw made this model, not the caller
+        raise SolverError(f"see-saw ended on an invalid model: {e}") from None
     final = abs(pair(functional, behavior))
     return SeesawResult(final, model, converged, sweeps, tuple(per_seed), tuple(log))
 

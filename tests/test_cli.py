@@ -390,6 +390,19 @@ def test_solver_failure_exits_5(capsys, chsh_optimal_file, monkeypatch,
         assert f"status {status!r}" in err
 
 
+def test_capped_seesaw_exits_0_or_5(tmp_path, capsys):
+    # three sweeps can end on POVM elements with negative eigenvalues; that
+    # model is the see-saw's own, so the failure is the solver's (exit 5)
+    path = str(tmp_path / "magic.json")
+    assert run_cli(capsys, "gen", "magic-square", "-o", path)[0] == 0
+    code, out, err = run_cli(capsys, "quantum", path, "--dim", "4", "--seeds", "1",
+                             "--rng-seed", "110", "--sweeps", "3")
+    assert code in (0, 5)
+    if code:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_bad_dim_exits_2(capsys, chsh_file):
     code, _, err = run_cli(capsys, "quantum", chsh_file, "--dim", "0", "--seeds", "1")
     assert code == 2

@@ -1,5 +1,7 @@
 """Scenario types, behavior factories, validation, no-signaling."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from bellcalc import (
     Behavior,
     BellFunctional,
     DeterministicStrategy,
+    InvariantViolation,
     LocalModel,
     QuantumModel,
     Scenario,
@@ -23,6 +26,7 @@ from bellcalc import (
     seesaw,
     validate,
 )
+from bellcalc.numerics import random_povms
 from conftest import chsh_optimal_probs, random_local_model
 
 
@@ -164,6 +168,125 @@ def test_validate_quantum_model_catches_nonunit_trace(chsh_optimal_model):
     )
     report = validate(model)
     assert any(v.constraint == "unit trace" for v in report)
+
+
+def _validate_one_element_at_a_time(obj):
+    """validate on behaviors and quantum models, written entry by entry and
+    matrix by matrix on public numpy, as the reference the stacked checks
+    must match in order, text and slack bits."""
+    eps = 1e-9
+    out = []
+    if isinstance(obj, Behavior):
+        for x, y, a, b in itertools.product(*map(range, obj.scenario.shape)):
+            if obj.probs[x, y, a, b] < -eps:
+                out.append(InvariantViolation("nonnegative probability", f"probs[{x}][{y}][{a}][{b}]",
+                                              float(-obj.probs[x, y, a, b])))
+        for x, y in itertools.product(*map(range, obj.scenario.shape[:2])):
+            s = float(obj.probs[x, y].sum())
+            if obj.is_complete and abs(s - 1.0) > eps:
+                out.append(InvariantViolation("block mass = 1", f"(x={x}, y={y})", abs(s - 1.0)))
+            elif not obj.is_complete and s > 1.0 + eps:
+                out.append(InvariantViolation("block mass <= 1", f"(x={x}, y={y})", s - 1.0))
+        return out
+
+    def check(mat, name):
+        herm = float(np.max(np.abs(mat - mat.conj().T)))
+        if herm > eps:
+            out.append(InvariantViolation("hermitian", name, herm))
+            return
+        w = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
+        if w[0] < -eps:
+            out.append(InvariantViolation("positive semidefinite", name, float(-w[0])))
+
+    check(obj.state, "state")
+    tr = float(np.trace(obj.state).real)
+    if abs(tr - 1.0) > eps:
+        out.append(InvariantViolation("unit trace", "state", abs(tr - 1.0)))
+    for party, povms in (("alice", obj.alice_povms), ("bob", obj.bob_povms)):
+        for x, povm in enumerate(povms):
+            for a, el in enumerate(povm):
+                check(el, f"{party} POVM[{x}][{a}]")
+            total = sum(povm)
+            if obj.completeness == "complete":
+                dev = float(np.max(np.abs(total - np.eye(len(total)))))
+                if dev > eps:
+                    out.append(InvariantViolation("POVM sums to identity", f"{party} input {x}", dev))
+            else:
+                w = np.linalg.eigvalsh(0.5 * (total + total.conj().T))
+                if w[-1] > 1.0 + eps:
+                    out.append(InvariantViolation("POVM sum below identity", f"{party} input {x}",
+                                                  float(w[-1] - 1.0)))
+    return out
+
+
+def _bits(report):
+    return [(v.constraint, v.location, v.slack.hex()) for v in report]
+
+
+def test_validate_matches_the_per_element_reference_on_perturbed_models():
+    rng = np.random.default_rng(11)
+    flagged = set()
+    for case in range(240):
+        na, nb, ma, mb, d = (int(v) for v in rng.integers(1, 4, size=5))
+        if case % 5 == 0:  # numpy's own sum over 9 outcomes would go pairwise
+            ma, d = 9, 1
+        mode = ("complete", "incomplete")[case % 2]
+        v = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
+        state = np.outer(v, v.conj()) / np.vdot(v, v).real
+        stacks = [state[None, None], random_povms(rng, na, ma, d), random_povms(rng, nb, mb, d)]
+        for stack in stacks:
+            size = 10.0 ** rng.uniform(-11, -7)
+            hit = rng.random(stack.shape[:2]) < 0.4
+            noise = size * (rng.standard_normal(stack.shape) + 1j * rng.standard_normal(stack.shape))
+            kind = case % 4
+            if kind == 0:  # off Hermitian
+                stack[hit] += noise[hit]
+            elif kind == 1:  # a negative eigenvalue
+                stack[hit] -= 30 * size * np.eye(stack.shape[-1])
+            elif kind == 2:  # sums off the identity, traces off one
+                stack[hit] *= 1.0 + 50 * size
+            else:  # a Hermitian nudge either way
+                stack[hit] += 100 * hermitian_part(noise)[hit]
+        model = QuantumModel(d, d, stacks[0][0, 0], stacks[1], stacks[2], completeness=mode)
+        report = validate(model)
+        want = _validate_one_element_at_a_time(model)
+        assert _bits(report) == _bits(want)
+        flagged.update(r.constraint for r in report)
+    assert flagged == {"hermitian", "positive semidefinite", "unit trace",
+                       "POVM sums to identity", "POVM sum below identity"}
+
+
+# s = 1 + 1e-9 is not above 1.0 + EPS_FEAS, yet s - 1.0 is above EPS_FEAS
+# after rounding, so only the literal comparisons match the reference
+EDGES = [1.0 + 1e-9, np.nextafter(1.0 + 1e-9, 2.0), 1.0 - 1e-9, np.nextafter(1.0 - 1e-9, 0.0)]
+
+
+@pytest.mark.parametrize("mode", ["complete", "incomplete"])
+def test_validate_matches_the_reference_at_the_tolerance_edges(mode):
+    model = QuantumModel(1, 1, [[EDGES[0]]], np.reshape(EDGES, (4, 1, 1, 1)),
+                         np.reshape(EDGES[::-1], (4, 1, 1, 1)), completeness=mode)
+    behavior = Behavior(Scenario(2, 2, 1, 1), np.reshape(EDGES, (2, 2, 1, 1)), mode)
+    for obj in (model, behavior):
+        report = validate(obj)
+        assert report and _bits(report) == _bits(_validate_one_element_at_a_time(obj))
+
+
+def test_validate_matches_the_per_entry_reference_on_bad_block_masses():
+    rng = np.random.default_rng(12)
+    flagged = set()
+    for case in range(200):
+        shape = tuple(int(v) for v in rng.integers(1, 5, size=4))
+        probs = rng.random(shape)
+        probs /= probs.sum(axis=(2, 3), keepdims=True)
+        probs *= 1.0 + 10.0 ** rng.uniform(-11, -7) * rng.standard_normal(shape[:2])[:, :, None, None]
+        if case % 3 == 0:
+            probs[rng.random(shape) < 0.2] = -10.0 ** rng.uniform(-11, -7)
+        behavior = Behavior(Scenario(*shape), probs, ("complete", "incomplete")[case % 2])
+        report = validate(behavior)
+        want = _validate_one_element_at_a_time(behavior)
+        assert _bits(report) == _bits(want)
+        flagged.update(r.constraint for r in report)
+    assert flagged == {"nonnegative probability", "block mass = 1", "block mass <= 1"}
 
 
 def test_no_signaling_clean_for_local(local_behavior_2222):

@@ -1,9 +1,11 @@
-"""Every module of the package uses what it imports, and the package
-exports exactly what its ``__init__`` imports.
+"""Every module of the package uses what it imports, imports no private
+name from another package module, and the package exports exactly what
+its ``__init__`` imports.
 
 No linter ships with the toolchain, so this walks the syntax tree of
-each module (the package ``__init__``, which re-exports, excepted) and
-fails on a name that is imported but never read.
+each module (the package ``__init__``, which re-exports, excepted from
+the unused-import check) and fails on a name that is imported but never
+read, or on a ``_``-prefixed name imported from the package.
 """
 
 import ast
@@ -30,6 +32,14 @@ def _unused_imports(source: str) -> list[str]:
             if name not in read]
 
 
+def _private_package_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    return [f"line {node.lineno}: {alias.name}" for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level > 0 or (node.module or "").split(".")[0] == "bellcalc")
+            for alias in node.names if alias.name.startswith("_")]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
@@ -48,6 +58,21 @@ def test_init_all_lists_exactly_the_imported_names():
 
 def test_checker_flags_an_unused_import():
     assert _unused_imports("import os\nfrom typing import Sequence\nos.sep\n") == ["line 2: Sequence"]
+
+
+@pytest.mark.parametrize("path", sorted(Path(bellcalc.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_module_imports_no_private_name_from_the_package(path):
+    # a helper two modules share is public in the one that defines it
+    assert _private_package_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_flags_a_private_package_import():
+    source = ("from .numerics import _inv_sqrt_psd, eigh\n"
+              "from bellcalc.core import _readonly\n"
+              "from numpy.linalg._umath_linalg import eigh_lo as _eigh_unchecked\n"
+              "from scipy.optimize._highspy._highs_wrapper import _highs_wrapper\n")
+    assert _private_package_imports(source) == ["line 1: _inv_sqrt_psd", "line 2: _readonly"]
 
 
 def test_private_numpy_linalg_module_is_used_only_in_numerics():

@@ -7,7 +7,8 @@ folds a mirrored pair.
 The POVM solver is checked against an independent semidefinite
 formulation (cvxpy, when installed) on small instances, against its own
 dual bound everywhere else, and its stacked fixed point against the same
-iteration taken one outcome at a time.
+iteration taken one outcome at a time; random_povms likewise against the
+same construction taken one element at a time.
 """
 
 import itertools
@@ -33,8 +34,9 @@ from bellcalc.numerics import (
     lp_solve,
     povm_update,
     psd_project,
+    random_povms,
 )
-from bellcalc.seesaw import _random_model, _random_povm
+from bellcalc.seesaw import _random_model
 
 from conftest import random_feasible_lp
 
@@ -324,8 +326,8 @@ def test_eigh_unchecked_raises_on_nan():
     h = np.full((3, 3), np.nan, dtype=complex)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.eigh(h)
-    with pytest.raises(np.linalg.LinAlgError), _lapack_errors():
-        _eigh_unchecked(h)
+    with pytest.raises(np.linalg.LinAlgError):
+        _lapack_errors(_eigh_unchecked)(h)
     with pytest.raises(np.linalg.LinAlgError):
         povm_update([h, np.eye(3)])  # two outcomes: the closed form's eigendecomposition
 
@@ -339,8 +341,8 @@ def test_povm_update_restores_the_floating_point_error_state():
     reduced = _random_reduced(rng, 3, 3)
     with np.errstate(all="warn", call=hook):
         before = (np.geterr(), np.geterrcall())
-        povm_update(reduced, "incomplete", warm_start=np.array(_random_povm(rng, 3, 3)) * 0.5)
-        _random_povm(rng, 3, 4)
+        povm_update(reduced, "incomplete", warm_start=random_povms(rng, 1, 3, 3)[0] * 0.5)
+        random_povms(rng, 1, 4, 3)
         assert (np.geterr(), np.geterrcall()) == before
     with pytest.warns(RuntimeWarning):
         np.sqrt(-np.ones(1))
@@ -565,7 +567,7 @@ def test_povm_update_stacked_iteration_matches_per_outcome_loop(dim, n_out, warm
     for gain_tol, seed in itertools.product((1e-10, 0.0), range(3)):
         rng = np.random.default_rng(seed)
         reduced = _random_reduced(rng, dim, n_out)
-        ws = _random_povm(rng, dim, n_out) if warm else None
+        ws = random_povms(rng, 1, n_out, dim)[0] if warm else None
         result = povm_update(reduced, "complete", warm_start=ws, gain_tol=gain_tol)
         ops, iterations, log = _fixed_point_one_outcome_at_a_time(reduced, ws, gain_tol)
         assert iterations > 1
@@ -574,6 +576,37 @@ def test_povm_update_stacked_iteration_matches_per_outcome_loop(dim, n_out, warm
         assert result.objective == log[-1]
         for got, want in zip(result.operators, ops):
             assert got.tobytes() == want.tobytes()
+
+
+def _random_povm_one_element_at_a_time(rng, dim, n_out):
+    """One input's random POVM, drawn and built element by element on
+    public numpy alone, as the reference random_povms must match bit for bit."""
+    def herm(m):
+        return 0.5 * (m + m.conj().T)
+
+    blocks = []
+    for _ in range(n_out):
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        w, v = np.linalg.eigh(herm(herm(g)))
+        blocks.append(herm((v * np.maximum(w, 0.0)) @ v.conj().T))
+    w, v = np.linalg.eigh(herm(sum(blocks)))
+    keep = w > max(float(w[-1]), 0.0) * 1e-14
+    inv_sqrt = (v * np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0)) @ v.conj().T
+    els = [herm(inv_sqrt @ b @ inv_sqrt) for b in blocks]
+    defect = np.eye(dim) - sum(els)
+    return [herm(e + defect / n_out) for e in els]
+
+
+@pytest.mark.parametrize("dim", range(1, 6))
+def test_random_povms_match_the_per_element_loop(dim):
+    # 9 outcomes: numpy's own sum over them would go pairwise, the builtin does not
+    for n_out, n_in, seed in itertools.product((1, 2, 3, 4, 5, 9), (1, 3), range(2)):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = random_povms(got_rng, n_in, n_out, dim)
+        want = [_random_povm_one_element_at_a_time(want_rng, dim, n_out) for _ in range(n_in)]
+        assert got.shape == (n_in, n_out, dim, dim) and got.dtype == np.complex128
+        assert got.tobytes() == np.array(want).tobytes()
+        assert got_rng.random() == want_rng.random()  # the same draws consumed
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

@@ -2,6 +2,8 @@
 dimension chaining, and the guard rails.
 """
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from bellcalc import (
     QuantumModel,
     Scenario,
     SeesawConfig,
+    SolverError,
     ValidationError,
     behavior_from_quantum,
     bell_operator,
@@ -230,7 +233,19 @@ def test_seesaw_init_model_mismatches(chsh, chsh_optimal_model, magic_square_mod
         seesaw(chsh, SeesawConfig(dim=4, seeds=1), init_models=(magic_square_model,))
 
 
-@pytest.mark.xfail(strict=True, raises=ValidationError,
+def test_seesaw_rejects_an_invalid_init_model_before_sweeping(chsh, chsh_optimal_model,
+                                                             monkeypatch):
+    def no_run(*args):
+        pytest.fail("the see-saw swept before it checked its init model")
+    monkeypatch.setattr(importlib.import_module("bellcalc.seesaw"), "_one_run", no_run)
+    bad = QuantumModel(2, 2, np.asarray(chsh_optimal_model.state) * 2.0,
+                       chsh_optimal_model.alice_povms, chsh_optimal_model.bob_povms)
+    with pytest.raises(ValidationError, match="init model violates invariants: unit trace"):
+        seesaw(chsh, SeesawConfig(dim=2, seeds=1), init_models=(bad,))
+
+
+# SolverError: the see-saw's own final model is at fault, not the input
+@pytest.mark.xfail(strict=True, raises=SolverError,
                    reason="known defect: povm_update spreads defect / n_out even when "
                           "I - sum E is not PSD, so capped runs can end on POVM elements "
                           "with negative eigenvalues")
