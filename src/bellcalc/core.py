@@ -329,20 +329,21 @@ def _hermitian_psd_report(herm, low, location: str) -> list[InvariantViolation]:
     return []
 
 
+def _finite_report(name: str, array: np.ndarray) -> list[InvariantViolation]:
+    """A "finite entries" violation at the first NaN or infinite entry, if any."""
+    return [InvariantViolation("finite entries", f"{name}{[int(v) for v in idx]}", float("inf"))
+            for idx in np.argwhere(~np.isfinite(array))[:1]]
+
+
 def validate(obj) -> tuple[InvariantViolation, ...]:
     """Check the invariants of any core object; empty tuple means clean."""
     out: list[InvariantViolation] = []
     if isinstance(obj, BellFunctional):
-        bad = ~np.isfinite(obj.coeffs)
-        if bad.any():
-            idx = tuple(int(v) for v in np.argwhere(bad)[0])
-            out.append(InvariantViolation("finite entries", f"coeffs{list(idx)}", float("inf")))
+        out += _finite_report("coeffs", obj.coeffs)
     elif isinstance(obj, Behavior):
         probs = obj.probs
-        bad = ~np.isfinite(probs)
-        if bad.any():
-            idx = tuple(int(v) for v in np.argwhere(bad)[0])
-            out.append(InvariantViolation("finite entries", f"probs{list(idx)}", float("inf")))
+        out += _finite_report("probs", probs)
+        if out:
             return tuple(out)
         out += [InvariantViolation("nonnegative probability", f"probs[{x}][{y}][{a}][{b}]",
                                    float(-probs[x, y, a, b]))
@@ -364,6 +365,10 @@ def validate(obj) -> tuple[InvariantViolation, ...]:
         if total > 1.0 + EPS_FEAS:
             out.append(InvariantViolation("total weight <= 1", "weights", total - 1.0))
     elif isinstance(obj, QuantumModel):
+        out += [v for name in ("state", "alice_povms", "bob_povms")
+                for v in _finite_report(name, getattr(obj, name))]
+        if out:
+            return tuple(out)
         herm, low = _hermitian_psd_defects(obj.state[None])
         out += _hermitian_psd_report(herm[0], low[0], "state")
         tr = float(np.trace(obj.state).real)

@@ -7,8 +7,8 @@ residuals plus duality gap.  A solve whose own certificates miss the
 contract is downgraded to "failed" rather than reported optimal.  HiGHS
 takes two-sided rows lo <= a.x <= hi, so a >= block that mirrors the <=
 block goes to it as the lower bounds of those rows.  scipy is loaded
-lazily: lp_backend imports scipy.sparse and HiGHS on its first call, so
-a process that never solves an LP never imports scipy.
+lazily: lp_backend imports scipy.sparse and HiGHS, which takes the numpy
+arrays as they are, on its first call; a process without LPs skips scipy.
 
 povm_update solves  max sum_a tr(E_a R_a)  over POVMs {E_a}: the
 two-outcome case in closed form, more outcomes through one monotone
@@ -43,8 +43,8 @@ LP_PRIMAL_TOL = 1e-8
 LP_DUAL_TOL = 1e-8
 LP_GAP_REL = 1e-7
 
-# Dual simplex (strategy 1) after presolve, logging off.
-_HIGHS_OPTIONS = {"solver": "simplex", "simplex_strategy": 1, "presolve": True,
+# Dual simplex (strategy 1), logging off, no presolve: it finds nothing to remove here.
+_HIGHS_OPTIONS = {"solver": "simplex", "simplex_strategy": 1, "presolve": "off",
                   "primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10,
                   "output_flag": False, "log_to_console": False}
 # HiGHS model status -> LpSolution.status; anything else, unbounded-or-
@@ -63,15 +63,30 @@ def lp_backend():
 
     The one place scipy enters the package: only the LP-backed
     quantities need it, and its import is most of the start-up time of
-    a ``bell`` process.  HiGHS is reached through scipy's private
-    ``_highs_wrapper``, its one entry that takes two-sided rows
-    lo <= a.x <= hi and also returns row duals; a scipy release that
-    moves it breaks this function alone.
+    a ``bell`` process.  The entry solves min c.x, lo <= a.x <= hi,
+    lower <= x <= upper (``a`` as CSC arrays) on the pybind class
+    ``_Highs`` of scipy's private ``_highspy._core``, tested on scipy
+    1.17.1 only; a scipy release that moves it breaks this function alone.
     """
     import scipy.sparse
-    from scipy.optimize._highspy._highs_wrapper import _highs_wrapper
+    from scipy.optimize._highspy import _core
 
-    return scipy.sparse, _highs_wrapper
+    def solve(c, indptr, indices, data, lo, hi, lower, upper):
+        highs = _core._Highs()
+        for key, value in _HIGHS_OPTIONS.items():
+            highs.setOptionValue(key, value)
+        # integrality needs one entry per column: HiGHS rejects an empty array
+        if highs.passModel(len(c), len(lo), len(data), _core.MatrixFormat.kColwise,
+                           _core.ObjSense.kMinimize, 0.0, c, lower, upper, lo, hi, indptr,
+                           indices, data, np.zeros(len(c), np.int32)) == _core.HighsStatus.kError:
+            return {"status": _core.HighsModelStatus.kModelError}  # never run: HiGHS may crash
+        highs.run()  # the model status tells how it ended; lp_solve checks every optimum
+        solution = highs.getSolution()
+        return {"status": highs.getModelStatus(), "x": np.array(solution.col_value),
+                "lambda": np.array(solution.row_dual),
+                "simplex_nit": highs.getInfo().simplex_iteration_count}
+
+    return scipy.sparse, solve
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,7 +201,7 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
     rows = ~ge if folded else slice(None)  # the rows HiGHS gets
     a_rows = sp.csc_matrix(a[rows])
     res = highs(-lp.c if lp.maximize else lp.c, a_rows.indptr, a_rows.indices, a_rows.data,
-                lo[rows], hi[rows], lp.lower, lp.upper, np.empty(0, np.uint8), _HIGHS_OPTIONS)
+                lo[rows], hi[rows], lp.lower, lp.upper)
     status = _HIGHS_STATUS.get(res["status"].name, "failed")
     iterations = int(res.get("simplex_nit", 0))
     if status != "optimal":

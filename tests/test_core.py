@@ -170,6 +170,18 @@ def test_validate_quantum_model_catches_nonunit_trace(chsh_optimal_model):
     assert any(v.constraint == "unit trace" for v in report)
 
 
+@pytest.mark.parametrize("name, index", [
+    ("state", (1, 2)), ("alice_povms", (0, 0, 0, 0)), ("bob_povms", (1, 1, 0, 1)),
+])
+def test_validate_quantum_model_flags_nonfinite_entries(chsh_optimal_model, name, index):
+    arrays = {n: np.array(getattr(chsh_optimal_model, n)) for n in ("state", "alice_povms", "bob_povms")}
+    arrays[name][index] = np.nan
+    model = QuantumModel(2, 2, arrays["state"], arrays["alice_povms"], arrays["bob_povms"])
+    assert validate(model) == (InvariantViolation("finite entries", f"{name}{list(index)}", np.inf),)
+    with pytest.raises(ValidationError):
+        behavior_from_quantum(model)
+
+
 def _validate_one_element_at_a_time(obj):
     """validate on behaviors and quantum models, written entry by entry and
     matrix by matrix on public numpy, as the reference the stacked checks

@@ -83,9 +83,11 @@ def test_private_numpy_linalg_module_is_used_only_in_numerics():
 
 
 def test_private_scipy_highs_module_is_used_only_in_numerics():
-    # numerics.lp_backend is the one entry into scipy's private HiGHS
-    # wrapper, and every LP goes through it rather than through linprog
+    # numerics.lp_backend is the one entry into HiGHS, through the pybind
+    # class _core._Highs of scipy's private _highspy; every LP goes through
+    # it rather than through linprog or scipy's _highs_wrapper
     users = sorted(p.name for p in MODULES if "_highspy" in p.read_text(encoding="utf-8"))
     assert users == ["numerics.py"]
     sources = sorted(Path(bellcalc.__file__).parent.rglob("*.py"))
-    assert [p.name for p in sources if "linprog" in p.read_text(encoding="utf-8")] == []
+    for entry in ("linprog", "_highs_wrapper"):
+        assert [p.name for p in sources if entry in p.read_text(encoding="utf-8")] == []

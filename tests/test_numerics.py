@@ -2,7 +2,8 @@
 
 The LP layer is checked against scipy's linprog dual simplex, a second
 front end to HiGHS that takes >= rows negated into <= form and never
-folds a mirrored pair.
+folds a mirrored pair, and its HiGHS call bit for bit against scipy's
+_highs_wrapper.
 
 The POVM solver is checked against an independent semidefinite
 formulation (cvxpy, when installed) on small instances, against its own
@@ -18,8 +19,17 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.optimize import linprog
+from scipy.optimize._highspy import _core
+from scipy.optimize._highspy._highs_wrapper import _highs_wrapper
 
-from bellcalc import Scenario, ValidationError, behavior_from_quantum
+from bellcalc import (
+    Scenario,
+    ValidationError,
+    behavior_from_quantum,
+    is_local,
+    max_violation,
+    noise_robustness,
+)
 from bellcalc import classical, numerics
 from bellcalc.core import hermitian_part
 from bellcalc.numerics import (
@@ -273,6 +283,58 @@ def test_nan_solution_is_failed(monkeypatch):
         senses=[LE], lower=np.array([0.0]), upper=np.array([np.inf]),
     )
     assert lp_solve(lp).status == "failed"
+
+
+def test_highs_solve_gives_the_bits_of_scipys_wrapper(monkeypatch, chsh_optimal_behavior):
+    # lp_solve's backend hands HiGHS the same model and options as scipy's
+    # _highs_wrapper (which takes presolve as a bool), so every nu, pi and
+    # membership LP comes back with the same x, row duals and iterations
+    highs = _core._Highs()
+    assert all(highs.setOptionValue(key, value) == _core.HighsStatus.kOk
+               for key, value in numerics._HIGHS_OPTIONS.items())
+    options = {**numerics._HIGHS_OPTIONS, "presolve": False}
+    sparse, solve = numerics.lp_backend()
+    solved = []
+
+    def keep(*args):
+        solved.append((args, solve(*args)))
+        return solved[-1][1]
+
+    random_behavior = behavior_from_quantum(
+        _random_model(np.random.default_rng(7), Scenario(3, 3, 2, 2), 2, "complete"))
+    monkeypatch.setattr(numerics, "lp_backend", lambda: (sparse, keep))
+    for behavior in (chsh_optimal_behavior, random_behavior):
+        for quantity in (max_violation, noise_robustness, is_local):
+            quantity(behavior)
+    assert len(solved) == 6
+    for args, res in solved:
+        ref = _highs_wrapper(*args, np.empty(0, np.uint8), options)
+        assert res["status"] == ref["status"] == _core.HighsModelStatus.kOptimal
+        assert res["simplex_nit"] == ref["simplex_nit"]
+        assert np.array_equal(res["x"], ref["x"]) and np.array_equal(res["lambda"], ref["lambda"])
+        assert args[0] @ res["x"] == args[0] @ ref["x"]  # lp_solve's objective
+
+
+def test_model_highs_rejects_is_never_optimal(monkeypatch):
+    # column starts that decrease: HiGHS rejects the model when it is passed
+    sparse, solve = numerics.lp_backend()
+    statuses = []
+
+    def scramble(c, indptr, *rest):
+        indptr = indptr.copy()
+        indptr[1], indptr[2] = indptr[2], indptr[1]
+        res = solve(c, indptr, *rest)
+        statuses.append(res["status"])
+        return res
+
+    monkeypatch.setattr(numerics, "lp_backend", lambda: (sparse, scramble))
+    lp = LinearProgram(
+        c=np.ones(2), a=np.array([[1.0, 2.0], [3.0, 1.0]]), rhs=np.array([4.0, 6.0]),
+        senses=[LE, LE], lower=np.zeros(2), upper=np.full(2, np.inf),
+    )
+    sol = lp_solve(lp)
+    assert statuses == [_core.HighsModelStatus.kModelError]
+    assert sol.status != "optimal" and sol.x is None
 
 
 def test_eigh_contract_on_random_hermitian():
