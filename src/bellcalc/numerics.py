@@ -7,8 +7,10 @@ residuals plus duality gap.  A solve whose own certificates miss the
 contract is downgraded to "failed" rather than reported optimal.  HiGHS
 takes two-sided rows lo <= a.x <= hi, so a >= block that mirrors the <=
 block goes to it as the lower bounds of those rows.  scipy is loaded
-lazily: lp_backend imports scipy.sparse and HiGHS, which takes the numpy
-arrays as they are, on its first call; a process without LPs skips scipy.
+lazily: on its first call lp_backend imports scipy.sparse and loads
+HiGHS's extension module on its own, without the scipy.optimize package,
+so a process without LPs skips scipy and one with LPs skips
+scipy.optimize.  HiGHS takes the numpy arrays as they are.
 
 povm_update solves  max sum_a tr(E_a R_a)  over POVMs {E_a}: the
 two-outcome case in closed form, more outcomes through one monotone
@@ -28,6 +30,10 @@ would have made them.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
@@ -47,10 +53,11 @@ LP_GAP_REL = 1e-7
 _HIGHS_OPTIONS = {"solver": "simplex", "simplex_strategy": 1, "presolve": "off",
                   "primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10,
                   "output_flag": False, "log_to_console": False}
-# HiGHS model status -> LpSolution.status; anything else, unbounded-or-
-# infeasible and iteration limits among it, is "failed".
-_HIGHS_STATUS = {"kOptimal": "optimal", "kInfeasible": "infeasible",
-                 "kModelError": "infeasible", "kUnbounded": "unbounded"}
+# HiGHS model status -> LpSolution.status; anything else is "failed": a
+# model HiGHS rejects, unbounded-or-infeasible and iteration limits among it.
+_HIGHS_STATUS = {"kOptimal": "optimal", "kInfeasible": "infeasible", "kUnbounded": "unbounded"}
+# HiGHS's extension, loaded by _highs_core under the name scipy.optimize gives it
+_HIGHS_CORE = "scipy.optimize._highspy._core"
 
 LE, EQ, GE = "<=", "==", ">="
 
@@ -58,18 +65,47 @@ LE, EQ, GE = "<=", "==", ">="
 MAX_POVM_ITERS = 2000
 
 
+def _highs_core():
+    """scipy's HiGHS extension module, loaded without scipy.optimize.
+
+    The file is found beside scipy's own package and registered under
+    its dotted name before it runs, so a later ``import scipy.optimize``
+    reuses it.  A module already in sys.modules, this function's or
+    scipy.optimize's, is returned without a search: pybind11 registers
+    ``_Highs`` once per process, and lp_backend runs on every LP.
+    """
+    module = sys.modules.get(_HIGHS_CORE)
+    if module is not None:
+        return module
+    # find_spec of a top-level name locates scipy without importing anything
+    path = [os.path.join(location, "optimize", "_highspy")
+            for location in importlib.util.find_spec("scipy").submodule_search_locations]
+    spec = importlib.machinery.PathFinder.find_spec(_HIGHS_CORE, path)
+    if spec is None:
+        raise ImportError(f"{_HIGHS_CORE} not found in {path}: the LP backend needs "
+                          "scipy >= 1.15")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[_HIGHS_CORE] = module
+    spec.loader.exec_module(module)
+    return module
+
+
 def lp_backend():
     """(scipy.sparse, HiGHS's solve entry), imported on the first call.
 
     The one place scipy enters the package: only the LP-backed
     quantities need it, and its import is most of the start-up time of
-    a ``bell`` process.  The entry solves min c.x, lo <= a.x <= hi,
-    lower <= x <= upper (``a`` as CSC arrays) on the pybind class
-    ``_Highs`` of scipy's private ``_highspy._core``, tested on scipy
-    1.17.1 only; a scipy release that moves it breaks this function alone.
+    a ``bell`` process.  Only scipy.sparse and HiGHS's extension load
+    (see _highs_core), not the scipy.optimize package: on 2x2x2x2 inputs
+    that takes a ``bell behavior`` LP command from about 0.87 s to about
+    0.48 s on a 2-core host.  The entry solves
+    min c.x, lo <= a.x <= hi, lower <= x <= upper (``a`` as CSC arrays)
+    on the pybind class ``_Highs`` of scipy's private ``_highspy._core``,
+    tested on scipy 1.17.1 only; a scipy release that moves it breaks
+    this function alone.
     """
     import scipy.sparse
-    from scipy.optimize._highspy import _core
+    _core = _highs_core()
 
     def solve(c, indptr, indices, data, lo, hi, lower, upper):
         highs = _core._Highs()

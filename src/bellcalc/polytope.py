@@ -68,8 +68,9 @@ def vertex_matrix(scenario: Scenario) -> sp.csr_matrix:
     row for vertex v has a one at every entry (x, y, alpha(x), beta(y)).
     Rows follow the fixed lexicographic vertex order.  Every LP over the
     polytope goes through here, so this is where the vertex guard sits,
-    and where the whole LP backend is loaded: the first LP of a process
-    pays scipy's import before it is posed, not inside the solve.
+    and where the LP backend is loaded: the first LP of a process pays
+    for importing scipy.sparse and loading HiGHS's extension (not the
+    scipy.optimize package) before it is posed, not inside the solve.
     """
     na, nb, ma, mb = scenario.shape
     sa = scenario.alice_strategy_count()

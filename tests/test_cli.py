@@ -467,9 +467,11 @@ def test_commands_without_an_lp_never_import_scipy(tmp_path, cli_inputs, argv):
     assert scipy_modules_after(tmp_path, argv) == set()
 
 
-def test_lp_command_loads_the_whole_lp_backend(tmp_path, chsh_optimal_file):
+def test_lp_command_loads_highs_without_scipy_optimize(tmp_path, chsh_optimal_file):
+    # scipy.sparse and HiGHS's extension module, not the scipy.optimize package
     modules = scipy_modules_after(tmp_path, ["behavior", "nu", chsh_optimal_file])
-    assert {"scipy.sparse", "scipy.optimize"} <= modules
+    assert {"scipy.sparse", "scipy.optimize._highspy._core"} <= modules
+    assert "scipy.optimize" not in modules
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,6 +1,6 @@
 """Every module of the package uses what it imports, imports no private
 name from another package module, and the package exports exactly what
-its ``__init__`` imports.
+its ``__init__`` imports; none imports the scipy.optimize package.
 
 No linter ships with the toolchain, so this walks the syntax tree of
 each module (the package ``__init__``, which re-exports, excepted from
@@ -38,6 +38,22 @@ def _private_package_imports(source: str) -> list[str]:
             if isinstance(node, ast.ImportFrom)
             and (node.level > 0 or (node.module or "").split(".")[0] == "bellcalc")
             for alias in node.names if alias.name.startswith("_")]
+
+
+def _scipy_optimize_imports(source: str) -> list[str]:
+    # any import statement that would run the scipy.optimize package's __init__
+    def runs_optimize(name):
+        return name == "scipy.optimize" or name.startswith("scipy.optimize.")
+
+    tree = ast.parse(source)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [f"line {node.lineno}: {a.name}" for a in node.names if runs_optimize(a.name)]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found += [f"line {node.lineno}: {node.module}.{a.name}" for a in node.names
+                      if runs_optimize(f"{node.module}.{a.name}")]
+    return found
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -91,3 +107,23 @@ def test_private_scipy_highs_module_is_used_only_in_numerics():
     sources = sorted(Path(bellcalc.__file__).parent.rglob("*.py"))
     for entry in ("linprog", "_highs_wrapper"):
         assert [p.name for p in sources if entry in p.read_text(encoding="utf-8")] == []
+
+
+def test_no_module_imports_the_scipy_optimize_package():
+    # lp_backend loads HiGHS's extension on its own; the scipy.optimize
+    # package is a third of an LP command's start-up time and unused
+    sources = sorted(Path(bellcalc.__file__).parent.rglob("*.py"))
+    assert {p.name: _scipy_optimize_imports(p.read_text(encoding="utf-8")) for p in sources} == {
+        p.name: [] for p in sources}
+
+
+def test_checker_flags_a_scipy_optimize_import():
+    source = ("import scipy.optimize\n"
+              "from scipy.optimize import linprog\n"
+              "from scipy.optimize._highspy import _core\n"
+              "from scipy import optimize, sparse\n"
+              "import scipy.sparse\n"
+              "from scipy.sparse import csc_matrix\n")
+    assert _scipy_optimize_imports(source) == [
+        "line 1: scipy.optimize", "line 2: scipy.optimize.linprog",
+        "line 3: scipy.optimize._highspy._core", "line 4: scipy.optimize"]

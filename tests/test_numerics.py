@@ -12,7 +12,12 @@ iteration taken one outcome at a time; random_povms likewise against the
 same construction taken one element at a time.
 """
 
+import importlib.util
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -262,7 +267,7 @@ def test_one_sided_rows_give_linprogs_bytes(monkeypatch):
 
 
 @pytest.mark.parametrize("highs_status, status", [
-    ("kInfeasible", "infeasible"), ("kModelError", "infeasible"), ("kUnbounded", "unbounded"),
+    ("kInfeasible", "infeasible"), ("kModelError", "failed"), ("kUnbounded", "unbounded"),
     ("kUnboundedOrInfeasible", "failed"), ("kIterationLimit", "failed"), ("kTimeLimit", "failed"),
 ])
 def test_highs_status_map(monkeypatch, highs_status, status):
@@ -334,7 +339,59 @@ def test_model_highs_rejects_is_never_optimal(monkeypatch):
     )
     sol = lp_solve(lp)
     assert statuses == [_core.HighsModelStatus.kModelError]
-    assert sol.status != "optimal" and sol.x is None
+    assert sol.status == "failed" and sol.x is None
+
+
+# Runs code in a fresh interpreter that imports bellcalc from this checkout.
+def run_fresh(code):
+    src = str(Path(numerics.__file__).resolve().parent.parent)
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_scipy_optimize_reuses_the_highs_module_lp_backend_loaded():
+    out = run_fresh(
+        "import sys\n"
+        "from bellcalc import numerics\n"
+        "numerics.lp_backend()\n"
+        "core = sys.modules['scipy.optimize._highspy._core']\n"
+        "print('scipy.optimize' in sys.modules)\n"
+        "from scipy.optimize import linprog\n"
+        "res = linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-3.0], method='highs-ds')\n"
+        "print(res.status, res.fun, res.x.tolist() == [3.0, 0.0])\n"
+        "print(sys.modules['scipy.optimize._highspy._core'] is core, numerics._highs_core() is core)\n")
+    assert out == ["False", "0", "3.0", "True", "True", "True"]
+
+
+def test_lp_backend_reuses_the_highs_module_scipy_optimize_loaded():
+    out = run_fresh(
+        "import sys\n"
+        "import numpy as np\n"
+        "import scipy.optimize\n"
+        "core = sys.modules['scipy.optimize._highspy._core']\n"
+        "import importlib.machinery\n"
+        "from bellcalc import numerics\n"
+        "def no_search(*args):\n"
+        "    raise AssertionError('searched for a loaded module')\n"
+        "importlib.machinery.PathFinder.find_spec = no_search\n"
+        "lp = numerics.LinearProgram(c=np.array([1.0, 2.0]), a=np.array([[1.0, 1.0]]),\n"
+        "    rhs=np.array([3.0]), senses=['>='], lower=np.zeros(2), upper=np.full(2, np.inf),\n"
+        "    maximize=False)\n"
+        "sol = numerics.lp_solve(lp)\n"
+        "print(sol.status, sol.objective, numerics._highs_core() is core)\n")
+    assert out == ["optimal", "3.0", "True"]
+
+
+def test_missing_highs_extension_names_the_scipy_floor(monkeypatch, tmp_path):
+    numerics.lp_backend()
+    monkeypatch.delitem(sys.modules, numerics._HIGHS_CORE)
+    monkeypatch.setattr(importlib.util, "find_spec",
+                        lambda name: SimpleNamespace(submodule_search_locations=[str(tmp_path)]))
+    with pytest.raises(ImportError, match=r"scipy >= 1\.15"):
+        numerics.lp_backend()
 
 
 def test_eigh_contract_on_random_hermitian():
