@@ -3,21 +3,23 @@
 lp_solve wraps the HiGHS dual simplex behind a fixed contract: status in
 {optimal, infeasible, unbounded, failed}, primal and dual vectors in the
 orientation of the posed problem, and self-computed feasibility
-residuals plus duality gap.  A solve whose own certificates miss the
-contract is downgraded to "failed" rather than reported optimal.  HiGHS
-takes two-sided rows lo <= a.x <= hi, so a >= block that mirrors the <=
-block goes to it as the lower bounds of those rows.  scipy is loaded
-lazily: on its first call lp_backend imports scipy.sparse and loads
-HiGHS's extension module on its own, without the scipy.optimize package,
-so a process without LPs skips scipy and one with LPs skips
-scipy.optimize.  HiGHS takes the numpy arrays as they are.
+residuals plus duality gap.  HiGHS takes two-sided rows lo <= a.x <= hi,
+so a >= block that mirrors the <= block goes to it as the lower bounds
+of those rows.  The certificates are checked on the rows HiGHS solved,
+with its row duals, by one range rule applied to rows and to columns; a
+solve whose certificates miss the contract is downgraded to "failed"
+rather than reported optimal.  scipy is loaded lazily: on its first call
+lp_backend imports scipy.sparse and loads HiGHS's extension module on
+its own, without the scipy.optimize package, so a process without LPs
+skips scipy and one with LPs skips scipy.optimize.  HiGHS takes the
+numpy arrays as they are.
 
 povm_update solves  max sum_a tr(E_a R_a)  over POVMs {E_a}: the
 two-outcome case in closed form, more outcomes through one monotone
 fixed-point iteration on the (n_out, d, d) stack of all outcomes at
 once, and the subnormalized variant by appending a dummy outcome with a
 zero reduced operator.  Every result carries a dual certificate computed
-once, on the final iterate.
+once, on the final iterate: a feasible point Y >= R_a of the dual SDP.
 
 eigh and psd_project broadcast over leading axes, so a whole stack of
 matrices takes one LAPACK call; every (d, d) slice gets the same result
@@ -129,9 +131,10 @@ def lp_backend():
 class LinearProgram:
     """max (or min) c.x subject to senses-typed rows and variable bounds.
 
-    ``a`` may be a dense ndarray or a scipy sparse matrix; ``senses``
-    (an array, list or tuple, stored as an array) holds one of "<=",
-    "==", ">=" per row.  Bounds use +-inf for free directions.
+    ``a`` may be given dense or as any scipy sparse matrix and is stored
+    as one float64 CSR matrix; ``senses`` (an array, list or tuple,
+    stored as an array) holds one of "<=", "==", ">=" per row.  Bounds
+    use +-inf for free directions.
     """
 
     c: np.ndarray
@@ -149,7 +152,7 @@ class LinearProgram:
         upper = np.asarray(self.upper, dtype=np.float64)
         senses = np.asarray(self.senses)
         sp, _ = lp_backend()
-        a = self.a if sp.issparse(self.a) else np.asarray(self.a, dtype=np.float64)
+        a = sp.csr_matrix(self.a, dtype=np.float64)
         m, n = a.shape
         if c.shape != (n,) or rhs.shape != (m,) or senses.shape != (m,):
             raise ValidationError("linear program dimensions are inconsistent")
@@ -157,8 +160,7 @@ class LinearProgram:
             raise ValidationError("variable bound vectors must have one entry per column")
         if not np.isin(senses, (LE, EQ, GE)).all():
             raise ValidationError(f"row senses must be one of {LE!r}, {EQ!r}, {GE!r}")
-        entries = a.data if sp.issparse(a) else a
-        if not (np.all(np.isfinite(entries)) and np.all(np.isfinite(c)) and np.all(np.isfinite(rhs))):
+        if not (np.all(np.isfinite(a.data)) and np.all(np.isfinite(c)) and np.all(np.isfinite(rhs))):
             raise ValidationError("linear program entries must be finite")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "a", a)
@@ -174,8 +176,9 @@ class LpSolution:
 
     ``row_duals`` are sensitivities of the optimal objective to the row
     right-hand sides, in the orientation of the posed problem.  The
-    residuals and ``duality_gap`` are recomputed here from scratch, not
-    taken from the solver; ``iterations`` is HiGHS's simplex iteration count.
+    residuals and ``duality_gap`` are recomputed here from scratch, on
+    the rows HiGHS solved, not taken from the solver; ``iterations`` is
+    HiGHS's simplex iteration count.
     """
 
     status: Literal["optimal", "infeasible", "unbounded", "failed"]
@@ -188,35 +191,15 @@ class LpSolution:
     iterations: int
 
 
-def _primal_residual(lp: LinearProgram, x: np.ndarray, le, ge, eq) -> float:
-    """Worst violation of a row or bound; le, ge, eq mask the rows by sense."""
-    gap = np.asarray(lp.a @ x).ravel() - lp.rhs
-    violations = np.concatenate([gap[le], -gap[ge], np.abs(gap[eq]), lp.lower - x, x - lp.upper])
-    return max(0.0, float(np.max(violations, initial=0.0)))  # +0.0, never -0.0
-
-
-def _dual_certificates(lp: LinearProgram, y: np.ndarray, objective: float, le, ge):
-    """Dual feasibility residual and duality gap for the posed problem;
-    le and ge mask the <= and >= rows.
-
-    Orientation: for a maximization, duals on <= rows are >= 0, on >=
-    rows <= 0; a reduced cost c_j - (A^T y)_j that is positive must be
-    absorbed by a finite upper bound, a negative one by a finite lower
-    bound.  Minimization flips all of it.
-    """
-    sign = 1.0 if lp.maximize else -1.0
-    z = lp.c - np.asarray(lp.a.T @ y).ravel()
-    ys = sign * y
-    zs = sign * z
-    bad_hi = (zs > 0) & ~np.isfinite(lp.upper)
-    bad_lo = (zs < 0) & ~np.isfinite(lp.lower)
-    violations = np.concatenate([-ys[le], ys[ge], zs[bad_hi], -zs[bad_lo]])
-    worst = max(0.0, float(np.max(violations, initial=0.0)))
-    bound_term = np.where(zs > 0, np.where(np.isfinite(lp.upper), lp.upper, 0.0),
-                          np.where(np.isfinite(lp.lower), lp.lower, 0.0))
-    dual_obj = float(y @ lp.rhs + z @ bound_term)
-    gap = abs(objective - dual_obj)
-    return worst, gap
+def _range_certificates(values, mult, lo, hi):
+    """(worst violation of lo <= values <= hi, worst multiplier of the wrong
+    sign, dual objective term) for multipliers in minimization orientation:
+    a positive one needs a finite lower end, a negative one a finite upper end."""
+    primal = np.max(np.maximum(lo - values, values - hi), initial=0.0)
+    end = np.where(mult > 0, lo, hi)
+    finite = np.isfinite(end)
+    dual = np.max(np.where(finite, 0.0, np.abs(mult)), initial=0.0)
+    return primal, dual, mult @ np.where(finite, end, 0.0)
 
 
 def lp_solve(lp: LinearProgram) -> LpSolution:
@@ -224,43 +207,45 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
 
     Every row goes to HiGHS as lo <= a.x <= hi.  When the >= rows repeat
     the <= rows row for row, each >= row becomes the lower bound of its
-    <= twin, so HiGHS sees the pair as one row.
+    <= twin, so HiGHS sees the pair as one row.  The certificates are
+    checked on exactly the model HiGHS solved, with its row duals.
     """
-    sp, highs = lp_backend()
+    _, highs = lp_backend()
     le, ge = lp.senses == LE, lp.senses == GE
-    a = sp.csr_matrix(lp.a)
     lo = np.where(le, -np.inf, lp.rhs)
     hi = np.where(ge, np.inf, lp.rhs)
-    folded = le.sum() == ge.sum() > 0 and (a[le] != a[ge]).nnz == 0
+    folded = le.sum() == ge.sum() > 0 and (lp.a[le] != lp.a[ge]).nnz == 0
     if folded:
         lo[le] = lp.rhs[ge]
     rows = ~ge if folded else slice(None)  # the rows HiGHS gets
-    a_rows = sp.csc_matrix(a[rows])
-    res = highs(-lp.c if lp.maximize else lp.c, a_rows.indptr, a_rows.indices, a_rows.data,
-                lo[rows], hi[rows], lp.lower, lp.upper)
+    # CSC alone: a CSR copy kept through the solve would raise peak memory
+    a_rows, lo, hi = lp.a[rows].tocsc(), lo[rows], hi[rows]
+    c = -lp.c if lp.maximize else lp.c
+    res = highs(c, a_rows.indptr, a_rows.indices, a_rows.data, lo, hi, lp.lower, lp.upper)
     status = _HIGHS_STATUS.get(res["status"].name, "failed")
     iterations = int(res.get("simplex_nit", 0))
     if status != "optimal":
         return LpSolution(status, None, None, None, np.inf, np.inf, np.inf, iterations)
 
-    x = res["x"]
+    x, lam = res["x"], res["lambda"]
     objective = float(lp.c @ x)
+    row_p, row_d, row_obj = _range_certificates(a_rows @ x, lam, lo, hi)
+    col_p, col_d, col_obj = _range_certificates(x, c - a_rows.T @ lam, lp.lower, lp.upper)
+    primal_resid, dual_resid = float(np.maximum(row_p, col_p)), float(np.maximum(row_d, col_d))
+    gap = float(abs(c @ x - (row_obj + col_obj)))
+    # written so that a NaN anywhere in the certificates fails it
+    if not (primal_resid <= LP_PRIMAL_TOL and dual_resid <= LP_DUAL_TOL
+            and gap <= LP_GAP_REL * (1.0 + abs(objective))):
+        status = "failed"
     # HiGHS's row duals are d(min objective)/d(row bound); a posed
     # maximization negates the objective.  On a folded pair the sign tells
     # which bound is active: <= duals are >= 0 and >= duals <= 0 for a
     # maximization, the other way round for a minimization.
     y = np.zeros(len(lp.senses))
-    y[rows] = -res["lambda"] if lp.maximize else res["lambda"]
+    y[rows] = -lam if lp.maximize else lam
     if folded:
         pair, sign = y[le], 1.0 if lp.maximize else -1.0
         y[le], y[ge] = np.where(sign * pair > 0, pair, 0.0), np.where(sign * pair < 0, pair, 0.0)
-
-    primal_resid = _primal_residual(lp, x, le, ge, lp.senses == EQ)
-    dual_resid, gap = _dual_certificates(lp, y, objective, le, ge)
-    # written so that a NaN anywhere in the certificates fails it
-    if not (primal_resid <= LP_PRIMAL_TOL and dual_resid <= LP_DUAL_TOL
-            and gap <= LP_GAP_REL * (1.0 + abs(objective))):
-        status = "failed"
     return LpSolution(status, x, y, objective, primal_resid, dual_resid, gap, iterations)
 
 
@@ -324,10 +309,10 @@ class PovmUpdateResult:
     ``operators`` is the (n_out, d, d) stack of POVM elements, one per
     outcome in the order of the reduced operators.
 
-    ``dual_matrix`` is the multiplier estimate Y ~ sum_a R_a E_a;
-    ``dual_bound`` is tr of a feasibility-shifted Y, a true upper bound
-    on the achievable objective.  ``objective_log`` is the monotone
-    sequence of accepted objective values.
+    ``dual_matrix`` is a feasible dual point: Y >= R_a for every outcome
+    (and Y >= 0 in incomplete mode), so ``dual_bound`` = tr Y is a true
+    upper bound on the achievable objective.  ``objective_log`` is the
+    monotone sequence of accepted objective values.
     """
 
     operators: np.ndarray
@@ -377,16 +362,8 @@ def _dual_certificate(operators, reduced):
     deficit = max(0.0, float(np.max(w[:, -1])))
     if deficit <= 0.0:
         return y0, float(y0.trace().real)
-    # positive parts have per-outcome rank, so they are summed one by one
-    pos_trace = 0.0
-    pos_sum = np.zeros_like(y0)
-    for wa, va in zip(w, v):
-        keep = wa > 0.0
-        if keep.any():
-            pos_trace += float(wa[keep].sum())
-            pos_sum += (va[:, keep] * wa[keep]) @ va[:, keep].conj().T
-    if pos_trace <= deficit * d:
-        y = hermitian_part(y0 + pos_sum)
+    if float(np.maximum(w, 0.0).sum()) <= deficit * d:
+        y = hermitian_part(y0 + sum(_clip_negative(w, v)))
     else:
         y = y0 + deficit * np.eye(d)
     return y, float(y.trace().real)
@@ -402,19 +379,17 @@ def _two_outcome_exact(reduced):
     vecs = v[:, keep]
     e1 = vecs @ vecs.conj().T
     objective = float(np.trace(r2).real + w[keep].sum())
-    # exact dual: Y = R_2 + positive part of (R_1 - R_2)
-    pos = hermitian_part((v * np.maximum(w, 0.0)) @ v.conj().T)
-    y = hermitian_part(r2 + pos)
+    y = hermitian_part(r2 + _clip_negative(w, v))  # exact dual: R_2 + (R_1 - R_2)_+
     return hermitian_part(np.stack([e1, np.eye(d) - e1])), objective, y
 
 
 def _inv_sqrt_psd(mat: np.ndarray) -> np.ndarray:
-    """Pseudo inverse square root of a hermitian_part output, tiny eigenvalues dropped."""
+    """Pseudo inverse square root of a hermitian_part output, broadcast over
+    leading axes; each slice drops its eigenvalues below 1e-14 of its largest."""
     w, v = _eigh_unchecked(mat)
-    cutoff = max(float(w[-1]), 0.0) * 1e-14
-    keep = w > cutoff
+    keep = w > np.maximum(w[..., -1:], 0.0) * 1e-14
     inv = np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0)
-    return (v * inv) @ v.conj().T
+    return (v * inv[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 @_lapack_errors
@@ -424,7 +399,7 @@ def random_povms(rng: np.random.Generator, n_in: int, n_out: int, dim: int) -> n
     conjugated per input by the inverse square root of their sum."""
     g = rng.standard_normal((n_in, n_out, 2, dim, dim))
     blocks = psd_project(hermitian_part(g[:, :, 0] + 1j * g[:, :, 1]))
-    inv_sqrt = np.array([_inv_sqrt_psd(hermitian_part(sum(b))) for b in blocks])[:, None]
+    inv_sqrt = _inv_sqrt_psd(hermitian_part(sum(blocks.swapaxes(0, 1))))[:, None]
     els = hermitian_part(inv_sqrt @ blocks @ inv_sqrt)
     # the conjugation leaves the discarded subspace empty; spread it evenly
     return hermitian_part(els + (np.eye(dim) - sum(els.swapaxes(0, 1)))[:, None] / n_out)

@@ -312,6 +312,8 @@ def dimension_witness_report(
     best model (zero-padded), so reported values are nondecreasing in
     the dimension up to solver tolerance.
     """
+    if not math.isfinite(observed):
+        raise ValidationError(f"observed value must be finite, got {observed!r}")
     if observed < 0.0:
         raise ValidationError("observed value must be nonnegative")
     if max_dim < 1:

@@ -201,6 +201,18 @@ def test_witness_command(capsys, chsh_file):
     assert payload["warning"] is None
 
 
+@pytest.mark.parametrize("observed", ["nan", "inf"])
+def test_witness_non_finite_observation_exits_2_before_the_seesaw(capsys, chsh_file, monkeypatch,
+                                                                   observed):
+    def no_seesaw(*args, **kwargs):
+        pytest.fail("the see-saw ran before the non-finite observed value was rejected")
+    monkeypatch.setattr(importlib.import_module("bellcalc.violation"), "seesaw", no_seesaw)
+    code, out, err = run_cli(capsys, "witness", chsh_file, "--observed", observed,
+                             "--max-dim", "3", "--seeds", "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: observed value must be finite, got {float(observed)!r}\n"
+
+
 def test_gen_game(tmp_path, capsys):
     table = {
         "weights": [[0.25, 0.25], [0.25, 0.25]],

@@ -1,11 +1,14 @@
 """Every module of the package uses what it imports, imports no private
 name from another package module, and the package exports exactly what
-its ``__init__`` imports; none imports the scipy.optimize package.
+its ``__init__`` imports; none imports the scipy.optimize package, and
+every private module-level name is read somewhere in the package.
 
 No linter ships with the toolchain, so this walks the syntax tree of
 each module (the package ``__init__``, which re-exports, excepted from
 the unused-import check) and fails on a name that is imported but never
-read, or on a ``_``-prefixed name imported from the package.
+read, on a ``_``-prefixed name imported from the package, or on a
+``_``-prefixed module-level function, class or constant that no package
+module reads.
 """
 
 import ast
@@ -38,6 +41,30 @@ def _private_package_imports(source: str) -> list[str]:
             if isinstance(node, ast.ImportFrom)
             and (node.level > 0 or (node.module or "").split(".")[0] == "bellcalc")
             for alias in node.names if alias.name.startswith("_")]
+
+
+def _unused_private_names(sources: dict[str, str]) -> list[str]:
+    # module-level _-prefixed definitions (dunders aside) against every
+    # name and attribute read in any of the sources
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [(module, node.lineno, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [f"{module} line {line}: {name}" for module, line, name in defined if name not in read]
 
 
 def _scipy_optimize_imports(source: str) -> list[str]:
@@ -89,6 +116,21 @@ def test_checker_flags_a_private_package_import():
               "from numpy.linalg._umath_linalg import eigh_lo as _eigh_unchecked\n"
               "from scipy.optimize._highspy._highs_wrapper import _highs_wrapper\n")
     assert _private_package_imports(source) == ["line 1: _inv_sqrt_psd", "line 2: _readonly"]
+
+
+def test_package_reads_every_private_name_it_defines():
+    # a private helper nothing in the package reads is dead code
+    sources = {p.name: p.read_text(encoding="utf-8")
+               for p in sorted(Path(bellcalc.__file__).parent.glob("*.py"))}
+    assert _unused_private_names(sources) == []
+
+
+def test_checker_flags_an_unused_private_name():
+    sources = {"a.py": ("_USED, _SPARE = 1, 2\n__all__ = []\n"
+                        "def _helper():\n    return _USED\n"
+                        "class _Gone:\n    pass\n"),
+               "b.py": "import a\na._helper()\n"}
+    assert _unused_private_names(sources) == ["a.py line 1: _SPARE", "a.py line 5: _Gone"]
 
 
 def test_private_numpy_linalg_module_is_used_only_in_numerics():

@@ -3,7 +3,8 @@
 The LP layer is checked against scipy's linprog dual simplex, a second
 front end to HiGHS that takes >= rows negated into <= form and never
 folds a mirrored pair, and its HiGHS call bit for bit against scipy's
-_highs_wrapper.
+_highs_wrapper; its certificates must reject HiGHS answers spoiled on
+purpose.
 
 The POVM solver is checked against an independent semidefinite
 formulation (cvxpy, when installed) on small instances, against its own
@@ -148,6 +149,14 @@ def test_lp_rejects_shape_mismatch():
         )
 
 
+@pytest.mark.parametrize("a", [np.array([[np.nan]]), sp.csr_matrix([[np.inf]])],
+                         ids=["dense", "sparse"])
+def test_lp_rejects_non_finite_entries(a):
+    with pytest.raises(ValidationError, match="finite"):
+        LinearProgram(c=np.array([1.0]), a=a, rhs=np.array([1.0]), senses=[LE],
+                      lower=np.array([0.0]), upper=np.array([1.0]))
+
+
 def _linprog_reference(lp):
     """(x, posed row duals, objective) from linprog's dual simplex, each
     >= row negated into <= form after the <= rows, the == rows apart."""
@@ -288,6 +297,50 @@ def test_nan_solution_is_failed(monkeypatch):
         senses=[LE], lower=np.array([0.0]), upper=np.array([np.inf]),
     )
     assert lp_solve(lp).status == "failed"
+
+
+def _perturb_highs(monkeypatch, defect):
+    """Point lp_backend at HiGHS with its optimal answer spoiled by one defect."""
+    sparse, solve = numerics.lp_backend()
+
+    def perturbed(c, indptr, indices, data, lo, hi, lower, upper):
+        res = solve(c, indptr, indices, data, lo, hi, lower, upper)
+        x, lam = res["x"].copy(), res["lambda"].copy()
+        i = int(np.argmax(np.abs(lam)))  # an active row: at hi when its dual is negative
+        if defect == "row dual":
+            lam[i] = -lam[i]
+        elif defect == "column":
+            j = int(np.flatnonzero(np.isfinite(upper))[0])
+            x[j] = upper[j] + 1e-6
+        else:  # one column moves row i's activity 1e-6 out of its range
+            row = sparse.csc_matrix((data, indices, indptr), shape=(len(lo), len(c))).toarray()[i]
+            j = int(np.argmax(np.abs(row)))
+            x[j] += (1e-6 if lam[i] < 0 else -1e-6) / row[j]
+        return {**res, "x": x, "lambda": lam}
+
+    monkeypatch.setattr(numerics, "lp_backend", lambda: (sparse, perturbed))
+
+
+@pytest.mark.parametrize("defect", ["row dual", "column", "row"])
+@pytest.mark.parametrize("folded", [True, False], ids=["folded", "unfolded"])
+@pytest.mark.parametrize("maximize", [True, False], ids=["max", "min"])
+def test_answer_its_certificates_disprove_is_failed(monkeypatch, rows_to_highs, defect, folded,
+                                                   maximize):
+    rng = np.random.default_rng(50)
+    lps = [_mirrored_lp(rng, maximize, nudge=0.0 if folded else 1e-3) for _ in range(12)]
+    lps = [lp for lp in lps if np.isfinite(lp.upper).any()]
+    solved = [lp_solve(lp) for lp in lps]
+    assert len(lps) >= 8
+    assert all(sol.status == "optimal" and np.abs(sol.row_duals).max() > 1e-3 for sol in solved)
+    _perturb_highs(monkeypatch, defect)
+    for lp, sol in zip(lps, solved):
+        perturbed = lp_solve(lp)
+        assert rows_to_highs[-1] == len(lp.senses) - folded * int((lp.senses == LE).sum())
+        assert perturbed.status == "failed", (defect, perturbed)
+        if defect != "row dual":
+            assert perturbed.primal_residual >= 0.99e-6
+        assert not (np.array_equal(perturbed.x, sol.x)
+                    and np.array_equal(perturbed.row_duals, sol.row_duals))
 
 
 def test_highs_solve_gives_the_bits_of_scipys_wrapper(monkeypatch, chsh_optimal_behavior):
@@ -631,6 +684,26 @@ def test_povm_update_dual_bound_tightness_small():
         reduced = _random_reduced(rng, dim, n_out)
         result = povm_update(reduced, "complete")
         assert result.dual_bound - result.objective <= 1e-5
+
+
+@pytest.mark.parametrize("mode", ["complete", "incomplete"])
+@pytest.mark.parametrize("n_out", [1, 2, 3])
+def test_povm_dual_matrix_is_a_feasible_dual_point(mode, n_out):
+    # Y >= R_a for every outcome, and Y >= 0 (the dummy outcome's R = 0)
+    # when incomplete, so tr(Y) bounds every POVM's objective from above
+    rng = np.random.default_rng(40 + n_out)
+    for _ in range(30):
+        dim = int(rng.integers(1, 6))
+        reduced = np.array(_random_reduced(rng, dim, n_out))
+        result = povm_update(reduced, mode)
+        y = result.dual_matrix
+        if mode == "incomplete":
+            reduced = np.concatenate([reduced, np.zeros((1, dim, dim))])
+        scale = max(1.0, float(np.max(np.linalg.norm(reduced, ord=2, axis=(-2, -1)))))
+        assert np.array_equal(y, y.conj().T)
+        assert np.linalg.eigvalsh(y - reduced)[:, 0].min() >= -1e-12 * scale
+        assert float(np.trace(y).real) == result.dual_bound
+        assert result.dual_bound >= result.objective - 1e-12
 
 
 def _fixed_point_one_outcome_at_a_time(reduced, warm_start, gain_tol):

@@ -276,8 +276,10 @@ def test_dimension_witness_separates_two_from_one(chsh):
 
 
 def test_dimension_witness_rejects_negative_observation(chsh):
-    with pytest.raises(ValidationError):
-        dimension_witness_report(chsh, observed=-0.5, max_dim=2)
+    # nan compares false against 0, so it needs its own check
+    for observed in (-0.5, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValidationError):
+            dimension_witness_report(chsh, observed=observed, max_dim=2)
 
 
 def test_violation_report_is_consistent(chsh_optimal_behavior):
