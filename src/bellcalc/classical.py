@@ -30,11 +30,11 @@ from .core import (
     no_signaling_check,
 )
 from .errors import SolverError, ValidationError
-from .numerics import EQ, LE, LinearProgram, lp_backend, lp_solve
+from .numerics import EQ, LE, CsrMatrix, LinearProgram, lp_solve
 from .polytope import (
     ENUM_GUARD,
     check_guard,
-    strategy_from_vertex,
+    strategies_from_vertices,
     vertex_matrix,
 )
 
@@ -168,13 +168,13 @@ class MembershipCertificate:
 def _membership_lp(behavior: Behavior):
     scenario = behavior.scenario
     verts = vertex_matrix(scenario)  # (V, E) sparse
-    sp, _ = lp_backend()
     n_vert, n_entries = verts.shape
     q = behavior.probs.reshape(-1)
     # variables: weights w (V), distance t (1); minimize t subject to
     #   sum_i w_i D_i - t <= q,  -(sum_i w_i D_i) - t <= -q,  sum w = 1
-    minus_t = -np.ones((n_entries, 1))
-    a = sp.bmat([[verts.T, minus_t], [-verts.T, minus_t], [np.ones((1, n_vert)), None]], format="csr")
+    dt, minus_t = verts.T, CsrMatrix.from_dense(-np.ones((n_entries, 1)))
+    mass = CsrMatrix.from_dense(np.concatenate([np.ones(n_vert), [0.0]])[None])
+    a = CsrMatrix.vstack([CsrMatrix.hstack([dt, minus_t]), CsrMatrix.hstack([-dt, minus_t]), mass])
     rhs = np.concatenate([q, -q, [1.0]])
     senses = np.repeat([LE, EQ], [2 * n_entries, 1])
     c = np.zeros(n_vert + 1)
@@ -186,10 +186,9 @@ def _membership_lp(behavior: Behavior):
 
 
 def local_model_from_weights(scenario: Scenario, weights: np.ndarray) -> LocalModel:
-    entries = []
-    for v in np.flatnonzero(weights > DROP_WEIGHT):
-        entries.append((float(weights[v]), strategy_from_vertex(scenario, int(v))))
-    return LocalModel(tuple(entries))
+    kept = np.flatnonzero(weights > DROP_WEIGHT)
+    strategies = strategies_from_vertices(scenario, kept)
+    return LocalModel(tuple(zip(weights[kept].tolist(), strategies)))
 
 
 def is_local(behavior: Behavior) -> MembershipCertificate:
@@ -225,7 +224,7 @@ def is_local(behavior: Behavior) -> MembershipCertificate:
     duals = sol.row_duals
     n_entries = scenario.n_entries
     s_vec = duals[:n_entries] - duals[n_entries:2 * n_entries]
-    vertex_vals = np.asarray(verts @ s_vec).ravel()
+    vertex_vals = verts @ s_vec
     value_q = float(np.sum(s_vec.reshape(scenario.shape) * behavior.probs))  # <S, P>
     if value_q - float(vertex_vals.max()) < 0:
         s_vec = -s_vec

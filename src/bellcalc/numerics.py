@@ -8,11 +8,11 @@ so a >= block that mirrors the <= block goes to it as the lower bounds
 of those rows.  The certificates are checked on the rows HiGHS solved,
 with its row duals, by one range rule applied to rows and to columns; a
 solve whose certificates miss the contract is downgraded to "failed"
-rather than reported optimal.  scipy is loaded lazily: on its first call
-lp_backend imports scipy.sparse and loads HiGHS's extension module on
-its own, without the scipy.optimize package, so a process without LPs
-skips scipy and one with LPs skips scipy.optimize.  HiGHS takes the
-numpy arrays as they are.
+rather than reported optimal.  Every LP matrix is a CsrMatrix, numpy
+arrays in compressed sparse row form, and HiGHS takes those rows as
+they are.  scipy is loaded lazily and only in part: on its first call
+lp_backend loads HiGHS's extension module on its own, so a process
+without LPs skips scipy and one with LPs loads no other scipy module.
 
 povm_update solves  max sum_a tr(E_a R_a)  over POVMs {E_a}: the
 two-outcome case in closed form, more outcomes through one monotone
@@ -37,6 +37,7 @@ import importlib.util
 import os
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Literal, Sequence
 
 import numpy as np
@@ -93,30 +94,30 @@ def _highs_core():
 
 
 def lp_backend():
-    """(scipy.sparse, HiGHS's solve entry), imported on the first call.
+    """HiGHS's solve entry, loaded on the first call.
 
     The one place scipy enters the package: only the LP-backed
-    quantities need it, and its import is most of the start-up time of
-    a ``bell`` process.  Only scipy.sparse and HiGHS's extension load
-    (see _highs_core), not the scipy.optimize package: on 2x2x2x2 inputs
-    that takes a ``bell behavior`` LP command from about 0.87 s to about
-    0.48 s on a 2-core host.  The entry solves
-    min c.x, lo <= a.x <= hi, lower <= x <= upper (``a`` as CSC arrays)
-    on the pybind class ``_Highs`` of scipy's private ``_highspy._core``,
-    tested on scipy 1.17.1 only; a scipy release that moves it breaks
-    this function alone.
+    quantities need it.  Only HiGHS's extension loads (see _highs_core):
+    no other scipy module, neither scipy.optimize nor scipy.sparse, whose
+    imports took a third and then a half of a ``bell behavior`` LP
+    command's start-up time.  The entry solves
+    min c.x, lo <= a.x <= hi, lower <= x <= upper, given ``vectors``, a
+    CsrMatrix of a's rows, or of its columns (a's transpose) when
+    ``rowwise`` is false, on the pybind class ``_Highs`` of scipy's
+    private ``_highspy._core``, tested on scipy 1.17.1 only; a scipy
+    release that moves it breaks this function alone.
     """
-    import scipy.sparse
     _core = _highs_core()
 
-    def solve(c, indptr, indices, data, lo, hi, lower, upper):
+    def solve(c, vectors, rowwise, lo, hi, lower, upper):
         highs = _core._Highs()
         for key, value in _HIGHS_OPTIONS.items():
             highs.setOptionValue(key, value)
+        layout = _core.MatrixFormat.kRowwise if rowwise else _core.MatrixFormat.kColwise
         # integrality needs one entry per column: HiGHS rejects an empty array
-        if highs.passModel(len(c), len(lo), len(data), _core.MatrixFormat.kColwise,
-                           _core.ObjSense.kMinimize, 0.0, c, lower, upper, lo, hi, indptr,
-                           indices, data, np.zeros(len(c), np.int32)) == _core.HighsStatus.kError:
+        if highs.passModel(len(c), len(lo), len(vectors.data), layout, _core.ObjSense.kMinimize,
+                           0.0, c, lower, upper, lo, hi, vectors.indptr, vectors.indices,
+                           vectors.data, np.zeros(len(c), np.int32)) == _core.HighsStatus.kError:
             return {"status": _core.HighsModelStatus.kModelError}  # never run: HiGHS may crash
         highs.run()  # the model status tells how it ended; lp_solve checks every optimum
         solution = highs.getSolution()
@@ -124,17 +125,109 @@ def lp_backend():
                 "lambda": np.array(solution.row_dual),
                 "simplex_nit": highs.getInfo().simplex_iteration_count}
 
-    return scipy.sparse, solve
+    return solve
+
+
+def _indptr(counts) -> np.ndarray:
+    """Row starts for rows holding ``counts`` entries each."""
+    return np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+
+
+@dataclass(frozen=True, eq=False)
+class CsrMatrix:
+    """A float64 matrix in compressed sparse row form: row r stores
+    ``data[indptr[r]:indptr[r + 1]]`` in the columns ``indices[...]`` of
+    the same range, in ascending column order, and no zeros.
+
+    Only what the LP layer uses: ``a @ x`` and the transpose product
+    ``y @ a``, each one np.bincount summing the entries in stored order
+    (the order of scipy's CSR and CSC products, so the bits agree); the
+    rows a boolean mask selects, ``a[mask]``; the transpose ``a.T``;
+    ``-a``; ``vstack`` and ``hstack``; and ``a != 0`` over the stored
+    entries.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+    __array_ufunc__ = None  # numpy defers y @ a to __rmatmul__
+
+    @classmethod
+    def from_dense(cls, matrix) -> CsrMatrix:
+        """The nonzero entries of a 2-D array, row by row."""
+        m = np.asarray(matrix, dtype=np.float64)
+        if m.ndim != 2:
+            raise ValidationError(f"a matrix must be 2-D, got shape {m.shape}")
+        rows, cols = np.nonzero(m)
+        return cls(_indptr(np.bincount(rows, minlength=m.shape[0])), cols.astype(np.int32),
+                   m[rows, cols], m.shape)
+
+    @classmethod
+    def vstack(cls, blocks) -> CsrMatrix:
+        """The blocks, with one column count, one below the other."""
+        return cls(_indptr(np.concatenate([np.diff(b.indptr) for b in blocks])),
+                   np.concatenate([b.indices for b in blocks]),
+                   np.concatenate([b.data for b in blocks]),
+                   (sum(b.shape[0] for b in blocks), blocks[0].shape[1]))
+
+    @classmethod
+    def hstack(cls, blocks) -> CsrMatrix:
+        """The blocks, with one row count, side by side."""
+        counts = [np.diff(b.indptr) for b in blocks]
+        indptr = _indptr(sum(counts))
+        indices, data = np.empty(indptr[-1], np.int32), np.empty(indptr[-1])
+        ends, start = indptr[:-1].copy(), 0  # each row's next free slot, the block's first column
+        for b, count in zip(blocks, counts):
+            slots = np.repeat(ends - b.indptr[:-1], count) + np.arange(len(b.data))
+            indices[slots], data[slots] = b.indices + start, b.data
+            ends += count
+            start += b.shape[1]
+        return cls(indptr, indices, data, (blocks[0].shape[0], start))
+
+    def _rows(self) -> np.ndarray:
+        """The row of every stored entry."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def __matmul__(self, x):
+        return np.bincount(self._rows(), self.data * x[self.indices], self.shape[0])
+
+    def __rmatmul__(self, y):
+        return np.bincount(self.indices, self.data * y[self._rows()], self.shape[1])
+
+    def __neg__(self) -> CsrMatrix:
+        return CsrMatrix(self.indptr, self.indices, -self.data, self.shape)
+
+    def __ne__(self, value):
+        return self.data != value
+
+    def __getitem__(self, mask) -> CsrMatrix:
+        # copied a run of consecutive rows at a time: the LP layer selects
+        # blocks of rows, each one slice of the entries
+        starts, stops = np.flatnonzero(np.diff(mask, prepend=False, append=False)).reshape(-1, 2).T
+        spans = [slice(self.indptr[i], self.indptr[j]) for i, j in zip(starts, stops)]
+        return CsrMatrix(_indptr(np.diff(self.indptr)[mask]),
+                         np.concatenate([self.indices[:0]] + [self.indices[s] for s in spans]),
+                         np.concatenate([self.data[:0]] + [self.data[s] for s in spans]),
+                         (int(np.count_nonzero(mask)), self.shape[1]))
+
+    @cached_property  # the cached vertex matrix is transposed once, not per LP
+    def T(self) -> CsrMatrix:
+        order = np.argsort(self.indices, kind="stable")
+        return CsrMatrix(_indptr(np.bincount(self.indices, minlength=self.shape[1])),
+                         self._rows()[order].astype(np.int32), self.data[order], self.shape[::-1])
 
 
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
     """max (or min) c.x subject to senses-typed rows and variable bounds.
 
-    ``a`` may be given dense or as any scipy sparse matrix and is stored
-    as one float64 CSR matrix; ``senses`` (an array, list or tuple,
-    stored as an array) holds one of "<=", "==", ">=" per row.  Bounds
-    use +-inf for free directions.
+    ``a`` may be given dense or as a CsrMatrix and is stored as a
+    CsrMatrix; ``senses`` (an array, list or tuple, stored as an array)
+    holds one of "<=", "==", ">=" per row.  Bounds use +-inf for free
+    directions; a lower bound of +inf, an upper bound of -inf and NaN
+    are rejected.
     """
 
     c: np.ndarray
@@ -151,8 +244,7 @@ class LinearProgram:
         lower = np.asarray(self.lower, dtype=np.float64)
         upper = np.asarray(self.upper, dtype=np.float64)
         senses = np.asarray(self.senses)
-        sp, _ = lp_backend()
-        a = sp.csr_matrix(self.a, dtype=np.float64)
+        a = self.a if isinstance(self.a, CsrMatrix) else CsrMatrix.from_dense(self.a)
         m, n = a.shape
         if c.shape != (n,) or rhs.shape != (m,) or senses.shape != (m,):
             raise ValidationError("linear program dimensions are inconsistent")
@@ -162,6 +254,10 @@ class LinearProgram:
             raise ValidationError(f"row senses must be one of {LE!r}, {EQ!r}, {GE!r}")
         if not (np.all(np.isfinite(a.data)) and np.all(np.isfinite(c)) and np.all(np.isfinite(rhs))):
             raise ValidationError("linear program entries must be finite")
+        # written so that NaN fails it too
+        if not (np.all(lower < np.inf) and np.all(upper > -np.inf)):
+            raise ValidationError("variable bounds must be numbers, lower below +inf "
+                                  "and upper above -inf")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "rhs", rhs)
@@ -202,6 +298,12 @@ def _range_certificates(values, mult, lo, hi):
     return primal, dual, mult @ np.where(finite, end, 0.0)
 
 
+def _same_rows(a: CsrMatrix, b: CsrMatrix) -> bool:
+    """Entry for entry the same rows, both without zeros and column-sorted."""
+    return all(np.array_equal(u, v) for u, v in zip((a.indptr, a.indices, a.data),
+                                                   (b.indptr, b.indices, b.data)))
+
+
 def lp_solve(lp: LinearProgram) -> LpSolution:
     """Solve a LinearProgram deterministically with dual certificates.
 
@@ -210,18 +312,24 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
     <= twin, so HiGHS sees the pair as one row.  The certificates are
     checked on exactly the model HiGHS solved, with its row duals.
     """
-    _, highs = lp_backend()
+    highs = lp_backend()
     le, ge = lp.senses == LE, lp.senses == GE
     lo = np.where(le, -np.inf, lp.rhs)
     hi = np.where(ge, np.inf, lp.rhs)
-    folded = le.sum() == ge.sum() > 0 and (lp.a[le] != lp.a[ge]).nnz == 0
+    folded = le.sum() == ge.sum() > 0 and _same_rows(lp.a[le], lp.a[ge])
     if folded:
         lo[le] = lp.rhs[ge]
     rows = ~ge if folded else slice(None)  # the rows HiGHS gets
-    # CSC alone: a CSR copy kept through the solve would raise peak memory
-    a_rows, lo, hi = lp.a[rows].tocsc(), lo[rows], hi[rows]
+    vectors, lo, hi = lp.a[rows] if folded else lp.a, lo[rows], hi[rows]
+    # HiGHS takes a matrix fastest as many short vectors (a 146 x 8193 one
+    # with 300,000 entries took 31 ms as rows, 3 ms as columns), and either
+    # way gives the same solution, bit for bit: a wide matrix goes to it as
+    # the rows of its transpose, which alone stay for the certificates
+    rowwise = vectors.shape[0] >= vectors.shape[1]
+    if not rowwise:
+        vectors = vectors.T
     c = -lp.c if lp.maximize else lp.c
-    res = highs(c, a_rows.indptr, a_rows.indices, a_rows.data, lo, hi, lp.lower, lp.upper)
+    res = highs(c, vectors, rowwise, lo, hi, lp.lower, lp.upper)
     status = _HIGHS_STATUS.get(res["status"].name, "failed")
     iterations = int(res.get("simplex_nit", 0))
     if status != "optimal":
@@ -229,8 +337,10 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
 
     x, lam = res["x"], res["lambda"]
     objective = float(lp.c @ x)
-    row_p, row_d, row_obj = _range_certificates(a_rows @ x, lam, lo, hi)
-    col_p, col_d, col_obj = _range_certificates(x, c - a_rows.T @ lam, lp.lower, lp.upper)
+    # each product sums in the same order either way round
+    activity, reduced = (vectors @ x, lam @ vectors) if rowwise else (x @ vectors, vectors @ lam)
+    row_p, row_d, row_obj = _range_certificates(activity, lam, lo, hi)
+    col_p, col_d, col_obj = _range_certificates(x, c - reduced, lp.lower, lp.upper)
     primal_resid, dual_resid = float(np.maximum(row_p, col_p)), float(np.maximum(row_d, col_d))
     gap = float(abs(c @ x - (row_obj + col_obj)))
     # written so that a NaN anywhere in the certificates fails it

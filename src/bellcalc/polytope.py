@@ -10,16 +10,12 @@ being fixed.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import DeterministicStrategy, Scenario
 from .errors import GuardExceededError
-from .numerics import lp_backend
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
+from .numerics import CsrMatrix
 
 # Hard caps, overridable through BELL_GUARD_LIMIT (documented as unsafe):
 # the number of single-party assignments a brute-force enumeration may
@@ -58,19 +54,17 @@ def assignment_table(ids, n_inputs: int, n_outputs: int) -> np.ndarray:
     )
 
 
-_VERTEX_CACHE: dict[Scenario, sp.csr_matrix] = {}
+_VERTEX_CACHE: dict[Scenario, CsrMatrix] = {}
 
 
-def vertex_matrix(scenario: Scenario) -> sp.csr_matrix:
+def vertex_matrix(scenario: Scenario) -> CsrMatrix:
     """Sparse matrix of deterministic behaviors, one vertex per row.
 
     Shape (V, E) with V = S_A * S_B and E the flattened tensor size; the
-    row for vertex v has a one at every entry (x, y, alpha(x), beta(y)).
-    Rows follow the fixed lexicographic vertex order.  Every LP over the
-    polytope goes through here, so this is where the vertex guard sits,
-    and where the LP backend is loaded: the first LP of a process pays
-    for importing scipy.sparse and loading HiGHS's extension (not the
-    scipy.optimize package) before it is posed, not inside the solve.
+    row for vertex v has a one at every entry (x, y, alpha(x), beta(y)),
+    na * nb of them in ascending column order.  Rows follow the fixed
+    lexicographic vertex order.  Every LP over the polytope goes through
+    here, so this is where the vertex guard sits.
     """
     na, nb, ma, mb = scenario.shape
     sa = scenario.alice_strategy_count()
@@ -79,7 +73,6 @@ def vertex_matrix(scenario: Scenario) -> sp.csr_matrix:
     cached = _VERTEX_CACHE.get(scenario)
     if cached is not None:
         return cached
-    sp, _ = lp_backend()
     av = assignment_table(np.arange(sa), na, ma)  # (sa, na)
     bv = assignment_table(np.arange(sb), nb, mb)  # (sb, nb)
     # entry index for (x, y, a, b) = ((x*nb + y)*ma + a)*mb + b
@@ -90,21 +83,21 @@ def vertex_matrix(scenario: Scenario) -> sp.csr_matrix:
     cols_a = cols_a.reshape(sa, na * nb)
     cols_b = bv[:, None, :] + np.zeros((1, na, 1), dtype=int)  # (sb, na, nb)
     cols_b = cols_b.reshape(sb, na * nb)
-    # columns for vertex (i, j): cols_a[i]*mb + cols_b[j]
+    # columns for vertex (i, j): cols_a[i]*mb + cols_b[j], ascending in (x, y)
     cols = (cols_a[:, None, :] * mb + cols_b[None, :, :]).reshape(sa * sb * na * nb)
-    rows = np.repeat(np.arange(sa * sb), na * nb)
-    data = np.ones(cols.size)
-    mat = sp.csr_matrix((data, (rows, cols)), shape=(sa * sb, scenario.n_entries))
+    k = na * nb
+    mat = CsrMatrix(np.arange(0, sa * sb * k + 1, k, dtype=np.int32), cols.astype(np.int32),
+                    np.ones(cols.size), (sa * sb, scenario.n_entries))
     if len(_VERTEX_CACHE) >= 8:
         _VERTEX_CACHE.clear()
     _VERTEX_CACHE[scenario] = mat
     return mat
 
 
-def strategy_from_vertex(scenario: Scenario, vertex: int) -> DeterministicStrategy:
-    """Inverse of the vertex ordering: index -> strategy."""
-    sb = scenario.bob_strategy_count()
-    i, j = divmod(int(vertex), sb)
+def strategies_from_vertices(scenario: Scenario, vertices) -> list[DeterministicStrategy]:
+    """Inverse of the vertex ordering: vertex indices -> strategies, decoded
+    with one assignment_table call per party."""
+    i, j = np.divmod(np.asarray(vertices), scenario.bob_strategy_count())
     alice = assignment_table(i, scenario.n_inputs_a, scenario.n_outputs_a)
     bob = assignment_table(j, scenario.n_inputs_b, scenario.n_outputs_b)
-    return DeterministicStrategy(tuple(alice), tuple(bob))
+    return [DeterministicStrategy(tuple(a), tuple(b)) for a, b in zip(alice, bob)]

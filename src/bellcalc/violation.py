@@ -43,7 +43,7 @@ from .errors import (
     UndefinedQuantityError,
     ValidationError,
 )
-from .numerics import EQ, GE, LE, LinearProgram, lp_backend, lp_solve
+from .numerics import EQ, GE, LE, CsrMatrix, LinearProgram, lp_solve
 from .polytope import vertex_matrix
 from .seesaw import SeesawConfig, pad_quantum_model, seesaw
 
@@ -123,9 +123,8 @@ def max_violation(behavior: Behavior) -> tuple[float, BellFunctional]:
     _checked_complete(behavior, "max_violation")
     scenario = behavior.scenario
     d = vertex_matrix(scenario)
-    sp, _ = lp_backend()
     n_vertices = d.shape[0]
-    a = sp.vstack([d, d], format="csr")
+    a = CsrMatrix.vstack([d, d])
     rhs = np.concatenate([np.ones(n_vertices), -np.ones(n_vertices)])
     senses = np.repeat([LE, GE], n_vertices)
     n_entries = scenario.n_entries
@@ -165,16 +164,15 @@ def noise_robustness(behavior: Behavior) -> float:
     """
     _checked_complete(behavior, "noise_robustness")
     scenario = behavior.scenario
-    dt = vertex_matrix(scenario).T.tocsr()        # (E, V)
-    sp, _ = lp_backend()
+    dt = vertex_matrix(scenario).T        # (E, V)
     n_vertices = dt.shape[1]
     n_entries = scenario.n_entries
-    q_col = sp.csr_matrix(behavior.probs.ravel().reshape(-1, 1))
+    q_col = CsrMatrix.from_dense(behavior.probs.reshape(-1, 1))
     # columns: [v | lambda (local part) | mu (noise part)]
-    mix = sp.hstack([q_col, -dt, dt], format="csr")
+    mix = CsrMatrix.hstack([q_col, -dt, dt])
     ones, zeros = np.ones((1, n_vertices)), np.zeros((1, n_vertices))
     masses = np.block([[0.0, ones, zeros], [1.0, zeros, ones]])  # sum lambda = 1, v + sum mu = 1
-    a = sp.vstack([mix, mix, sp.csr_matrix(masses)], format="csr")
+    a = CsrMatrix.vstack([mix, mix, CsrMatrix.from_dense(masses)])
     rhs = np.concatenate([
         np.full(n_entries, PI_SLACK),
         np.full(n_entries, -PI_SLACK),

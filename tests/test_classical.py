@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from bellcalc import (
     BellFunctional,
+    DeterministicStrategy,
     GuardExceededError,
     Scenario,
     ValidationError,
@@ -243,6 +244,23 @@ def test_one_output_scenario_sums_its_inputs_in_order():
     coeffs = np.random.default_rng(3).standard_normal((12, 1, 1, 1))
     total = functools.reduce(operator.add, coeffs.ravel().tolist())
     assert signed_extrema(BellFunctional(Scenario(12, 1, 1, 1), coeffs)) == (total, total)
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2, 2), (2, 3, 3, 2), (3, 1, 2, 4), (1, 1, 1, 1)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_local_model_from_weights_decodes_vertices_in_lexicographic_order(rng, shape):
+    # vertex i * S_B + j pairs Alice's i-th and Bob's j-th assignment, each
+    # in itertools.product order; weights at or below DROP_WEIGHT are left out
+    na, nb, ma, mb = shape
+    alice = list(itertools.product(range(ma), repeat=na))
+    bob = list(itertools.product(range(mb), repeat=nb))
+    weights = rng.random(len(alice) * len(bob))
+    weights[rng.random(weights.size) < 0.4] = classical.DROP_WEIGHT
+    model = classical.local_model_from_weights(Scenario(*shape), weights)
+    expected = [(float(weights[v]), DeterministicStrategy(alice[v // len(bob)], bob[v % len(bob)]))
+                for v in range(weights.size) if weights[v] > classical.DROP_WEIGHT]
+    assert model.weights == tuple(expected)
+    assert all(type(o) is int for _, s in model.weights for o in s.alice_outputs + s.bob_outputs)
 
 
 def test_uniform_behavior_is_local(scenario_2222):

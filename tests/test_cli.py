@@ -480,10 +480,12 @@ def test_commands_without_an_lp_never_import_scipy(tmp_path, cli_inputs, argv):
 
 
 def test_lp_command_loads_highs_without_scipy_optimize(tmp_path, chsh_optimal_file):
-    # scipy.sparse and HiGHS's extension module, not the scipy.optimize package
+    # HiGHS's extension module and its submodules, no other scipy module:
+    # neither the scipy.optimize package nor scipy.sparse
+    core = "scipy.optimize._highspy._core"
     modules = scipy_modules_after(tmp_path, ["behavior", "nu", chsh_optimal_file])
-    assert {"scipy.sparse", "scipy.optimize._highspy._core"} <= modules
-    assert "scipy.optimize" not in modules
+    assert core in modules
+    assert {m for m in modules if m != core and not m.startswith(core + ".")} == set()
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,7 +1,8 @@
 """Every module of the package uses what it imports, imports no private
 name from another package module, and the package exports exactly what
-its ``__init__`` imports; none imports the scipy.optimize package, and
-every private module-level name is read somewhere in the package.
+its ``__init__`` imports; none imports the scipy.optimize or the
+scipy.sparse package, and every private module-level name is read
+somewhere in the package.
 
 No linter ships with the toolchain, so this walks the syntax tree of
 each module (the package ``__init__``, which re-exports, excepted from
@@ -67,19 +68,19 @@ def _unused_private_names(sources: dict[str, str]) -> list[str]:
     return [f"{module} line {line}: {name}" for module, line, name in defined if name not in read]
 
 
-def _scipy_optimize_imports(source: str) -> list[str]:
-    # any import statement that would run the scipy.optimize package's __init__
-    def runs_optimize(name):
-        return name == "scipy.optimize" or name.startswith("scipy.optimize.")
+def _package_imports(source: str, package: str) -> list[str]:
+    # any import statement that would run the given package's __init__
+    def runs_package(name):
+        return name == package or name.startswith(package + ".")
 
     tree = ast.parse(source)
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            found += [f"line {node.lineno}: {a.name}" for a in node.names if runs_optimize(a.name)]
+            found += [f"line {node.lineno}: {a.name}" for a in node.names if runs_package(a.name)]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             found += [f"line {node.lineno}: {node.module}.{a.name}" for a in node.names
-                      if runs_optimize(f"{node.module}.{a.name}")]
+                      if runs_package(f"{node.module}.{a.name}")]
     return found
 
 
@@ -155,17 +156,33 @@ def test_no_module_imports_the_scipy_optimize_package():
     # lp_backend loads HiGHS's extension on its own; the scipy.optimize
     # package is a third of an LP command's start-up time and unused
     sources = sorted(Path(bellcalc.__file__).parent.rglob("*.py"))
-    assert {p.name: _scipy_optimize_imports(p.read_text(encoding="utf-8")) for p in sources} == {
-        p.name: [] for p in sources}
+    assert {p.name: _package_imports(p.read_text(encoding="utf-8"), "scipy.optimize")
+            for p in sources} == {p.name: [] for p in sources}
+
+
+def test_no_module_imports_scipy_sparse():
+    # LP matrices are numerics.CsrMatrix arrays; scipy.sparse took half of
+    # an LP command's start-up time
+    sources = sorted(Path(bellcalc.__file__).parent.rglob("*.py"))
+    assert {p.name: _package_imports(p.read_text(encoding="utf-8"), "scipy.sparse")
+            for p in sources} == {p.name: [] for p in sources}
+
+
+_SCIPY_IMPORTS = ("import scipy.optimize\n"
+                  "from scipy.optimize import linprog\n"
+                  "from scipy.optimize._highspy import _core\n"
+                  "from scipy import optimize, sparse\n"
+                  "import scipy.sparse as sp\n"
+                  "from scipy.sparse import csc_matrix\n"
+                  "import scipy.sparse_extra\n")
 
 
 def test_checker_flags_a_scipy_optimize_import():
-    source = ("import scipy.optimize\n"
-              "from scipy.optimize import linprog\n"
-              "from scipy.optimize._highspy import _core\n"
-              "from scipy import optimize, sparse\n"
-              "import scipy.sparse\n"
-              "from scipy.sparse import csc_matrix\n")
-    assert _scipy_optimize_imports(source) == [
+    assert _package_imports(_SCIPY_IMPORTS, "scipy.optimize") == [
         "line 1: scipy.optimize", "line 2: scipy.optimize.linprog",
         "line 3: scipy.optimize._highspy._core", "line 4: scipy.optimize"]
+
+
+def test_checker_flags_a_scipy_sparse_import():
+    assert _package_imports(_SCIPY_IMPORTS, "scipy.sparse") == [
+        "line 4: scipy.sparse", "line 5: scipy.sparse", "line 6: scipy.sparse.csc_matrix"]

@@ -2,9 +2,10 @@
 
 The LP layer is checked against scipy's linprog dual simplex, a second
 front end to HiGHS that takes >= rows negated into <= form and never
-folds a mirrored pair, and its HiGHS call bit for bit against scipy's
-_highs_wrapper; its certificates must reject HiGHS answers spoiled on
-purpose.
+folds a mirrored pair, and its HiGHS call, by rows or by columns, bit for
+bit against scipy's column-wise _highs_wrapper; its certificates must
+reject HiGHS answers spoiled on purpose.  CsrMatrix, the package's sparse matrix, is
+checked bit for bit against scipy.sparse.
 
 The POVM solver is checked against an independent semidefinite
 formulation (cvxpy, when installed) on small instances, against its own
@@ -31,18 +32,20 @@ from scipy.optimize._highspy._highs_wrapper import _highs_wrapper
 from bellcalc import (
     Scenario,
     ValidationError,
+    behavior_from_local,
     behavior_from_quantum,
     is_local,
     max_violation,
     noise_robustness,
 )
-from bellcalc import classical, numerics
+from bellcalc import classical, numerics, violation
 from bellcalc.core import hermitian_part
 from bellcalc.numerics import (
     EQ,
     GE,
     LE,
     MAX_POVM_ITERS,
+    CsrMatrix,
     LinearProgram,
     _eigh_unchecked,
     _lapack_errors,
@@ -52,6 +55,7 @@ from bellcalc.numerics import (
     psd_project,
     random_povms,
 )
+from bellcalc.polytope import assignment_table, vertex_matrix
 from bellcalc.seesaw import _random_model
 
 from conftest import random_feasible_lp
@@ -149,7 +153,7 @@ def test_lp_rejects_shape_mismatch():
         )
 
 
-@pytest.mark.parametrize("a", [np.array([[np.nan]]), sp.csr_matrix([[np.inf]])],
+@pytest.mark.parametrize("a", [np.array([[np.nan]]), CsrMatrix.from_dense([[np.inf]])],
                          ids=["dense", "sparse"])
 def test_lp_rejects_non_finite_entries(a):
     with pytest.raises(ValidationError, match="finite"):
@@ -157,11 +161,133 @@ def test_lp_rejects_non_finite_entries(a):
                       lower=np.array([0.0]), upper=np.array([1.0]))
 
 
+@pytest.mark.parametrize("side, value", [("lower", np.nan), ("upper", np.nan),
+                                         ("lower", np.inf), ("upper", -np.inf)])
+def test_lp_rejects_bounds_no_value_meets(side, value):
+    # HiGHS would end these as "failed", a solver error, though the input is at fault
+    lower, upper = np.array([0.0, 0.0]), np.array([1.0, np.inf])
+    (lower if side == "lower" else upper)[1] = value
+    with pytest.raises(ValidationError, match="variable bounds"):
+        LinearProgram(c=np.ones(2), a=np.ones((1, 2)), rhs=np.array([1.0]), senses=[LE],
+                      lower=lower, upper=upper)
+
+
+def _scipy_csr(a: CsrMatrix):
+    return sp.csr_matrix((a.data, a.indices, a.indptr), shape=a.shape)
+
+
+def _same_arrays(a: CsrMatrix, ref) -> bool:
+    """a holds exactly the arrays of the scipy CSR matrix ref, bit for bit."""
+    return (a.shape == ref.shape and a.indptr.dtype == a.indices.dtype == np.int32
+            and all(u.tobytes() == np.asarray(v, u.dtype).tobytes() for u, v in
+                    zip((a.indptr, a.indices, a.data), (ref.indptr, ref.indices, ref.data))))
+
+
+def _dense_vertex_matrix(scenario):
+    na, nb, ma, mb = scenario.shape
+    sa, sb = scenario.alice_strategy_count(), scenario.bob_strategy_count()
+    av, bv = assignment_table(np.arange(sa), na, ma), assignment_table(np.arange(sb), nb, mb)
+    i, j, x, y = np.indices((sa, sb, na, nb))
+    d = np.zeros((sa, sb, na, nb, ma, mb))
+    d[i, j, x, y, av[i, x], bv[j, y]] = 1.0
+    return d.reshape(sa * sb, -1)
+
+
+def _csr_pairs():
+    """(CsrMatrix, the same matrix in scipy CSR): 50 random ones with
+    empty rows and columns, then four vertex matrices."""
+    rng = np.random.default_rng(60)
+    pairs = []
+    for _ in range(50):
+        m, n = (int(k) for k in rng.integers(1, 30, size=2))
+        dense = rng.standard_normal((m, n)) * (rng.random((m, n)) < rng.random())
+        pairs.append((CsrMatrix.from_dense(dense), sp.csr_matrix(dense)))
+    for shape in [(2, 2, 2, 2), (3, 3, 2, 2), (2, 3, 3, 2), (3, 3, 4, 4)]:
+        scenario = Scenario(*shape)
+        pairs.append((vertex_matrix(scenario), sp.csr_matrix(_dense_vertex_matrix(scenario))))
+    return pairs
+
+
+def test_csr_matrix_products_give_scipys_bits():
+    # lp_solve's certificates once came from scipy's CSC products, is_local's
+    # vertex values from its CSR product: both orders of summation agree
+    rng = np.random.default_rng(61)
+    for a, ref in _csr_pairs():
+        assert _same_arrays(a, ref)
+        x, y = rng.standard_normal(a.shape[1]), rng.standard_normal(a.shape[0])
+        for form in (ref, ref.tocsc()):
+            assert (a @ x).tobytes() == (form @ x).tobytes()
+            assert (y @ a).tobytes() == (form.T @ y).tobytes()
+
+
+def test_csr_matrix_rows_transpose_and_stacks_match_scipy():
+    rng = np.random.default_rng(62)
+    for a, ref in _csr_pairs():
+        mask = rng.random(a.shape[0]) < 0.5
+        assert _same_arrays(a[mask], ref[mask])
+        assert _same_arrays(a.T, ref.T.tocsr())
+        assert _same_arrays(-a, -ref)
+        assert _same_arrays(CsrMatrix.vstack([a, -a, a]), sp.vstack([ref, -ref, ref], format="csr"))
+        assert _same_arrays(CsrMatrix.hstack([a, -a, a]), sp.hstack([ref, -ref, ref], format="csr"))
+        # what the bench's tracer reads of a matrix that is not scipy's
+        assert int((a != 0).sum()) == ref.nnz
+
+
+def _few_vertex_behavior(rng, scenario):
+    """A mixture of about a tenth of the vertices, with zero entries: these
+    drop out of the pi LP's first column."""
+    n = scenario.alice_strategy_count() * scenario.bob_strategy_count()
+    weights = rng.random(n) * (rng.random(n) < 0.1)
+    behavior = behavior_from_local(
+        classical.local_model_from_weights(scenario, weights / weights.sum()), scenario)
+    assert (behavior.probs == 0).any()
+    return behavior
+
+
+def _posed_lps(monkeypatch, behavior):
+    posed = []
+
+    def keep(lp):
+        posed.append(lp)
+        return lp_solve(lp)
+
+    monkeypatch.setattr(classical, "lp_solve", keep)
+    monkeypatch.setattr(violation, "lp_solve", keep)
+    max_violation(behavior)
+    noise_robustness(behavior)
+    is_local(behavior)
+    return posed
+
+
+@pytest.mark.parametrize("kind", ["quantum", "local"])
+def test_posed_lps_are_the_scipy_assembly(monkeypatch, kind):
+    # the nu, pi and membership LPs keep their shapes (mirrored rows, no
+    # two-sided rows) and every bit of the matrices scipy once assembled
+    scenario = Scenario(3, 3, 2, 2)
+    rng = np.random.default_rng(63)
+    if kind == "quantum":
+        behavior = behavior_from_quantum(_random_model(rng, scenario, 2, "complete"))
+    else:
+        behavior = _few_vertex_behavior(rng, scenario)
+    nu_lp, pi_lp, member_lp = _posed_lps(monkeypatch, behavior)
+    assert [lp.a.shape for lp in (nu_lp, pi_lp, member_lp)] == [(128, 36), (74, 129), (73, 65)]
+    d = sp.csr_matrix(_dense_vertex_matrix(scenario))
+    dt = d.T.tocsr()
+    assert _same_arrays(nu_lp.a, sp.vstack([d, d], format="csr"))
+    mix = sp.hstack([sp.csr_matrix(behavior.probs.reshape(-1, 1)), -dt, dt], format="csr")
+    ones, zeros = np.ones((1, 64)), np.zeros((1, 64))
+    masses = sp.csr_matrix(np.block([[0.0, ones, zeros], [1.0, zeros, ones]]))
+    assert _same_arrays(pi_lp.a, sp.vstack([mix, mix, masses], format="csr"))
+    minus_t = -np.ones((36, 1))
+    membership = sp.bmat([[d.T, minus_t], [-d.T, minus_t], [ones, None]], format="csr")
+    assert _same_arrays(member_lp.a, membership.sorted_indices())
+
+
 def _linprog_reference(lp):
     """(x, posed row duals, objective) from linprog's dual simplex, each
     >= row negated into <= form after the <= rows, the == rows apart."""
     le, ge, eq = (lp.senses == sense for sense in (LE, GE, EQ))
-    a = sp.csr_matrix(lp.a)
+    a = _scipy_csr(lp.a)
     a_ub = sp.vstack([a[le], -a[ge]], format="csr") if (le | ge).any() else None
     b_ub = np.concatenate([lp.rhs[le], -lp.rhs[ge]]) if (le | ge).any() else None
     res = linprog(-lp.c if lp.maximize else lp.c, A_ub=a_ub, b_ub=b_ub,
@@ -194,7 +320,7 @@ def _mirrored_lp(rng, maximize, nudge=0.0):
     rhs = np.concatenate([block @ x0 + rng.random(k), twin @ x0 - rng.random(k), eqs @ x0])
     free = rng.random(n) < 0.5
     return LinearProgram(
-        c=rng.standard_normal(n), a=sp.csr_matrix(a) if rng.random() < 0.5 else a,
+        c=rng.standard_normal(n), a=CsrMatrix.from_dense(a) if rng.random() < 0.5 else a,
         rhs=rhs, senses=np.repeat([LE, GE, EQ], [k, k, n_eq]),
         lower=np.where(free, -np.inf, x0 - 1.0 - rng.random(n)),
         upper=np.where(free, np.inf, x0 + 1.0 + rng.random(n)), maximize=maximize,
@@ -204,14 +330,14 @@ def _mirrored_lp(rng, maximize, nudge=0.0):
 @pytest.fixture
 def rows_to_highs(monkeypatch):
     """The row count of every LP that lp_solve hands HiGHS."""
-    sparse, highs = numerics.lp_backend()
+    highs = numerics.lp_backend()
     seen = []
 
-    def spy(c, indptr, indices, data, lo, hi, *rest):
+    def spy(c, vectors, rowwise, lo, *rest):
         seen.append(len(lo))
-        return highs(c, indptr, indices, data, lo, hi, *rest)
+        return highs(c, vectors, rowwise, lo, *rest)
 
-    monkeypatch.setattr(numerics, "lp_backend", lambda: (sparse, spy))
+    monkeypatch.setattr(numerics, "lp_backend", lambda: spy)
     return seen
 
 
@@ -280,18 +406,16 @@ def test_one_sided_rows_give_linprogs_bytes(monkeypatch):
     ("kUnboundedOrInfeasible", "failed"), ("kIterationLimit", "failed"), ("kTimeLimit", "failed"),
 ])
 def test_highs_status_map(monkeypatch, highs_status, status):
-    sparse, _ = numerics.lp_backend()
-    monkeypatch.setattr(numerics, "lp_backend", lambda: (sparse, lambda *args: {
-        "x": None, "status": SimpleNamespace(name=highs_status), "simplex_nit": 17}))
+    monkeypatch.setattr(numerics, "lp_backend", lambda: lambda *args: {
+        "x": None, "status": SimpleNamespace(name=highs_status), "simplex_nit": 17})
     sol = lp_solve(random_feasible_lp(np.random.default_rng(0)))
     assert (sol.status, sol.iterations, sol.x, sol.row_duals) == (status, 17, None, None)
 
 
 def test_nan_solution_is_failed(monkeypatch):
-    sparse, _ = numerics.lp_backend()
-    monkeypatch.setattr(numerics, "lp_backend", lambda: (sparse, lambda *args: {
+    monkeypatch.setattr(numerics, "lp_backend", lambda: lambda *args: {
         "x": np.array([np.nan]), "lambda": np.zeros(1),
-        "status": SimpleNamespace(name="kOptimal"), "simplex_nit": 1}))
+        "status": SimpleNamespace(name="kOptimal"), "simplex_nit": 1})
     lp = LinearProgram(
         c=np.array([1.0]), a=np.array([[1.0]]), rhs=np.array([3.0]),
         senses=[LE], lower=np.array([0.0]), upper=np.array([np.inf]),
@@ -301,10 +425,10 @@ def test_nan_solution_is_failed(monkeypatch):
 
 def _perturb_highs(monkeypatch, defect):
     """Point lp_backend at HiGHS with its optimal answer spoiled by one defect."""
-    sparse, solve = numerics.lp_backend()
+    solve = numerics.lp_backend()
 
-    def perturbed(c, indptr, indices, data, lo, hi, lower, upper):
-        res = solve(c, indptr, indices, data, lo, hi, lower, upper)
+    def perturbed(c, vectors, rowwise, lo, hi, lower, upper):
+        res = solve(c, vectors, rowwise, lo, hi, lower, upper)
         x, lam = res["x"].copy(), res["lambda"].copy()
         i = int(np.argmax(np.abs(lam)))  # an active row: at hi when its dual is negative
         if defect == "row dual":
@@ -313,12 +437,12 @@ def _perturb_highs(monkeypatch, defect):
             j = int(np.flatnonzero(np.isfinite(upper))[0])
             x[j] = upper[j] + 1e-6
         else:  # one column moves row i's activity 1e-6 out of its range
-            row = sparse.csc_matrix((data, indices, indptr), shape=(len(lo), len(c))).toarray()[i]
+            row = (_scipy_csr(vectors).toarray() if rowwise else _scipy_csr(vectors).T.toarray())[i]
             j = int(np.argmax(np.abs(row)))
             x[j] += (1e-6 if lam[i] < 0 else -1e-6) / row[j]
         return {**res, "x": x, "lambda": lam}
 
-    monkeypatch.setattr(numerics, "lp_backend", lambda: (sparse, perturbed))
+    monkeypatch.setattr(numerics, "lp_backend", lambda: perturbed)
 
 
 @pytest.mark.parametrize("defect", ["row dual", "column", "row"])
@@ -344,48 +468,56 @@ def test_answer_its_certificates_disprove_is_failed(monkeypatch, rows_to_highs, 
 
 
 def test_highs_solve_gives_the_bits_of_scipys_wrapper(monkeypatch, chsh_optimal_behavior):
-    # lp_solve's backend hands HiGHS the same model and options as scipy's
-    # _highs_wrapper (which takes presolve as a bool), so every nu, pi and
-    # membership LP comes back with the same x, row duals and iterations
+    # lp_solve's backend hands HiGHS the rows of the model with the options
+    # of scipy's _highs_wrapper (which takes presolve as a bool, and the
+    # columns through tocsc), so every nu, pi and membership LP comes back
+    # with the same x, row duals and iterations either way
     highs = _core._Highs()
     assert all(highs.setOptionValue(key, value) == _core.HighsStatus.kOk
                for key, value in numerics._HIGHS_OPTIONS.items())
     options = {**numerics._HIGHS_OPTIONS, "presolve": False}
-    sparse, solve = numerics.lp_backend()
+    solve = numerics.lp_backend()
     solved = []
 
     def keep(*args):
         solved.append((args, solve(*args)))
         return solved[-1][1]
 
-    random_behavior = behavior_from_quantum(
-        _random_model(np.random.default_rng(7), Scenario(3, 3, 2, 2), 2, "complete"))
-    monkeypatch.setattr(numerics, "lp_backend", lambda: (sparse, keep))
-    for behavior in (chsh_optimal_behavior, random_behavior):
+    rng = np.random.default_rng(7)
+    random_behavior = behavior_from_quantum(_random_model(rng, Scenario(3, 3, 2, 2), 2, "complete"))
+    local_behavior = _few_vertex_behavior(rng, Scenario(3, 3, 2, 2))
+    monkeypatch.setattr(numerics, "lp_backend", lambda: keep)
+    for behavior in (chsh_optimal_behavior, random_behavior, local_behavior):
         for quantity in (max_violation, noise_robustness, is_local):
             quantity(behavior)
-    assert len(solved) == 6
-    for args, res in solved:
-        ref = _highs_wrapper(*args, np.empty(0, np.uint8), options)
+    assert len(solved) == 9
+    # HiGHS gets the rows of tall LPs and the columns of wide ones, here both
+    assert [args[2] for args, _ in solved] == [len(args[3]) >= len(args[0]) for args, _ in solved]
+    assert {args[2] for args, _ in solved} == {True, False}
+    for (c, vectors, rowwise, lo, hi, lower, upper), res in solved:
+        rows = _scipy_csr(vectors) if rowwise else _scipy_csr(vectors).T.tocsr()
+        cols = rows.tocsc()
+        ref = _highs_wrapper(c, cols.indptr, cols.indices, cols.data, lo, hi, lower, upper,
+                             np.empty(0, np.uint8), options)
         assert res["status"] == ref["status"] == _core.HighsModelStatus.kOptimal
         assert res["simplex_nit"] == ref["simplex_nit"]
         assert np.array_equal(res["x"], ref["x"]) and np.array_equal(res["lambda"], ref["lambda"])
-        assert args[0] @ res["x"] == args[0] @ ref["x"]  # lp_solve's objective
+        assert c @ res["x"] == c @ ref["x"]  # lp_solve's objective
 
 
 def test_model_highs_rejects_is_never_optimal(monkeypatch):
-    # column starts that decrease: HiGHS rejects the model when it is passed
-    sparse, solve = numerics.lp_backend()
+    # row starts that decrease: HiGHS rejects the model when it is passed
+    solve = numerics.lp_backend()
     statuses = []
 
-    def scramble(c, indptr, *rest):
-        indptr = indptr.copy()
+    def scramble(c, vectors, *rest):
+        indptr = vectors.indptr.copy()
         indptr[1], indptr[2] = indptr[2], indptr[1]
-        res = solve(c, indptr, *rest)
+        res = solve(c, CsrMatrix(indptr, vectors.indices, vectors.data, vectors.shape), *rest)
         statuses.append(res["status"])
         return res
 
-    monkeypatch.setattr(numerics, "lp_backend", lambda: (sparse, scramble))
+    monkeypatch.setattr(numerics, "lp_backend", lambda: scramble)
     lp = LinearProgram(
         c=np.ones(2), a=np.array([[1.0, 2.0], [3.0, 1.0]]), rhs=np.array([4.0, 6.0]),
         senses=[LE, LE], lower=np.zeros(2), upper=np.full(2, np.inf),
