@@ -1,11 +1,16 @@
 """Optimization and linear-algebra backends used by the analysis layers.
 
-lp_solve wraps the HiGHS dual simplex behind a fixed contract: status in
+lp_solve wraps the HiGHS simplex behind a fixed contract: status in
 {optimal, infeasible, unbounded, failed}, primal and dual vectors in the
 orientation of the posed problem, and self-computed feasibility
 residuals plus duality gap.  HiGHS takes two-sided rows lo <= a.x <= hi,
 so a >= block that mirrors the <= block goes to it as the lower bounds
-of those rows.  The certificates are checked on the rows HiGHS solved,
+of those rows.  It runs its primal simplex when x = 0 satisfies every
+row and bound HiGHS gets, as in the nu LP (-1 <= D.T <= 1, T free):
+primal simplex starts there, at a feasible vertex, with no phase 1,
+where dual simplex starts dual infeasible on every free column.  Any
+other LP, pi's and membership's among them, goes to its dual simplex.
+The certificates are checked on the rows HiGHS solved,
 with its row duals, by one range rule applied to rows and to columns; a
 solve whose certificates miss the contract is downgraded to "failed"
 rather than reported optimal.  Every LP matrix is a CsrMatrix, numpy
@@ -52,10 +57,22 @@ LP_PRIMAL_TOL = 1e-8
 LP_DUAL_TOL = 1e-8
 LP_GAP_REL = 1e-7
 
-# Dual simplex (strategy 1), logging off, no presolve: it finds nothing to remove here.
-_HIGHS_OPTIONS = {"solver": "simplex", "simplex_strategy": 1, "presolve": "off",
+# Simplex, logging off, no presolve: it finds nothing to remove here.  Which
+# simplex is lp_solve's choice per LP, one of the two option sets below.
+_HIGHS_OPTIONS = {"solver": "simplex", "presolve": "off",
                   "primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10,
                   "output_flag": False, "log_to_console": False}
+# Dual simplex (strategy 1) for an LP whose origin is infeasible; primal (4)
+# for one whose origin is feasible, where it needs no phase 1.  max_violation
+# took, dual against primal (random behaviors, 2-core host, one BLAS thread):
+# 0.18-0.24 s against 0.09-0.11 s at 6x6x2x2, 1.78-1.96 s against
+# 0.46-0.74 s at 7x7x2x2, 14.8-22.4 s against 5.2-10.2 s at 8x8x2x2.  On a
+# degenerate optimum primal simplex can end with a few dual iterations that
+# clean up its bound perturbation; with dual steepest edge these first
+# compute a weight per row from a basis that is no longer the slack one
+# (1.3 s for 9 iterations at 7x7x2x2, 16,384 rows), so they price by Devex (1).
+_DUAL_SIMPLEX = {"simplex_strategy": 1}
+_PRIMAL_SIMPLEX = {"simplex_strategy": 4, "simplex_dual_edge_weight_strategy": 1}
 # HiGHS model status -> LpSolution.status; anything else is "failed": a
 # model HiGHS rejects, unbounded-or-infeasible and iteration limits among it.
 _HIGHS_STATUS = {"kOptimal": "optimal", "kInfeasible": "infeasible", "kUnbounded": "unbounded"}
@@ -103,15 +120,16 @@ def lp_backend():
     command's start-up time.  The entry solves
     min c.x, lo <= a.x <= hi, lower <= x <= upper, given ``vectors``, a
     CsrMatrix of a's rows, or of its columns (a's transpose) when
-    ``rowwise`` is false, on the pybind class ``_Highs`` of scipy's
-    private ``_highspy._core``, tested on scipy 1.17.1 only; a scipy
-    release that moves it breaks this function alone.
+    ``rowwise`` is false, with the simplex options ``strategy``
+    (_DUAL_SIMPLEX or _PRIMAL_SIMPLEX), on the pybind class ``_Highs`` of
+    scipy's private ``_highspy._core``, tested on scipy 1.17.1 only; a
+    scipy release that moves it breaks this function alone.
     """
     _core = _highs_core()
 
-    def solve(c, vectors, rowwise, lo, hi, lower, upper):
+    def solve(c, vectors, rowwise, strategy, lo, hi, lower, upper):
         highs = _core._Highs()
-        for key, value in _HIGHS_OPTIONS.items():
+        for key, value in {**_HIGHS_OPTIONS, **strategy}.items():
             highs.setOptionValue(key, value)
         layout = _core.MatrixFormat.kRowwise if rowwise else _core.MatrixFormat.kColwise
         # integrality needs one entry per column: HiGHS rejects an empty array
@@ -328,8 +346,13 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
     rowwise = vectors.shape[0] >= vectors.shape[1]
     if not rowwise:
         vectors = vectors.T
+    # primal simplex starts at a feasible x = 0 without a phase 1 (the nu
+    # LP's -1 <= D.T <= 1, T free); dual simplex anywhere else
+    origin = (np.all(lo <= 0.0) and np.all(hi >= 0.0)
+              and np.all(lp.lower <= 0.0) and np.all(lp.upper >= 0.0))
+    strategy = _PRIMAL_SIMPLEX if origin else _DUAL_SIMPLEX
     c = -lp.c if lp.maximize else lp.c
-    res = highs(c, vectors, rowwise, lo, hi, lp.lower, lp.upper)
+    res = highs(c, vectors, rowwise, strategy, lo, hi, lp.lower, lp.upper)
     status = _HIGHS_STATUS.get(res["status"].name, "failed")
     iterations = int(res.get("simplex_nit", 0))
     if status != "optimal":

@@ -110,6 +110,31 @@ def _checked_complete(behavior: Behavior, what: str) -> None:
         )
 
 
+def _no_signaling_projection(behavior: Behavior) -> np.ndarray:
+    """The flattened probabilities moved orthogonally onto the affine
+    no-signaling subspace: every (x, y) block sums to 1, and each party's
+    marginals agree across the other party's inputs.
+
+    _checked_complete lets a residual up to NS_TOL through, and in full
+    coordinates the nu LP is unbounded along the functionals that vanish
+    on that subspace; on the projection it is bounded.  Each block splits
+    orthogonally into its mean, Alice's and Bob's centred marginals spread
+    evenly over the other party's outputs, and a part with zero row and
+    column sums.  The constraints bind the first three apart, so the
+    projection sets each block's total to 1 and replaces each centred
+    marginal by its mean over the other party's inputs: the least-squares
+    solution of the normalization and marginal-equality rows, in closed form.
+    """
+    p = behavior.probs
+    ma, mb = p.shape[2:]
+    total = p.sum(axis=(2, 3), keepdims=True)
+    alice = p.sum(axis=3, keepdims=True) - total / ma   # (x, y, a, 1)
+    bob = p.sum(axis=2, keepdims=True) - total / mb     # (x, y, 1, b)
+    return (p + (1.0 - total) / (ma * mb)
+            + (alice.mean(axis=1, keepdims=True) - alice) / mb
+            + (bob.mean(axis=0, keepdims=True) - bob) / ma).ravel()
+
+
 def max_violation(behavior: Behavior) -> tuple[float, BellFunctional]:
     """Largest value of <T, Q> over functionals bounded by 1 on every
     deterministic behavior, with the optimizing functional.
@@ -129,7 +154,7 @@ def max_violation(behavior: Behavior) -> tuple[float, BellFunctional]:
     senses = np.repeat([LE, GE], n_vertices)
     n_entries = scenario.n_entries
     lp = LinearProgram(
-        c=behavior.probs.ravel(),
+        c=_no_signaling_projection(behavior),
         a=a,
         rhs=rhs,
         senses=senses,
@@ -167,7 +192,7 @@ def noise_robustness(behavior: Behavior) -> float:
     dt = vertex_matrix(scenario).T        # (E, V)
     n_vertices = dt.shape[1]
     n_entries = scenario.n_entries
-    q_col = CsrMatrix.from_dense(behavior.probs.reshape(-1, 1))
+    q_col = CsrMatrix.from_dense(_no_signaling_projection(behavior)[:, None])
     # columns: [v | lambda (local part) | mu (noise part)]
     mix = CsrMatrix.hstack([q_col, -dt, dt])
     ones, zeros = np.ones((1, n_vertices)), np.zeros((1, n_vertices))

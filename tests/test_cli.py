@@ -381,6 +381,20 @@ def test_signaling_behavior_exits_4(tmp_path, capsys, scenario_2222):
     assert "signaling" in err
 
 
+def test_behavior_signaling_within_the_tolerance_gets_nu(tmp_path, capsys, chsh_optimal_behavior):
+    from bellcalc.core import Behavior  # noqa: PLC0415
+    probs = chsh_optimal_behavior.probs.copy()
+    probs[0, 0, 0, 0] += 1e-10
+    probs[0, 0, 0, 1] -= 1e-10
+    path = tmp_path / "leaky.json"
+    path.write_text(bio.dump_document(
+        bio.behavior_document(Behavior(chsh_optimal_behavior.scenario, probs), "leaky",
+                              "test fixture")), encoding="utf-8")
+    for quantity in ("nu", "commbits"):
+        payload = run_json(capsys, "behavior", quantity, str(path))["payload"]
+        assert payload["comm_bound_bits"] == pytest.approx(0.5, abs=1e-6)
+
+
 @pytest.mark.parametrize("module, argv, status, expected", [
     ("violation", ("behavior", "nu"), "failed", 5),
     ("violation", ("behavior", "nu"), "infeasible", 5),

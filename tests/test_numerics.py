@@ -44,6 +44,7 @@ from bellcalc.numerics import (
     EQ,
     GE,
     LE,
+    LP_GAP_REL,
     MAX_POVM_ITERS,
     CsrMatrix,
     LinearProgram,
@@ -234,8 +235,7 @@ def test_csr_matrix_rows_transpose_and_stacks_match_scipy():
 
 
 def _few_vertex_behavior(rng, scenario):
-    """A mixture of about a tenth of the vertices, with zero entries: these
-    drop out of the pi LP's first column."""
+    """A mixture of about a tenth of the vertices, with zero entries."""
     n = scenario.alice_strategy_count() * scenario.bob_strategy_count()
     weights = rng.random(n) * (rng.random(n) < 0.1)
     behavior = behavior_from_local(
@@ -262,7 +262,9 @@ def _posed_lps(monkeypatch, behavior):
 @pytest.mark.parametrize("kind", ["quantum", "local"])
 def test_posed_lps_are_the_scipy_assembly(monkeypatch, kind):
     # the nu, pi and membership LPs keep their shapes (mirrored rows, no
-    # two-sided rows) and every bit of the matrices scipy once assembled
+    # two-sided rows) and every bit of the matrices scipy once assembled;
+    # the pi LP's first column is the behavior projected onto the
+    # no-signaling subspace, as the nu LP's objective is
     scenario = Scenario(3, 3, 2, 2)
     rng = np.random.default_rng(63)
     if kind == "quantum":
@@ -274,7 +276,10 @@ def test_posed_lps_are_the_scipy_assembly(monkeypatch, kind):
     d = sp.csr_matrix(_dense_vertex_matrix(scenario))
     dt = d.T.tocsr()
     assert _same_arrays(nu_lp.a, sp.vstack([d, d], format="csr"))
-    mix = sp.hstack([sp.csr_matrix(behavior.probs.reshape(-1, 1)), -dt, dt], format="csr")
+    projected = violation._no_signaling_projection(behavior)
+    assert np.array_equal(nu_lp.c, projected)
+    assert np.abs(projected - behavior.probs.ravel()).max() <= 1e-15
+    mix = sp.hstack([sp.csr_matrix(projected[:, None]), -dt, dt], format="csr")
     ones, zeros = np.ones((1, 64)), np.zeros((1, 64))
     masses = sp.csr_matrix(np.block([[0.0, ones, zeros], [1.0, zeros, ones]]))
     assert _same_arrays(pi_lp.a, sp.vstack([mix, mix, masses], format="csr"))
@@ -333,9 +338,9 @@ def rows_to_highs(monkeypatch):
     highs = numerics.lp_backend()
     seen = []
 
-    def spy(c, vectors, rowwise, lo, *rest):
+    def spy(c, vectors, rowwise, strategy, lo, *rest):
         seen.append(len(lo))
-        return highs(c, vectors, rowwise, lo, *rest)
+        return highs(c, vectors, rowwise, strategy, lo, *rest)
 
     monkeypatch.setattr(numerics, "lp_backend", lambda: spy)
     return seen
@@ -427,8 +432,8 @@ def _perturb_highs(monkeypatch, defect):
     """Point lp_backend at HiGHS with its optimal answer spoiled by one defect."""
     solve = numerics.lp_backend()
 
-    def perturbed(c, vectors, rowwise, lo, hi, lower, upper):
-        res = solve(c, vectors, rowwise, lo, hi, lower, upper)
+    def perturbed(c, vectors, rowwise, strategy, lo, hi, lower, upper):
+        res = solve(c, vectors, rowwise, strategy, lo, hi, lower, upper)
         x, lam = res["x"].copy(), res["lambda"].copy()
         i = int(np.argmax(np.abs(lam)))  # an active row: at hi when its dual is negative
         if defect == "row dual":
@@ -470,12 +475,12 @@ def test_answer_its_certificates_disprove_is_failed(monkeypatch, rows_to_highs, 
 def test_highs_solve_gives_the_bits_of_scipys_wrapper(monkeypatch, chsh_optimal_behavior):
     # lp_solve's backend hands HiGHS the rows of the model with the options
     # of scipy's _highs_wrapper (which takes presolve as a bool, and the
-    # columns through tocsc), so every nu, pi and membership LP comes back
-    # with the same x, row duals and iterations either way
+    # columns through tocsc) and the simplex strategy lp_solve chose, so
+    # every nu, pi and membership LP comes back with the same x, row duals
+    # and iterations either way
     highs = _core._Highs()
     assert all(highs.setOptionValue(key, value) == _core.HighsStatus.kOk
                for key, value in numerics._HIGHS_OPTIONS.items())
-    options = {**numerics._HIGHS_OPTIONS, "presolve": False}
     solve = numerics.lp_backend()
     solved = []
 
@@ -492,17 +497,72 @@ def test_highs_solve_gives_the_bits_of_scipys_wrapper(monkeypatch, chsh_optimal_
             quantity(behavior)
     assert len(solved) == 9
     # HiGHS gets the rows of tall LPs and the columns of wide ones, here both
-    assert [args[2] for args, _ in solved] == [len(args[3]) >= len(args[0]) for args, _ in solved]
+    assert [args[2] for args, _ in solved] == [len(args[4]) >= len(args[0]) for args, _ in solved]
     assert {args[2] for args, _ in solved} == {True, False}
-    for (c, vectors, rowwise, lo, hi, lower, upper), res in solved:
+    # nu (from the feasible origin) by primal simplex, pi and membership by dual
+    primal, dual = numerics._PRIMAL_SIMPLEX, numerics._DUAL_SIMPLEX
+    assert [args[3] for args, _ in solved] == [primal, dual, dual] * 3
+    for (c, vectors, rowwise, strategy, lo, hi, lower, upper), res in solved:
         rows = _scipy_csr(vectors) if rowwise else _scipy_csr(vectors).T.tocsr()
         cols = rows.tocsc()
+        options = {**numerics._HIGHS_OPTIONS, "presolve": False, **strategy}
         ref = _highs_wrapper(c, cols.indptr, cols.indices, cols.data, lo, hi, lower, upper,
                              np.empty(0, np.uint8), options)
         assert res["status"] == ref["status"] == _core.HighsModelStatus.kOptimal
         assert res["simplex_nit"] == ref["simplex_nit"]
         assert np.array_equal(res["x"], ref["x"]) and np.array_equal(res["lambda"], ref["lambda"])
         assert c @ res["x"] == c @ ref["x"]  # lp_solve's objective
+
+
+def _origin_feasible(lp):
+    """x = 0 satisfies every posed row and bound."""
+    rows = np.where(lp.senses == LE, lp.rhs >= 0.0,
+                    np.where(lp.senses == GE, lp.rhs <= 0.0, lp.rhs == 0.0))
+    return bool(rows.all() and np.all(lp.lower <= 0.0) and np.all(lp.upper >= 0.0))
+
+
+def test_primal_simplex_exactly_from_a_feasible_origin_and_both_simplices_agree(monkeypatch):
+    # lp_solve picks primal simplex when x = 0 is feasible and dual
+    # otherwise.  Forced either way, the nu, pi and membership LPs and every
+    # LP with a feasible origin end optimal with their certificates, and the
+    # two objectives agree within the gap budget.  From an infeasible origin
+    # HiGHS's primal simplex can end without a verdict (kUnknown, on 3 of
+    # acceptance 10's LPs), which is why the rule keeps those on dual.
+    rng = np.random.default_rng(16)
+    lps = []
+    for scenario in (Scenario(3, 3, 2, 2), Scenario(2, 2, 3, 3)):
+        quantum = behavior_from_quantum(_random_model(rng, scenario, 2, "complete"))
+        lps += _posed_lps(monkeypatch, quantum)  # nu, pi, membership
+    monkeypatch.undo()
+    accept_rng = np.random.default_rng(10)  # acceptance 10's draws
+    lps += [random_feasible_lp(accept_rng) for _ in range(500)]
+    solve = numerics.lp_backend()
+    chosen, forced = [], {}
+
+    def backend(c, vectors, rowwise, strategy, *rest):
+        chosen.append(strategy)
+        return solve(c, vectors, rowwise, forced.get("strategy", strategy), *rest)
+
+    monkeypatch.setattr(numerics, "lp_backend", lambda: backend)
+    primal_simplex, dual_simplex = numerics._PRIMAL_SIMPLEX, numerics._DUAL_SIMPLEX
+    expected = []
+    for i, lp in enumerate(lps):
+        forced.clear()
+        lp_solve(lp)
+        expected.append(primal_simplex if _origin_feasible(lp) else dual_simplex)
+        solutions = []
+        for strategy in (primal_simplex, dual_simplex):
+            forced["strategy"] = strategy
+            solutions.append(lp_solve(lp))
+        primal, dual = solutions
+        assert dual.status == "optimal", (i, dual)
+        if primal.status != "optimal":
+            assert i >= 6 and expected[-1] == dual_simplex and primal.x is None, (i, primal)
+            continue
+        assert abs(primal.objective - dual.objective) <= LP_GAP_REL * (1.0 + abs(dual.objective))
+    assert chosen[::3] == expected
+    assert expected[:6] == [primal_simplex, dual_simplex, dual_simplex] * 2
+    assert 50 <= expected.count(primal_simplex) <= len(lps) - 50
 
 
 def test_model_highs_rejects_is_never_optimal(monkeypatch):

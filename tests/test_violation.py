@@ -3,6 +3,8 @@ noise robustness pi, the identity linking them, behavior completion, and
 the dimension witness.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,7 @@ from bellcalc import (
     validate,
     violation_report,
 )
+from bellcalc import violation
 from bellcalc.core import QuantumModel, hermitian_part, no_signaling_check
 from bellcalc.seesaw import _random_model
 
@@ -141,6 +144,86 @@ def test_nu_rejects_signaling(scenario_2222):
         max_violation(Behavior(scenario_2222, probs))
     with pytest.raises(SignalingBehaviorError):
         noise_robustness(Behavior(scenario_2222, probs))
+
+
+def _no_signaling_rows(scenario):
+    """(rows, right-hand side) of the normalization and marginal-equality
+    constraints, one row per constraint, written out entry by entry."""
+    na, nb, ma, mb = scenario.shape
+    rows, rhs = [], []
+    for x, y in itertools.product(range(na), range(nb)):
+        row = np.zeros(scenario.shape)
+        row[x, y] = 1.0
+        rows.append(row)
+        rhs.append(1.0)
+    for x, a, y in itertools.product(range(na), range(ma), range(nb - 1)):
+        row = np.zeros(scenario.shape)
+        row[x, y, a, :], row[x, y + 1, a, :] = 1.0, -1.0
+        rows.append(row)
+        rhs.append(0.0)
+    for y, b, x in itertools.product(range(nb), range(mb), range(na - 1)):
+        row = np.zeros(scenario.shape)
+        row[x, y, :, b], row[x + 1, y, :, b] = 1.0, -1.0
+        rows.append(row)
+        rhs.append(0.0)
+    return np.array(rows).reshape(len(rows), -1), np.array(rhs)
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2, 2), (3, 2, 4, 3), (1, 3, 2, 2), (3, 3, 4, 4)])
+def test_no_signaling_projection_is_the_least_squares_one(shape):
+    # the closed form equals the minimum-norm least-squares correction,
+    # even for behaviors that signal at order one
+    rng = np.random.default_rng(11)
+    scenario = Scenario(*shape)
+    rows, rhs = _no_signaling_rows(scenario)
+    for _ in range(5):
+        probs = rng.random(shape)
+        probs /= probs.sum(axis=(2, 3), keepdims=True)
+        probs[0, -1] = rng.dirichlet(np.ones(shape[2] * shape[3])).reshape(shape[2:])
+        q = probs.ravel()
+        reference = q - np.linalg.lstsq(rows, rows @ q - rhs, rcond=None)[0]
+        projected = violation._no_signaling_projection(Behavior(scenario, probs))
+        assert np.abs(projected - reference).max() <= 1e-14
+        assert np.abs(rows @ projected - rhs).max() <= 1e-14
+
+
+@pytest.mark.parametrize("leak", [1e-10, 1e-9, 5e-9])
+def test_nu_of_a_behavior_signaling_below_the_tolerance(chsh_optimal_behavior, leak):
+    # moving mass between two entries of one block signals by `leak`, which
+    # the no-signaling check lets through; the LPs see the projection of the
+    # behavior onto the no-signaling subspace, so nu stays finite and moves
+    # from sqrt(2) by no more than the residual (plus LP roundoff)
+    probs = chsh_optimal_behavior.probs.copy()
+    probs[0, 0, 0, 0] += leak
+    probs[0, 0, 0, 1] -= leak
+    behavior = Behavior(chsh_optimal_behavior.scenario, probs)
+    residual = no_signaling_check(behavior).max_residual
+    assert leak * 0.99 <= residual <= 1e-8
+    report = violation_report(behavior)
+    assert abs(report.nu - ROOT2) <= residual + 1e-12
+    # the witness attains nu on the projection, which is within the residual
+    projected = violation._no_signaling_projection(behavior)
+    assert np.abs(projected - probs.ravel()).max() <= residual
+    assert abs(report.witness.coeffs.ravel() @ projected - report.nu) <= 1e-9
+    assert report.identity_residual <= 1e-6
+
+
+def test_nu_of_behaviors_rounded_to_ten_decimals():
+    # behaviors typed in to 10 decimals signal at about 1e-10: every one of
+    # them keeps a finite nu, within 1e-8 of the unrounded behavior's
+    rng = np.random.default_rng(2)
+    scenario = Scenario(3, 3, 2, 2)
+    for _ in range(20):
+        exact = behavior_from_quantum(_random_model(rng, scenario, 2, "complete"))
+        probs = np.round(exact.probs, 10)
+        probs /= probs.sum(axis=(2, 3), keepdims=True)
+        rounded = Behavior(scenario, probs)
+        assert 0.0 < no_signaling_check(rounded).max_residual <= 1e-8
+        report = violation_report(rounded)
+        assert abs(report.nu - max_violation(exact)[0]) <= 1e-8
+        projected = violation._no_signaling_projection(rounded)
+        assert abs(report.witness.coeffs.ravel() @ projected - report.nu) <= 1e-9
+        assert report.identity_residual <= 1e-6
 
 
 def test_nu_rejects_incomplete(scenario_2222):
