@@ -161,8 +161,9 @@ class CsrMatrix:
     ``y @ a``, each one np.bincount summing the entries in stored order
     (the order of scipy's CSR and CSC products, so the bits agree); the
     rows a boolean mask selects, ``a[mask]``; the transpose ``a.T``;
-    ``-a``; ``vstack`` and ``hstack``; and ``a != 0`` over the stored
-    entries.
+    ``-a``; ``vstack`` and ``hstack``.  ``a != 0`` over the stored
+    entries is not for the LP layer: the bench's tracer counts nonzeros
+    with it, and ``--trace 1`` fails without it.
     """
 
     indptr: np.ndarray

@@ -7,7 +7,9 @@ excess over 1 measures how far outside the local polytope Q sits.  The
 companion quantity pi(Q) is the largest visibility v at which v*Q plus
 some (1-v)-weighted mixture of deterministic behaviors is still local;
 the two are linked by nu = 2/pi - 1, which this module checks rather
-than assumes.
+than assumes.  Both LPs pose Q projected onto the no-signaling subspace
+and hold their constraints exactly there, so the identity's residual is
+LP roundoff.
 
 Also here: completion of sub-normalized behaviors and models by an
 explicit extra outcome, the lower bound on classical one-way
@@ -28,7 +30,6 @@ from .core import (
     COMPLETE,
     EPS_FEAS,
     INCOMPLETE,
-    NS_TOL,
     QuantumModel,
     Scenario,
     behavior_from_quantum,
@@ -47,18 +48,11 @@ from .numerics import EQ, GE, LE, CsrMatrix, LinearProgram, lp_solve
 from .polytope import vertex_matrix
 from .seesaw import SeesawConfig, pad_quantum_model, seesaw
 
-# Entrywise slack on the mixture equality of the pi program.  Absorbs
-# the no-signaling tolerance of the input; without it a residual of
-# 1e-12 outside the vertex span would force v to 0.
-PI_SLACK = 1e-9
-
 # A dimension counts as contradicted only when the observed value beats
 # the best found value by more than this.
 WITNESS_MARGIN = 1e-9
 
 HEURISTIC_LABEL = "HEURISTIC"
-
-_SIGNALING_MSG = "LP unbounded / nu undefined for signaling behaviors"
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,9 +98,10 @@ def _checked_complete(behavior: Behavior, what: str) -> None:
     if not behavior.is_complete:
         raise ValidationError(f"{what} is defined for complete behaviors only")
     ns = no_signaling_check(behavior)
-    if ns.max_residual > NS_TOL:
+    if not ns.ok:
         raise SignalingBehaviorError(
-            f"{_SIGNALING_MSG} (residual {ns.max_residual:.3e} at {ns.location})"
+            f"{what} is undefined for signaling behaviors "
+            f"(residual {ns.max_residual:.3e} at {ns.location})"
         )
 
 
@@ -163,8 +158,6 @@ def max_violation(behavior: Behavior) -> tuple[float, BellFunctional]:
         maximize=True,
     )
     sol = lp_solve(lp)
-    if sol.status == "unbounded":
-        raise SignalingBehaviorError(_SIGNALING_MSG)
     if sol.status != "optimal":
         raise SolverError(f"violation LP ended with status {sol.status!r}")
     nu = float(sol.objective)
@@ -197,18 +190,16 @@ def noise_robustness(behavior: Behavior) -> float:
     mix = CsrMatrix.hstack([q_col, -dt, dt])
     ones, zeros = np.ones((1, n_vertices)), np.zeros((1, n_vertices))
     masses = np.block([[0.0, ones, zeros], [1.0, zeros, ones]])  # sum lambda = 1, v + sum mu = 1
+    # the zero rows as a mirrored <= / >= pair, which lp_solve folds into
+    # lo = hi = 0: EQ rows would change the posed shape the bench pins
     a = CsrMatrix.vstack([mix, mix, CsrMatrix.from_dense(masses)])
-    rhs = np.concatenate([
-        np.full(n_entries, PI_SLACK),
-        np.full(n_entries, -PI_SLACK),
-        [1.0, 1.0],
-    ])
+    rhs = np.concatenate([np.zeros(2 * n_entries), [1.0, 1.0]])
     senses = np.repeat([LE, GE, EQ], [n_entries, n_entries, 2])
     n_cols = 1 + 2 * n_vertices
     c = np.zeros(n_cols)
     c[0] = 1.0
     upper = np.full(n_cols, np.inf)
-    upper[0] = 1.0
+    upper[0] = 1.0  # implied by v + sum mu = 1, but keeps local pi at exactly 1.0
     lp = LinearProgram(
         c=c, a=a, rhs=rhs, senses=senses,
         lower=np.zeros(n_cols), upper=upper, maximize=True,
@@ -269,7 +260,7 @@ def complete_behavior(behavior: Behavior) -> Behavior:
     out[:, :, ma, mb] = np.where(s > 0.0, (1.0 - s) ** 2, 1.0)
     completed = Behavior(Scenario(na, nb, ma + 1, mb + 1), out, COMPLETE)
     ns = no_signaling_check(completed)
-    if ns.max_residual > NS_TOL:
+    if not ns.ok:
         raise ValidationError(
             "marginal deficits are inconsistent with a no-signaling completion "
             f"(residual {ns.max_residual:.3e} at {ns.location})"

@@ -398,7 +398,7 @@ def test_behavior_signaling_within_the_tolerance_gets_nu(tmp_path, capsys, chsh_
 @pytest.mark.parametrize("module, argv, status, expected", [
     ("violation", ("behavior", "nu"), "failed", 5),
     ("violation", ("behavior", "nu"), "infeasible", 5),
-    ("violation", ("behavior", "nu"), "unbounded", 4),
+    ("violation", ("behavior", "nu"), "unbounded", 5),
     ("violation", ("behavior", "robustness"), "failed", 5),
     ("classical", ("behavior", "membership"), "failed", 5),
 ], ids=["nu-failed", "nu-infeasible", "nu-unbounded", "robustness-failed", "membership-failed"])

@@ -283,6 +283,9 @@ def test_posed_lps_are_the_scipy_assembly(monkeypatch, kind):
     ones, zeros = np.ones((1, 64)), np.zeros((1, 64))
     masses = sp.csr_matrix(np.block([[0.0, ones, zeros], [1.0, zeros, ones]]))
     assert _same_arrays(pi_lp.a, sp.vstack([mix, mix, masses], format="csr"))
+    # the mixture rows hold exactly: 0 <= . <= 0, then the two unit masses
+    assert np.array_equal(pi_lp.rhs, np.concatenate([np.zeros(72), [1.0, 1.0]]))
+    assert np.array_equal(pi_lp.senses, np.repeat([LE, GE, EQ], [36, 36, 2]))
     minus_t = -np.ones((36, 1))
     membership = sp.bmat([[d.T, minus_t], [-d.T, minus_t], [ones, None]], format="csr")
     assert _same_arrays(member_lp.a, membership.sorted_indices())

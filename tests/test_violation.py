@@ -86,12 +86,13 @@ def test_chsh_optimal_witness_has_chsh_signs(chsh_optimal_behavior):
 
 
 def test_chsh_optimal_pi_value(chsh_optimal_behavior):
+    # the pi LP poses its mixture rows exactly, with right-hand side 0
     pi = noise_robustness(chsh_optimal_behavior)
-    assert pi == pytest.approx(2.0 / (ROOT2 + 1.0), abs=1e-7)
+    assert pi == pytest.approx(2.0 / (ROOT2 + 1.0), abs=1e-15)
 
 
 def test_chsh_optimal_identity_residual(chsh_optimal_behavior):
-    assert violation_report(chsh_optimal_behavior).identity_residual <= 1e-6
+    assert violation_report(chsh_optimal_behavior).identity_residual <= 1e-15
 
 
 def test_chsh_optimal_communication_bits(chsh_optimal_behavior):
@@ -140,9 +141,11 @@ def test_pi_increases_when_mixed_with_local(chsh_optimal_behavior, scenario_2222
 def test_nu_rejects_signaling(scenario_2222):
     probs = np.full(scenario_2222.shape, 0.25)
     probs[0, 0] = [[0.4, 0.0], [0.1, 0.5]]
-    with pytest.raises(SignalingBehaviorError, match="unbounded"):
+    with pytest.raises(SignalingBehaviorError,
+                       match="max_violation is undefined for signaling behaviors"):
         max_violation(Behavior(scenario_2222, probs))
-    with pytest.raises(SignalingBehaviorError):
+    with pytest.raises(SignalingBehaviorError,
+                       match="noise_robustness is undefined for signaling behaviors"):
         noise_robustness(Behavior(scenario_2222, probs))
 
 
@@ -205,7 +208,7 @@ def test_nu_of_a_behavior_signaling_below_the_tolerance(chsh_optimal_behavior, l
     projected = violation._no_signaling_projection(behavior)
     assert np.abs(projected - probs.ravel()).max() <= residual
     assert abs(report.witness.coeffs.ravel() @ projected - report.nu) <= 1e-9
-    assert report.identity_residual <= 1e-6
+    assert report.identity_residual <= 1e-12
 
 
 def test_nu_of_behaviors_rounded_to_ten_decimals():
@@ -223,7 +226,20 @@ def test_nu_of_behaviors_rounded_to_ten_decimals():
         assert abs(report.nu - max_violation(exact)[0]) <= 1e-8
         projected = violation._no_signaling_projection(rounded)
         assert abs(report.witness.coeffs.ravel() @ projected - report.nu) <= 1e-9
-        assert report.identity_residual <= 1e-6
+        assert report.identity_residual <= 1e-12
+
+
+def test_pi_of_local_mixtures_rounded_to_ten_decimals():
+    # rounding leaves a residual of about 1e-10 outside the span of the
+    # vertices; the pi LP sees the projection, so v is not forced below 1,
+    # and v's upper bound keeps it from landing an ulp under 1
+    rng = np.random.default_rng(3)
+    scenario = Scenario(3, 3, 2, 2)
+    for _ in range(20):
+        local = behavior_from_local(random_local_model(rng, scenario), scenario)
+        probs = np.round(local.probs, 10)
+        probs /= probs.sum(axis=(2, 3), keepdims=True)
+        assert noise_robustness(Behavior(scenario, probs)) == 1.0
 
 
 def test_nu_rejects_incomplete(scenario_2222):
