@@ -28,6 +28,7 @@ from .core import (
     LocalModel,
     Scenario,
     no_signaling_check,
+    validate,
 )
 from .errors import SolverError, ValidationError
 from .numerics import EQ, LE, CsrMatrix, LinearProgram, lp_solve
@@ -51,8 +52,13 @@ DROP_WEIGHT = 1e-12
 _CHUNK = 1 << 14
 
 
-def _swap_parties(coeffs: np.ndarray) -> np.ndarray:
-    return coeffs.transpose(1, 0, 3, 2)
+def _fewer_assignments_first(coeffs: np.ndarray, signs: int) -> tuple[np.ndarray, int]:
+    """(coeffs, count) with Alice, whom _enumerated_extrema enumerates, the
+    party of fewer (signs * outputs) ** inputs assignments, and their count."""
+    na, nb, ma, mb = coeffs.shape
+    if (signs * mb) ** nb < (signs * ma) ** na:
+        return coeffs.transpose(1, 0, 3, 2), (signs * mb) ** nb
+    return coeffs, (signs * ma) ** na
 
 
 def _enumerated_extrema(coeffs: np.ndarray, reducer: str) -> tuple[float, float]:
@@ -95,12 +101,8 @@ def _enumerated_extrema(coeffs: np.ndarray, reducer: str) -> tuple[float, float]
 
 def signed_extrema(functional: BellFunctional) -> tuple[float, float]:
     """(max, min) of <T, D> over deterministic strategies D, exactly."""
-    coeffs = functional.coeffs
-    na, nb, ma, mb = coeffs.shape
-    if mb ** nb < ma ** na:
-        coeffs = _swap_parties(coeffs)
-        na, nb, ma, mb = coeffs.shape
-    check_guard(ma ** na, ENUM_GUARD, "classical value enumeration", "assignments")
+    coeffs, count = _fewer_assignments_first(functional.coeffs, 1)
+    check_guard(count, ENUM_GUARD, "classical value enumeration", "assignments")
     return _enumerated_extrema(coeffs, "signed")
 
 
@@ -133,12 +135,8 @@ def banach_norm(functional: BellFunctional) -> float:
     input is the largest |column sum|.  Enumerated exactly over the party
     with fewer signed assignments.
     """
-    coeffs = functional.coeffs
-    na, nb, ma, mb = coeffs.shape
-    if (2 * mb) ** nb < (2 * ma) ** na:
-        coeffs = _swap_parties(coeffs)
-        na, nb, ma, mb = coeffs.shape
-    check_guard((2 * ma) ** na, ENUM_GUARD, "signed enumeration", "assignments")
+    coeffs, count = _fewer_assignments_first(functional.coeffs, 2)
+    check_guard(count, ENUM_GUARD, "signed enumeration", "assignments")
     signed = np.concatenate([coeffs, -coeffs], axis=2)  # outputs then negated outputs
     hi, _ = _enumerated_extrema(signed, "abs")
     return hi
@@ -192,12 +190,15 @@ def local_model_from_weights(scenario: Scenario, weights: np.ndarray) -> LocalMo
 
 
 def is_local(behavior: Behavior) -> MembershipCertificate:
-    """Decide membership of a complete behavior in the local polytope.
+    """Decide membership of a complete, valid behavior in the local polytope.
 
     Signaling behaviors are accepted (they are simply nonlocal) but the
     certificate carries a warning.  Incomplete behaviors must be
     completed first.
     """
+    report = validate(behavior)
+    if report:
+        raise ValidationError("membership requires a valid behavior", report)
     if not behavior.is_complete:
         raise ValidationError("membership is decided on complete behaviors; complete it first")
     scenario = behavior.scenario

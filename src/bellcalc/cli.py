@@ -74,10 +74,6 @@ def _load_functional(path: str):
     return bio.functional_from_document(doc), _input_name(doc)
 
 
-def _report(scenario, payload: dict, name: str, provenance: str) -> dict:
-    return bio.document("report", scenario, payload, name, provenance)
-
-
 def _cmd_classical(args) -> dict:
     functional, name = _load_functional(args.file)
     cv = classical_value(functional)
@@ -89,24 +85,14 @@ def _cmd_classical(args) -> dict:
         "banach_norm": norm,
         "sandwich_ratio": None if cvi == 0.0 else norm / cvi,
     }
-    return _report(functional.scenario, payload, f"{name}-classical",
-                   f"bell classical {name}")
-
-
-def _seesaw_config(args) -> SeesawConfig:
-    return SeesawConfig(
-        dim=args.dim,
-        seeds=args.seeds,
-        max_sweeps=args.sweeps,
-        tol=args.tol,
-        rng_seed=args.rng_seed,
-        mode="incomplete" if getattr(args, "incomplete", False) else "complete",
-    )
+    return bio.document("report", functional.scenario, payload, f"{name}-classical",
+                        f"bell classical {name}")
 
 
 def _cmd_quantum(args) -> dict:
     functional, name = _load_functional(args.file)
-    cfg = _seesaw_config(args)
+    cfg = SeesawConfig(dim=args.dim, seeds=args.seeds, max_sweeps=args.sweeps, tol=args.tol,
+                       rng_seed=args.rng_seed, mode="incomplete" if args.incomplete else "complete")
     if args.emit_model is not None:  # fail before the see-saw, not after it
         bio.check_writable(args.emit_model)
     result = seesaw(functional, cfg)
@@ -138,8 +124,8 @@ def _cmd_quantum(args) -> dict:
         "per_seed_values": list(result.per_seed_values),
         "model_path": model_path,
     }
-    return _report(functional.scenario, payload, f"{name}-quantum-d{cfg.dim}",
-                   f"bell quantum {name} {flags}")
+    return bio.document("report", functional.scenario, payload,
+                        f"{name}-quantum-d{cfg.dim}", f"bell quantum {name} {flags}")
 
 
 def _cmd_behavior(args) -> dict:
@@ -153,18 +139,13 @@ def _cmd_behavior(args) -> dict:
         return bio.behavior_document(completed, f"{name}-completed", provenance)
     if args.quantity == "membership":
         cert = is_local(behavior)
-        payload = {
-            "verdict": cert.verdict,
-            "model": None if cert.model is None else bio.local_model_payload(cert.model),
-            "reconstruction_error": cert.reconstruction_error,
-            "separating": None if cert.separating is None else bio.functional_document(
+        payload = dict(
+            vars(cert),
+            model=None if cert.model is None else bio.local_model_payload(cert.model),
+            separating=None if cert.separating is None else bio.functional_document(
                 cert.separating, f"{name}-separating", provenance),
-            "value_on_behavior": cert.value_on_behavior,
-            "max_vertex_value": cert.max_vertex_value,
-            "margin": cert.margin,
-            "warning": cert.warning,
-        }
-        return _report(scenario, payload, f"{name}-membership", provenance)
+        )
+        return bio.document("report", scenario, payload, f"{name}-membership", provenance)
     if args.quantity == "robustness":
         payload = {"pi": noise_robustness(behavior)}
     elif args.quantity == "commbits":
@@ -181,7 +162,7 @@ def _cmd_behavior(args) -> dict:
             "witness": bio.functional_document(
                 report.witness, f"{name}-witness", provenance),
         }
-    return _report(scenario, payload, f"{name}-{args.quantity}", provenance)
+    return bio.document("report", scenario, payload, f"{name}-{args.quantity}", provenance)
 
 
 def _cmd_witness(args) -> dict:
@@ -201,7 +182,8 @@ def _cmd_witness(args) -> dict:
         f"bell witness {name} --observed {args.observed!r} --max-dim {args.max_dim} "
         f"--seeds {args.seeds} --rng-seed {args.rng_seed}"
     )
-    return _report(functional.scenario, payload, f"{name}-witness-report", provenance)
+    return bio.document("report", functional.scenario, payload, f"{name}-witness-report",
+                        provenance)
 
 
 def _cmd_eq4(args) -> dict:
@@ -218,7 +200,8 @@ def _cmd_eq4(args) -> dict:
         f"bell eq4 {name} --dim {args.dim} --seeds {args.seeds} "
         f"--rng-seed {args.rng_seed}"
     )
-    return _report(functional.scenario, payload, f"{name}-eq4-d{args.dim}", provenance)
+    return bio.document("report", functional.scenario, payload, f"{name}-eq4-d{args.dim}",
+                        provenance)
 
 
 def _game_table(path: str):
@@ -260,18 +243,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Bell functional and behavior calculator with JSON documents.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the see-saw commands share their restart flags
+    restarts = argparse.ArgumentParser(add_help=False)
+    restarts.add_argument("--seeds", type=int, default=20)
+    restarts.add_argument("--rng-seed", type=int, default=0)
 
     p = sub.add_parser("classical", help="exact classical quantities of a functional")
     p.add_argument("file")
     p.set_defaults(run=_cmd_classical)
 
-    p = sub.add_parser("quantum", help="see-saw lower bound at fixed local dimension")
+    p = sub.add_parser("quantum", parents=[restarts],
+                       help="see-saw lower bound at fixed local dimension")
     p.add_argument("file")
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--seeds", type=int, default=20)
     p.add_argument("--sweeps", type=int, default=2000)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--rng-seed", type=int, default=0)
     p.add_argument("--incomplete", action="store_true")
     p.add_argument("--emit-model", default=None, metavar="PATH")
     p.set_defaults(run=_cmd_quantum)
@@ -281,19 +267,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.set_defaults(run=_cmd_behavior)
 
-    p = sub.add_parser("witness", help="per-dimension best values versus an observed value")
+    p = sub.add_parser("witness", parents=[restarts],
+                       help="per-dimension best values versus an observed value")
     p.add_argument("file")
     p.add_argument("--observed", type=float, required=True)
     p.add_argument("--max-dim", type=int, required=True)
-    p.add_argument("--seeds", type=int, default=20)
-    p.add_argument("--rng-seed", type=int, default=0)
     p.set_defaults(run=_cmd_witness)
 
-    p = sub.add_parser("eq4", help="completed-model violation versus sub-normalized ratio")
+    p = sub.add_parser("eq4", parents=[restarts],
+                       help="completed-model violation versus sub-normalized ratio")
     p.add_argument("file")
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--seeds", type=int, default=20)
-    p.add_argument("--rng-seed", type=int, default=0)
     p.set_defaults(run=_cmd_eq4)
 
     p = sub.add_parser("gen", help="built-in functional generators")

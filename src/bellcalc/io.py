@@ -29,7 +29,6 @@ from .core import (
     Behavior,
     BellFunctional,
     COMPLETE,
-    DeterministicStrategy,
     INCOMPLETE,
     LocalModel,
     QuantumModel,
@@ -173,20 +172,23 @@ def _scenario_from_doc(doc: dict) -> Scenario:
     return Scenario(*(_positive_int(v, f"scenario.{k}") for k, v in fields.items()))
 
 
+def _numeric_array(raw, shape: tuple[int, ...], path: str) -> np.ndarray:
+    """Float array of the given shape with finite entries only."""
+    try:
+        arr = np.asarray(raw, dtype=np.float64)
+    except (TypeError, ValueError) as e:
+        raise DocumentError(f"{path} is not a numeric array: {e}") from e
+    if arr.shape != shape:
+        raise DocumentError(f"{path} has shape {arr.shape}, expected {shape}")
+    if not np.all(np.isfinite(arr)):
+        raise DocumentError(f"{path} contains non-finite entries")
+    return arr
+
+
 def _tensor_from_payload(payload: dict, key: str, scenario: Scenario) -> np.ndarray:
     if key not in payload:
         raise DocumentError(f"payload is missing {key!r}")
-    try:
-        arr = np.asarray(payload[key], dtype=np.float64)
-    except (TypeError, ValueError) as e:
-        raise DocumentError(f"payload.{key} is not a numeric tensor: {e}") from e
-    if arr.shape != scenario.shape:
-        raise DocumentError(
-            f"payload.{key} has shape {arr.shape}, scenario implies {scenario.shape}"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise DocumentError(f"payload.{key} contains non-finite entries")
-    return arr
+    return _numeric_array(payload[key], scenario.shape, f"payload.{key}")
 
 
 def _completeness_from_payload(payload: dict) -> str:
@@ -247,14 +249,7 @@ def _matrix_out(matrix: np.ndarray):
 
 def _matrix_in(raw, shape: tuple[int, ...], path: str) -> np.ndarray:
     """Complex array of the given shape from nested [re, im] pairs."""
-    try:
-        arr = np.asarray(raw, dtype=np.float64)
-    except (TypeError, ValueError) as e:
-        raise DocumentError(f"{path} is not a numeric array: {e}") from e
-    if arr.shape != shape + (2,):
-        raise DocumentError(f"{path} has shape {arr.shape}, expected {shape + (2,)} [re, im] entries")
-    if not np.all(np.isfinite(arr)):
-        raise DocumentError(f"{path} contains non-finite entries")
+    arr = _numeric_array(raw, shape + (2,), path)
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -308,23 +303,3 @@ def local_model_payload(model: LocalModel) -> list:
         }
         for w, strategy in model.weights
     ]
-
-
-def local_model_from_payload(raw, scenario: Scenario) -> LocalModel:
-    if not isinstance(raw, list):
-        raise DocumentError("local model payload must be a list")
-    weights = []
-    for i, entry in enumerate(raw):
-        if not isinstance(entry, dict):
-            raise DocumentError(f"local model entry [{i}] must be an object")
-        try:
-            w = float(entry["weight"])
-            strategy = DeterministicStrategy(
-                tuple(int(v) for v in entry["alice_outputs"]),
-                tuple(int(v) for v in entry["bob_outputs"]),
-            )
-        except (KeyError, TypeError, ValueError) as e:
-            raise DocumentError(f"local model entry [{i}] is malformed: {e}") from e
-        strategy.check_against(scenario)
-        weights.append((w, strategy))
-    return LocalModel(tuple(weights))

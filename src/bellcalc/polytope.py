@@ -9,6 +9,7 @@ being fixed.
 
 from __future__ import annotations
 
+import functools
 import os
 
 import numpy as np
@@ -54,9 +55,6 @@ def assignment_table(ids, n_inputs: int, n_outputs: int) -> np.ndarray:
     )
 
 
-_VERTEX_CACHE: dict[Scenario, CsrMatrix] = {}
-
-
 def vertex_matrix(scenario: Scenario) -> CsrMatrix:
     """Sparse matrix of deterministic behaviors, one vertex per row.
 
@@ -64,15 +62,18 @@ def vertex_matrix(scenario: Scenario) -> CsrMatrix:
     row for vertex v has a one at every entry (x, y, alpha(x), beta(y)),
     na * nb of them in ascending column order.  Rows follow the fixed
     lexicographic vertex order.  Every LP over the polytope goes through
-    here, so this is where the vertex guard sits.
+    here, so this is where the vertex guard sits, ahead of the cache.
     """
+    check_guard(scenario.alice_strategy_count() * scenario.bob_strategy_count(),
+                VERTEX_GUARD, "vertex matrix", "polytope vertices")
+    return _vertex_matrix(scenario)
+
+
+@functools.lru_cache(maxsize=8)
+def _vertex_matrix(scenario: Scenario) -> CsrMatrix:
     na, nb, ma, mb = scenario.shape
     sa = scenario.alice_strategy_count()
     sb = scenario.bob_strategy_count()
-    check_guard(sa * sb, VERTEX_GUARD, "vertex matrix", "polytope vertices")
-    cached = _VERTEX_CACHE.get(scenario)
-    if cached is not None:
-        return cached
     av = assignment_table(np.arange(sa), na, ma)  # (sa, na)
     bv = assignment_table(np.arange(sb), nb, mb)  # (sb, nb)
     # entry index for (x, y, a, b) = ((x*nb + y)*ma + a)*mb + b
@@ -86,12 +87,8 @@ def vertex_matrix(scenario: Scenario) -> CsrMatrix:
     # columns for vertex (i, j): cols_a[i]*mb + cols_b[j], ascending in (x, y)
     cols = (cols_a[:, None, :] * mb + cols_b[None, :, :]).reshape(sa * sb * na * nb)
     k = na * nb
-    mat = CsrMatrix(np.arange(0, sa * sb * k + 1, k, dtype=np.int32), cols.astype(np.int32),
-                    np.ones(cols.size), (sa * sb, scenario.n_entries))
-    if len(_VERTEX_CACHE) >= 8:
-        _VERTEX_CACHE.clear()
-    _VERTEX_CACHE[scenario] = mat
-    return mat
+    return CsrMatrix(np.arange(0, sa * sb * k + 1, k, dtype=np.int32), cols.astype(np.int32),
+                     np.ones(cols.size), (sa * sb, scenario.n_entries))
 
 
 def strategies_from_vertices(scenario: Scenario, vertices) -> list[DeterministicStrategy]:

@@ -32,7 +32,8 @@ from .core import (
 from .errors import GuardExceededError, SolverError, ValidationError
 from .numerics import eigh, povm_update, random_povms
 
-# Joint-space dimension cap; the Bell operator is dense (da*db)^2.
+# Joint-space dimension cap, checked where a config is made; the Bell
+# operator is dense (da*db)^2.
 MAX_JOINT_DIM = 4096
 
 
@@ -59,6 +60,10 @@ class SeesawConfig:
             raise ValidationError("tol must be positive")
         if self.mode not in (COMPLETE, INCOMPLETE):
             raise ValidationError(f"mode must be {COMPLETE!r} or {INCOMPLETE!r}")
+        if self.dim * self.dim > MAX_JOINT_DIM:
+            raise GuardExceededError(
+                f"joint dimension {self.dim}^2 exceeds the cap of {MAX_JOINT_DIM}"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,15 +179,14 @@ def _one_run(functional: BellFunctional, cfg: SeesawConfig, model: QuantumModel)
         op = bell_operator(functional, alice, bob)
         top = eigh(op)[1][:, -1]
         state = np.outer(top, top.conj())
-        # loose inner stop: the outer sweeps re-solve every sub-step anyway
-        for x, reduced in enumerate(reduced_operators(functional, state, bob, "alice")):
-            upd = povm_update(reduced, cfg.mode, warm_start=alice[x], gain_tol=1e-10)
-            alice[x] = upd.operators
-        value = 0.0
-        for y, reduced in enumerate(reduced_operators(functional, state, alice, "bob")):
-            upd = povm_update(reduced, cfg.mode, warm_start=bob[y], gain_tol=1e-10)
-            bob[y] = upd.operators
-            value += upd.objective
+        # Alice, then Bob against her new POVMs; the sweep's value is Bob's
+        # sum.  Loose inner stop: the outer sweeps re-solve every sub-step.
+        for party, povms, other in (("alice", alice, bob), ("bob", bob, alice)):
+            value = 0.0
+            for x, reduced in enumerate(reduced_operators(functional, state, other, party)):
+                upd = povm_update(reduced, cfg.mode, warm_start=povms[x], gain_tol=1e-10)
+                povms[x] = upd.operators
+                value += upd.objective
         log.append(value)
         if value - prev < cfg.tol:
             converged = True
@@ -203,10 +207,6 @@ def seesaw(functional: BellFunctional, cfg: SeesawConfig,
     An init model that breaks an invariant raises ValidationError; a
     returned model that would break one raises SolverError.
     """
-    if cfg.dim * cfg.dim > MAX_JOINT_DIM:
-        raise GuardExceededError(
-            f"joint dimension {cfg.dim}^2 exceeds the cap of {MAX_JOINT_DIM}"
-        )
     scenario = functional.scenario
     for m in init_models:
         if m.dim_a != cfg.dim or m.dim_b != cfg.dim:

@@ -333,6 +333,7 @@ def dimension_witness_report(
     if max_dim < 1:
         raise ValidationError("max_dim must be >= 1")
     base = cfg if cfg is not None else SeesawConfig(dim=1)
+    replace(base, dim=max_dim)  # trips the joint-dimension cap before any see-saw runs
     entries = []
     carried: QuantumModel | None = None
     for dim in range(1, max_dim + 1):

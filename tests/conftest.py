@@ -156,6 +156,15 @@ def reference_enumerated_extrema(coeffs: np.ndarray, reducer: str) -> tuple[floa
     return best_hi, best_lo
 
 
+def invalid_behavior_probs(case: str) -> np.ndarray:
+    """A 2x2x2x2 tensor that is no behavior: every block sums to 1.5
+    ("block-mass"), or one probability is -0.1 ("negative")."""
+    probs = np.full((2, 2, 2, 2), 0.375 if case == "block-mass" else 0.25)
+    if case == "negative":
+        probs[0, 0, 0] = [-0.1, 0.6]
+    return probs
+
+
 def pr_box_probs() -> np.ndarray:
     """p(a,b|x,y) = 1/2 when a xor b = x and y, else 0."""
     x, y, a, b = np.ogrid[0:2, 0:2, 0:2, 0:2]

@@ -38,7 +38,12 @@ from bellcalc import classical
 from bellcalc.core import Behavior
 from bellcalc.generators import magic_square_column_bits, magic_square_row_bits
 
-from conftest import pr_box_probs, random_local_model, reference_enumerated_extrema
+from conftest import (
+    invalid_behavior_probs,
+    pr_box_probs,
+    random_local_model,
+    reference_enumerated_extrema,
+)
 
 
 def brute_force_extrema(functional):
@@ -320,6 +325,12 @@ def test_membership_rejects_incomplete(scenario_2222):
     probs = np.full(scenario_2222.shape, 0.2)
     with pytest.raises(ValidationError):
         is_local(Behavior(scenario_2222, probs, completeness="incomplete"))
+
+
+@pytest.mark.parametrize("case", ["block-mass", "negative"])
+def test_membership_rejects_invalid_behaviors(scenario_2222, case):
+    with pytest.raises(ValidationError, match="valid behavior"):
+        is_local(Behavior(scenario_2222, invalid_behavior_probs(case)))
 
 
 def test_signaling_behavior_flagged_nonlocal_with_warning(scenario_2222):

@@ -20,9 +20,12 @@ from hypothesis import strategies as st
 
 import bellcalc
 from bellcalc import (
+    Behavior,
     BellFunctional,
+    DeterministicStrategy,
     DocumentError,
     GuardExceededError,
+    LocalModel,
     Scenario,
     behavior_from_local,
     behavior_from_quantum,
@@ -33,10 +36,11 @@ from bellcalc import (
     pair,
 )
 from bellcalc import io as bio
-from bellcalc.cli import main
+from bellcalc import violation
+from bellcalc.cli import build_parser, main
 from bellcalc.numerics import LpSolution
 
-from conftest import build_chsh_optimal_model, random_local_model
+from conftest import build_chsh_optimal_model, invalid_behavior_probs, random_local_model
 
 ROOT2 = np.sqrt(2.0)
 
@@ -150,7 +154,9 @@ def test_behavior_membership_local(tmp_path, capsys, rng, scenario_2222):
     payload = doc["payload"]
     assert payload["verdict"] == "local"
     assert payload["reconstruction_error"] <= 1e-8
-    model = bio.local_model_from_payload(payload["model"], scenario_2222)
+    model = LocalModel(tuple(
+        (e["weight"], DeterministicStrategy(tuple(e["alice_outputs"]), tuple(e["bob_outputs"])))
+        for e in payload["model"]))
     recon = behavior_from_local(model, scenario_2222)
     assert np.max(np.abs(recon.probs - behavior.probs)) <= 1e-8
 
@@ -168,7 +174,6 @@ def test_behavior_membership_nonlocal(capsys, chsh_optimal_file, chsh_optimal_be
 
 def test_behavior_complete_pipeline(tmp_path, capsys, rng, scenario_2222):
     base = behavior_from_local(random_local_model(rng, scenario_2222), scenario_2222)
-    from bellcalc.core import Behavior  # noqa: PLC0415
     lossy = Behavior(scenario_2222, 0.6 * base.probs, completeness="incomplete")
     path = tmp_path / "lossy.json"
     path.write_text(bio.dump_document(
@@ -368,8 +373,52 @@ def test_vertex_guard_trips_on_a_cached_vertex_matrix(capsys, chsh_optimal_behav
     assert "BELL_GUARD_LIMIT" in err
 
 
+@pytest.mark.parametrize("case", ["block-mass", "negative"])
+def test_membership_of_an_invalid_behavior_exits_2(tmp_path, capsys, scenario_2222, case):
+    path = tmp_path / "invalid.json"
+    path.write_text(bio.dump_document(bio.behavior_document(
+        Behavior(scenario_2222, invalid_behavior_probs(case)), case, "test fixture")),
+        encoding="utf-8")
+    code, out, err = run_cli(capsys, "behavior", "membership", str(path))
+    assert code == 2
+    assert out == ""
+    assert "valid behavior" in err
+
+
+def test_witness_max_dim_above_the_cap_exits_3_before_any_seesaw(capsys, chsh_file,
+                                                                 monkeypatch):
+    calls = []
+    monkeypatch.setattr(violation, "seesaw", lambda *args, **kwargs: calls.append(args))
+    code, out, err = run_cli(capsys, "witness", chsh_file, "--observed", "2.5",
+                             "--max-dim", "65")
+    assert code == 3
+    assert out == ""
+    assert "joint dimension 65^2" in err
+    assert calls == []
+
+
+@pytest.mark.parametrize("command", ["quantum", "eq4"])
+def test_dim_above_the_joint_cap_exits_3(capsys, chsh_file, command):
+    code, out, err = run_cli(capsys, command, chsh_file, "--dim", "65")
+    assert code == 3
+    assert out == ""
+    assert "joint dimension 65^2" in err
+
+
+@pytest.mark.parametrize("command, required", [
+    ("quantum", ["--dim", "2"]),
+    ("witness", ["--observed", "2.5", "--max-dim", "2"]),
+    ("eq4", ["--dim", "2"]),
+])
+def test_seesaw_commands_share_seeds_and_rng_seed(command, required):
+    parser = build_parser()
+    args = parser.parse_args([command, "f.json", *required])
+    assert (args.seeds, args.rng_seed) == (20, 0)
+    args = parser.parse_args([command, "f.json", *required, "--seeds", "3", "--rng-seed", "7"])
+    assert (args.seeds, args.rng_seed) == (3, 7)
+
+
 def test_signaling_behavior_exits_4(tmp_path, capsys, scenario_2222):
-    from bellcalc.core import Behavior  # noqa: PLC0415
     probs = np.full(scenario_2222.shape, 0.25)
     probs[0, 0] = [[0.4, 0.0], [0.1, 0.5]]
     path = tmp_path / "signaling.json"
@@ -382,7 +431,6 @@ def test_signaling_behavior_exits_4(tmp_path, capsys, scenario_2222):
 
 
 def test_behavior_signaling_within_the_tolerance_gets_nu(tmp_path, capsys, chsh_optimal_behavior):
-    from bellcalc.core import Behavior  # noqa: PLC0415
     probs = chsh_optimal_behavior.probs.copy()
     probs[0, 0, 0, 0] += 1e-10
     probs[0, 0, 0, 1] -= 1e-10
@@ -464,7 +512,6 @@ def scipy_modules_after(cwd, argv):
 
 @pytest.fixture()
 def cli_inputs(tmp_path, chsh_file, chsh_optimal_behavior):
-    from bellcalc.core import Behavior  # noqa: PLC0415
     lossy = tmp_path / "lossy.json"
     lossy.write_text(bio.dump_document(bio.behavior_document(
         Behavior(chsh_optimal_behavior.scenario, 0.8 * chsh_optimal_behavior.probs,
