@@ -11,9 +11,10 @@ Assignments sharing a prefix of inputs share its partial sum, about one add
 of an (nb, mb) block each: O(ma**na nb mb) in all.  The norm visits one sign
 of input 0 (flipping every sign keeps |value|); its guard counts all signs.
 
-Membership of a behavior in the local polytope is decided by a Chebyshev
-linear program over the polytope vertices; its dual yields a separating
-functional when the behavior is outside.
+Membership in the local polytope is a Chebyshev LP over the vertices, solved
+by column generation: the same enumeration, best-responding to every assignment
+of each party, prices all vertices against the restricted master's duals,
+which yield a separating functional when the behavior is outside.
 """
 
 from __future__ import annotations
@@ -27,17 +28,13 @@ from .core import (
     BellFunctional,
     LocalModel,
     Scenario,
+    behavior_from_local,
     no_signaling_check,
     validate,
 )
 from .errors import SolverError, ValidationError
-from .numerics import EQ, LE, CsrMatrix, LinearProgram, lp_solve
-from .polytope import (
-    ENUM_GUARD,
-    check_guard,
-    strategies_from_vertices,
-    vertex_matrix,
-)
+from .numerics import LP_DUAL_TOL, CsrMatrix, RestrictedMaster
+from .polytope import ENUM_GUARD, check_guard, strategies_from_vertices, vertex_rows
 
 # A behavior reproduced by vertex weights to within this max-norm error
 # counts as local.  Margins within BOUNDARY_BAND above that tolerance get
@@ -61,42 +58,68 @@ def _fewer_assignments_first(coeffs: np.ndarray, signs: int) -> tuple[np.ndarray
     return coeffs, (signs * ma) ** na
 
 
+def _prefix_blocks(tt: np.ndarray, first: int):
+    """Yield (B, Y, k) blocks of sums over Alice's assignments, tt (x, B, Y, a, 1):
+    head prefixes (input 0's first ``first`` outputs on) are summed once, then
+    extended in blocks of at most _CHUNK columns through the tail inputs."""
+    (na, b, y, ma, _) = tt.shape
+
+    def extend(level, inputs):
+        for x in inputs:
+            level = (level[:, :, None] + tt[x]).reshape(b, y, -1)
+        return level
+
+    tail = max(k for k in range(na) if ma ** k <= _CHUNK)
+    head = extend(tt[0, :, :, :first, 0], range(1, na - tail))
+    step = max(1, _CHUNK // ma ** tail)
+    for start in range(0, head.shape[2], step):
+        yield extend(head[:, :, start:start + step], range(na - tail, na))
+
+
 def _enumerated_extrema(coeffs: np.ndarray, reducer: str) -> tuple[float, float]:
     """Enumerate Alice assignments; Bob best-responds per input.
-
-    Column s of a (b, y, s) level sums one prefix of Alice's inputs, adding
-    inputs in order 0 .. na-1: the head prefixes are summed once, then
-    extended in blocks of at most _CHUNK columns through the tail inputs.
 
     reducer "signed" tracks both max_b and min_b inner responses and
     returns (largest, smallest) totals; reducer "abs" maximizes
     max_b |...| and returns (largest, largest), visiting only the first
     half of input 0's outputs, whose second half must negate the first.
     """
-    na, nb, ma, mb = coeffs.shape
+    ma = coeffs.shape[2]
     tt = np.ascontiguousarray(coeffs.transpose(0, 3, 1, 2))[..., None]  # (x, b, y, a, 1)
-
-    def extend(level, inputs):
-        for x in inputs:
-            level = (level[:, :, None] + tt[x]).reshape(mb, nb, -1)
-        return level
 
     def totals(per_y):
         # the sum over y runs on contiguous (nb,) rows, which numpy sums pairwise
         return np.ascontiguousarray(per_y.T).sum(axis=1)
 
-    tail = max(k for k in range(na) if ma ** k <= _CHUNK)
-    head = extend(tt[0, :, :, : ma // 2 if reducer == "abs" else ma, 0], range(1, na - tail))
-    step = max(1, _CHUNK // ma ** tail)
     best_hi, best_lo = -np.inf, np.inf
-    for start in range(0, head.shape[2], step):
-        vals = extend(head[:, :, start:start + step], range(na - tail, na))
+    for vals in _prefix_blocks(tt, ma // 2 if reducer == "abs" else ma):
         if reducer == "abs":
             best_hi = best_lo = max(best_hi, float(totals(np.abs(vals).max(axis=0)).max()))
         else:
             best_hi = max(best_hi, float(totals(vals.max(axis=0)).max()))
             best_lo = min(best_lo, float(totals(vals.min(axis=0)).min()))
     return best_hi, best_lo
+
+
+def best_response_vertices(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The exact classical oracle: for every assignment of each party (Alice's
+    first, in id order) the vertex it forms with the other party's best response
+    per input (lowest output, so vertex id, on ties), and its value <coeffs, D>."""
+    n_bob = coeffs.shape[3] ** coeffs.shape[1]
+    vertices, values = [], []
+    for party, (own, other) in ((coeffs, (n_bob, 1)), (coeffs.transpose(1, 0, 3, 2), (1, n_bob))):
+        na, nb, ma, mb = party.shape
+        tt = np.ascontiguousarray(party.transpose(0, 3, 1, 2))[..., None]
+        # the same blocks over each input's share of the assignment id
+        ids = (np.arange(ma) * ma ** np.arange(na - 1, -1, -1)[:, None])[:, None, None, :, None]
+        response, total = np.empty(ma ** na, np.int64), np.empty(ma ** na)
+        for id_block, vals in zip(_prefix_blocks(ids, ma), _prefix_blocks(tt, ma)):
+            best = vals.argmax(axis=0)  # (y, k)
+            response[id_block.ravel()] = mb ** np.arange(nb - 1, -1, -1) @ best
+            total[id_block.ravel()] = np.take_along_axis(vals, best[None], axis=0)[0].sum(axis=0)
+        vertices.append(np.arange(ma ** na) * own + response * other)
+        values.append(total)
+    return np.concatenate(vertices), np.concatenate(values)
 
 
 def signed_extrema(functional: BellFunctional) -> tuple[float, float]:
@@ -163,30 +186,23 @@ class MembershipCertificate:
     warning: str | None = None
 
 
-def _membership_lp(behavior: Behavior):
-    scenario = behavior.scenario
-    verts = vertex_matrix(scenario)  # (V, E) sparse
-    n_vert, n_entries = verts.shape
-    q = behavior.probs.reshape(-1)
-    # variables: weights w (V), distance t (1); minimize t subject to
-    #   sum_i w_i D_i - t <= q,  -(sum_i w_i D_i) - t <= -q,  sum w = 1
-    dt, minus_t = verts.T, CsrMatrix.from_dense(-np.ones((n_entries, 1)))
-    mass = CsrMatrix.from_dense(np.concatenate([np.ones(n_vert), [0.0]])[None])
-    a = CsrMatrix.vstack([CsrMatrix.hstack([dt, minus_t]), CsrMatrix.hstack([-dt, minus_t]), mass])
-    rhs = np.concatenate([q, -q, [1.0]])
-    senses = np.repeat([LE, EQ], [2 * n_entries, 1])
-    c = np.zeros(n_vert + 1)
-    c[-1] = 1.0
-    lower = np.zeros(n_vert + 1)
-    upper = np.full(n_vert + 1, np.inf)
-    lp = LinearProgram(c, a, rhs, senses, lower, upper, maximize=False)
-    return lp_solve(lp), verts
+def local_model_from_weights(scenario: Scenario, weights: np.ndarray,
+                             vertices: np.ndarray) -> LocalModel:
+    """The LocalModel of vertex weights above DROP_WEIGHT; weight k is of
+    vertex ``vertices[k]`` (ascending)."""
+    kept = weights > DROP_WEIGHT
+    return LocalModel(tuple(zip(weights[kept].tolist(),
+                                strategies_from_vertices(scenario, vertices[kept]))))
 
 
-def local_model_from_weights(scenario: Scenario, weights: np.ndarray) -> LocalModel:
-    kept = np.flatnonzero(weights > DROP_WEIGHT)
-    strategies = strategies_from_vertices(scenario, kept)
-    return LocalModel(tuple(zip(weights[kept].tolist(), strategies)))
+def _best_columns(found: np.ndarray, score: np.ndarray, limit: int, exclude=()) -> np.ndarray:
+    """The ``limit`` best-scoring distinct vertices not in ``exclude`` (ties to
+    the lowest id), ascending."""
+    keep = ~np.isin(found, exclude)
+    found, score = found[keep], score[keep]
+    order = np.lexsort((found, -score))
+    _, first = np.unique(found[order], return_index=True)
+    return np.sort(found[order][np.sort(first)[:limit]])
 
 
 def is_local(behavior: Behavior) -> MembershipCertificate:
@@ -202,6 +218,8 @@ def is_local(behavior: Behavior) -> MembershipCertificate:
     if not behavior.is_complete:
         raise ValidationError("membership is decided on complete behaviors; complete it first")
     scenario = behavior.scenario
+    check_guard(scenario.alice_strategy_count() + scenario.bob_strategy_count(), ENUM_GUARD,
+                "membership oracle", "assignments")
     ns = no_signaling_check(behavior)
     warning = None
     if not ns.ok:
@@ -209,34 +227,54 @@ def is_local(behavior: Behavior) -> MembershipCertificate:
             f"behavior signals (worst residual {ns.max_residual:.3g} at {ns.location}); "
             "it cannot be local"
         )
-    sol, verts = _membership_lp(behavior)
-    if sol.status != "optimal":
-        raise SolverError(f"membership LP ended with status {sol.status!r}")
-    distance = float(sol.objective)
-    if distance <= MEMBERSHIP_TOL:
-        weights = sol.x[:-1]
-        model = local_model_from_weights(scenario, weights)
-        return MembershipCertificate(
-            "local", model=model, reconstruction_error=distance, warning=warning
-        )
-    # Separating functional from the duals of the two inequality families:
-    # S = duals(minus rows) - duals(plus rows) up to orientation, then
-    # shifted so its best vertex value is exactly one.
-    duals = sol.row_duals
-    n_entries = scenario.n_entries
-    s_vec = duals[:n_entries] - duals[n_entries:2 * n_entries]
-    vertex_vals = verts @ s_vec
-    value_q = float(np.sum(s_vec.reshape(scenario.shape) * behavior.probs))  # <S, P>
-    if value_q - float(vertex_vals.max()) < 0:
-        s_vec = -s_vec
-        vertex_vals = -vertex_vals
-        value_q = -value_q
-    max_vertex = float(vertex_vals.max())
-    # additive shift: every complete behavior has total mass Na*Nb, so a
-    # constant tensor moves all vertex values and value_q equally
+    # Chebyshev distance: minimize t >= 0 over the weights w >= 0 of the
+    # vertex columns so far, D.w - t <= q, -D.w - t <= -q, sum w = 1.  A
+    # vertex's reduced cost is -(<S, D_v> + mu), S the difference of the two
+    # row families' duals and mu the mass row's: the oracle prices them all.
+    q, n_entries = behavior.probs.reshape(-1), scenario.n_entries
+    master = RestrictedMaster(np.concatenate([np.full(2 * n_entries, -np.inf), [1.0]]),
+                              np.concatenate([q, -q, [1.0]]))
+
+    def vertex_columns(vertices):
+        d = vertex_rows(scenario, *np.divmod(vertices, scenario.bob_strategy_count()))
+        return CsrMatrix.hstack([d, -d, CsrMatrix.from_dense(np.ones((len(vertices), 1)))])
+
+    # seeds: best responses to Q and to its correlations Q - pA pB (a third to
+    # a half of the rounds of Q's alone).  Each seed functional and each round
+    # adds at most as many columns as a basis holds, the master's row count
+    probs, limit = behavior.probs, 2 * n_entries + 1
+    marginals = probs.sum(axis=3).mean(axis=1), probs.sum(axis=2).mean(axis=0)
+    product = marginals[0][:, None, :, None] * marginals[1][None, :, None, :]
+    vertices = np.unique(np.concatenate([_best_columns(*best_response_vertices(s), limit)
+                                         for s in (probs, probs - product)]))
+    distance = CsrMatrix.from_dense(np.concatenate([-np.ones(2 * n_entries), [0.0]])[None])
+    columns = CsrMatrix.vstack([distance, vertex_columns(vertices)])
+    c = np.concatenate([[1.0], np.zeros(len(vertices))])
+    while True:
+        sol = master.solve(c, columns)
+        if sol.status != "optimal":
+            raise SolverError(f"membership LP ended with status {sol.status!r}")
+        duals = sol.row_duals
+        s_vec = duals[:n_entries] - duals[n_entries:2 * n_entries]
+        found, values = best_response_vertices(s_vec.reshape(scenario.shape))
+        gain = values + duals[-1]
+        new = _best_columns(found[gain > LP_DUAL_TOL], gain[gain > LP_DUAL_TOL], limit, vertices)
+        if new.size == 0:
+            break
+        vertices = np.concatenate([vertices, new])
+        columns, c = vertex_columns(new), np.zeros(len(new))
+    if sol.objective <= MEMBERSHIP_TOL:
+        order = np.argsort(vertices)
+        model = local_model_from_weights(scenario, sol.x[1:][order], vertices[order])
+        error = float(np.abs(behavior_from_local(model, scenario).probs - probs).max())
+        return MembershipCertificate("local", model=model, reconstruction_error=error, warning=warning)
+    # Separating functional S, shifted so its best vertex value is exactly
+    # one: every complete behavior has total mass Na*Nb, so a constant
+    # tensor moves all vertex values and <S, Q> equally
+    max_vertex = float(values.max())
     shift = (1.0 - max_vertex) / (scenario.n_inputs_a * scenario.n_inputs_b)
     functional = BellFunctional(scenario, s_vec.reshape(scenario.shape) + shift)
-    value_q = value_q + (1.0 - max_vertex)
+    value_q = float(np.sum(s_vec.reshape(scenario.shape) * probs)) + (1.0 - max_vertex)  # <S, Q>
     margin = value_q - 1.0
     verdict = "boundary" if margin <= MEMBERSHIP_TOL + BOUNDARY_BAND else "nonlocal"
     return MembershipCertificate(

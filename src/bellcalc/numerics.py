@@ -9,11 +9,12 @@ of those rows.  It runs its primal simplex when x = 0 satisfies every
 row and bound HiGHS gets, as in the nu LP (-1 <= D.T <= 1, T free):
 primal simplex starts there, at a feasible vertex, with no phase 1,
 where dual simplex starts dual infeasible on every free column.  Any
-other LP, pi's and membership's among them, goes to its dual simplex.
-The certificates are checked on the rows HiGHS solved,
-with its row duals, by one range rule applied to rows and to columns; a
-solve whose certificates miss the contract is downgraded to "failed"
-rather than reported optimal.  Every LP matrix is a CsrMatrix, numpy
+other LP, pi's among them, goes to its dual simplex, as does the first
+solve of RestrictedMaster (membership's column generation).  The
+certificates are checked on the rows HiGHS solved, with its row duals,
+by one range rule applied to rows and to columns; a solve whose
+certificates miss the contract is downgraded to "failed" rather than
+reported optimal.  Every LP matrix is a CsrMatrix, numpy
 arrays in compressed sparse row form, and HiGHS takes those rows as
 they are.  scipy is loaded lazily and only in part: on its first call
 lp_backend loads HiGHS's extension module on its own, so a process
@@ -37,6 +38,7 @@ would have made them.
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.machinery
 import importlib.util
 import os
@@ -128,22 +130,35 @@ def lp_backend():
     _core = _highs_core()
 
     def solve(c, vectors, rowwise, strategy, lo, hi, lower, upper):
-        highs = _core._Highs()
-        for key, value in {**_HIGHS_OPTIONS, **strategy}.items():
-            highs.setOptionValue(key, value)
+        highs = _session()
         layout = _core.MatrixFormat.kRowwise if rowwise else _core.MatrixFormat.kColwise
         # integrality needs one entry per column: HiGHS rejects an empty array
         if highs.passModel(len(c), len(lo), len(vectors.data), layout, _core.ObjSense.kMinimize,
                            0.0, c, lower, upper, lo, hi, vectors.indptr, vectors.indices,
                            vectors.data, np.zeros(len(c), np.int32)) == _core.HighsStatus.kError:
             return {"status": _core.HighsModelStatus.kModelError}  # never run: HiGHS may crash
-        highs.run()  # the model status tells how it ended; lp_solve checks every optimum
-        solution = highs.getSolution()
-        return {"status": highs.getModelStatus(), "x": np.array(solution.col_value),
-                "lambda": np.array(solution.row_dual),
-                "simplex_nit": highs.getInfo().simplex_iteration_count}
+        return _run(highs, strategy)
 
     return solve
+
+
+def _session():
+    """A HiGHS session, with _HIGHS_OPTIONS set before it can log anything."""
+    highs = _highs_core()._Highs()
+    for key, value in _HIGHS_OPTIONS.items():
+        highs.setOptionValue(key, value)
+    return highs
+
+
+def _run(highs, strategy) -> dict:
+    """Run HiGHS by the simplex ``strategy``; the caller checks every optimum."""
+    for key, value in strategy.items():
+        highs.setOptionValue(key, value)
+    highs.run()
+    solution = highs.getSolution()
+    return {"status": highs.getModelStatus(), "x": np.array(solution.col_value),
+            "lambda": np.array(solution.row_dual),
+            "simplex_nit": highs.getInfo().simplex_iteration_count}
 
 
 def _indptr(counts) -> np.ndarray:
@@ -353,34 +368,65 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
               and np.all(lp.lower <= 0.0) and np.all(lp.upper >= 0.0))
     strategy = _PRIMAL_SIMPLEX if origin else _DUAL_SIMPLEX
     c = -lp.c if lp.maximize else lp.c
-    res = highs(c, vectors, rowwise, strategy, lo, hi, lp.lower, lp.upper)
-    status = _HIGHS_STATUS.get(res["status"].name, "failed")
-    iterations = int(res.get("simplex_nit", 0))
-    if status != "optimal":
-        return LpSolution(status, None, None, None, np.inf, np.inf, np.inf, iterations)
-
-    x, lam = res["x"], res["lambda"]
-    objective = float(lp.c @ x)
-    # each product sums in the same order either way round
-    activity, reduced = (vectors @ x, lam @ vectors) if rowwise else (x @ vectors, vectors @ lam)
-    row_p, row_d, row_obj = _range_certificates(activity, lam, lo, hi)
-    col_p, col_d, col_obj = _range_certificates(x, c - reduced, lp.lower, lp.upper)
-    primal_resid, dual_resid = float(np.maximum(row_p, col_p)), float(np.maximum(row_d, col_d))
-    gap = float(abs(c @ x - (row_obj + col_obj)))
-    # written so that a NaN anywhere in the certificates fails it
-    if not (primal_resid <= LP_PRIMAL_TOL and dual_resid <= LP_DUAL_TOL
-            and gap <= LP_GAP_REL * (1.0 + abs(objective))):
-        status = "failed"
+    sol = _certified(highs(c, vectors, rowwise, strategy, lo, hi, lp.lower, lp.upper),
+                     c, vectors, rowwise, lo, hi, lp.lower, lp.upper)
+    if sol.x is None:
+        return sol
     # HiGHS's row duals are d(min objective)/d(row bound); a posed
     # maximization negates the objective.  On a folded pair the sign tells
     # which bound is active: <= duals are >= 0 and >= duals <= 0 for a
     # maximization, the other way round for a minimization.
     y = np.zeros(len(lp.senses))
-    y[rows] = -lam if lp.maximize else lam
+    y[rows] = -sol.row_duals if lp.maximize else sol.row_duals
     if folded:
         pair, sign = y[le], 1.0 if lp.maximize else -1.0
         y[le], y[ge] = np.where(sign * pair > 0, pair, 0.0), np.where(sign * pair < 0, pair, 0.0)
-    return LpSolution(status, x, y, objective, primal_resid, dual_resid, gap, iterations)
+    return dataclasses.replace(sol, row_duals=y, objective=float(lp.c @ sol.x))
+
+
+def _certified(res, c, vectors, rowwise, lo, hi, lower, upper) -> LpSolution:
+    """HiGHS's answer, "failed" where certificates recomputed on its model miss
+    the contract; the row duals stay HiGHS's."""
+    status = _HIGHS_STATUS.get(res["status"].name, "failed")
+    iterations = int(res.get("simplex_nit", 0))
+    if status != "optimal":
+        return LpSolution(status, None, None, None, np.inf, np.inf, np.inf, iterations)
+    x, lam = res["x"], res["lambda"]
+    objective = float(c @ x)
+    # each product sums in the same order either way round
+    activity, reduced = (vectors @ x, lam @ vectors) if rowwise else (x @ vectors, vectors @ lam)
+    row_p, row_d, row_obj = _range_certificates(activity, lam, lo, hi)
+    col_p, col_d, col_obj = _range_certificates(x, c - reduced, lower, upper)
+    primal_resid, dual_resid = float(np.maximum(row_p, col_p)), float(np.maximum(row_d, col_d))
+    gap = float(abs(objective - (row_obj + col_obj)))
+    # written so that a NaN anywhere in the certificates fails it
+    if not (primal_resid <= LP_PRIMAL_TOL and dual_resid <= LP_DUAL_TOL
+            and gap <= LP_GAP_REL * (1.0 + abs(objective))):
+        status = "failed"
+    return LpSolution(status, x, lam, objective, primal_resid, dual_resid, gap, iterations)
+
+
+class RestrictedMaster:
+    """min c.x, lo <= a.x <= hi, x >= 0 over the columns so far, on one HiGHS
+    session given the rows once.  Dual simplex first, as the rows may exclude
+    the origin; then primal from the last optimal basis, which new columns,
+    nonbasic at 0, leave feasible.  Checked as lp_solve's, on every column."""
+
+    def __init__(self, lo, hi):
+        self.lo, self.hi, self.highs = lo, hi, _session()
+        no_entries = np.zeros(0, np.int32)
+        self.highs.addRows(len(lo), lo, hi, 0, no_entries, no_entries, np.zeros(0))
+        self.c = np.zeros(0)
+        self.columns = CsrMatrix(np.zeros(1, np.int32), no_entries, np.zeros(0), (0, len(lo)))
+
+    def solve(self, c, columns: CsrMatrix) -> LpSolution:
+        """Add columns, one per row of ``columns``, with costs ``c``; solve."""
+        self.highs.addCols(len(c), c, np.zeros(len(c)), np.full(len(c), np.inf),
+                           len(columns.data), columns.indptr[:-1], columns.indices, columns.data)
+        res = _run(self.highs, _PRIMAL_SIMPLEX if len(self.c) else _DUAL_SIMPLEX)
+        self.c, self.columns = np.append(self.c, c), CsrMatrix.vstack([self.columns, columns])
+        return _certified(res, self.c, self.columns, False, self.lo, self.hi,
+                          np.zeros(len(self.c)), np.full(len(self.c), np.inf))
 
 
 def _squared_frobenius(m: np.ndarray) -> np.ndarray:

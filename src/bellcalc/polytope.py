@@ -71,24 +71,20 @@ def vertex_matrix(scenario: Scenario) -> CsrMatrix:
 
 @functools.lru_cache(maxsize=8)
 def _vertex_matrix(scenario: Scenario) -> CsrMatrix:
+    return vertex_rows(scenario, np.arange(scenario.alice_strategy_count())[:, None],
+                       np.arange(scenario.bob_strategy_count()))
+
+
+def vertex_rows(scenario: Scenario, alice: np.ndarray, bob: np.ndarray) -> CsrMatrix:
+    """vertex_matrix's rows of the vertices (``alice``, ``bob``), assignment ids
+    broadcast together: ones at entries ((x*nb + y)*ma + alpha(x))*mb + beta(y)."""
     na, nb, ma, mb = scenario.shape
-    sa = scenario.alice_strategy_count()
-    sb = scenario.bob_strategy_count()
-    av = assignment_table(np.arange(sa), na, ma)  # (sa, na)
-    bv = assignment_table(np.arange(sb), nb, mb)  # (sb, nb)
-    # entry index for (x, y, a, b) = ((x*nb + y)*ma + a)*mb + b
-    x_idx = np.arange(na)[None, :, None]     # broadcast over (i, x, y)
-    y_idx = np.arange(nb)[None, None, :]
-    a_part = av[:, :, None]                  # (sa, na, 1)
-    cols_a = (x_idx * nb + y_idx) * ma + a_part          # (sa, na, nb)
-    cols_a = cols_a.reshape(sa, na * nb)
-    cols_b = bv[:, None, :] + np.zeros((1, na, 1), dtype=int)  # (sb, na, nb)
-    cols_b = cols_b.reshape(sb, na * nb)
-    # columns for vertex (i, j): cols_a[i]*mb + cols_b[j], ascending in (x, y)
-    cols = (cols_a[:, None, :] * mb + cols_b[None, :, :]).reshape(sa * sb * na * nb)
-    k = na * nb
-    return CsrMatrix(np.arange(0, sa * sb * k + 1, k, dtype=np.int32), cols.astype(np.int32),
-                     np.ones(cols.size), (sa * sb, scenario.n_entries))
+    x_idx, y_idx = np.arange(na)[:, None], np.arange(nb)
+    part_a = ((x_idx * nb + y_idx) * ma + assignment_table(alice, na, ma)[..., None]) * mb
+    part_b = assignment_table(bob, nb, mb)[..., None, :]
+    cols = (part_a.astype(np.int32) + part_b.astype(np.int32)).ravel()  # (vertices, na, nb)
+    return CsrMatrix(np.arange(0, cols.size + 1, na * nb, dtype=np.int32), cols,
+                     np.ones(cols.size), (cols.size // (na * nb), scenario.n_entries))
 
 
 def strategies_from_vertices(scenario: Scenario, vertices) -> list[DeterministicStrategy]:

@@ -22,8 +22,8 @@ from bellcalc import (
     magic_square_functional,
 )
 from bellcalc.generators import magic_square_column_bits, magic_square_row_bits
-from bellcalc.numerics import EQ, GE, LE, LinearProgram
-from bellcalc.polytope import assignment_table
+from bellcalc.numerics import EQ, GE, LE, CsrMatrix, LinearProgram
+from bellcalc.polytope import assignment_table, vertex_matrix
 
 I2 = np.eye(2)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -154,6 +154,23 @@ def reference_enumerated_extrema(coeffs: np.ndarray, reducer: str) -> tuple[floa
             best_hi = max(best_hi, float(vals.max(axis=2).sum(axis=1).max()))
             best_lo = min(best_lo, float(vals.min(axis=2).sum(axis=1).min()))
     return best_hi, best_lo
+
+
+def reference_membership_lp(behavior: Behavior) -> LinearProgram:
+    """The full-vertex Chebyshev LP that decided membership before column
+    generation: over weights w of every vertex and the distance t,
+    minimize t subject to D.w - t <= q, -D.w - t <= -q and sum w = 1."""
+    verts = vertex_matrix(behavior.scenario)  # (V, E)
+    n_vert, n_entries = verts.shape
+    q = behavior.probs.reshape(-1)
+    dt, minus_t = verts.T, CsrMatrix.from_dense(-np.ones((n_entries, 1)))
+    mass = CsrMatrix.from_dense(np.concatenate([np.ones(n_vert), [0.0]])[None])
+    a = CsrMatrix.vstack([CsrMatrix.hstack([dt, minus_t]), CsrMatrix.hstack([-dt, minus_t]), mass])
+    c = np.zeros(n_vert + 1)
+    c[-1] = 1.0
+    return LinearProgram(c, a, np.concatenate([q, -q, [1.0]]),
+                         np.repeat([LE, EQ], [2 * n_entries, 1]), np.zeros(n_vert + 1),
+                         np.full(n_vert + 1, np.inf), maximize=False)
 
 
 def invalid_behavior_probs(case: str) -> np.ndarray:

@@ -34,15 +34,18 @@ from bellcalc import (
     pair,
     signed_extrema,
 )
-from bellcalc import classical
+from bellcalc import classical, numerics, polytope
 from bellcalc.core import Behavior
 from bellcalc.generators import magic_square_column_bits, magic_square_row_bits
+from bellcalc.numerics import lp_solve
+from bellcalc.seesaw import _random_model
 
 from conftest import (
     invalid_behavior_probs,
     pr_box_probs,
     random_local_model,
     reference_enumerated_extrema,
+    reference_membership_lp,
 )
 
 
@@ -261,7 +264,7 @@ def test_local_model_from_weights_decodes_vertices_in_lexicographic_order(rng, s
     bob = list(itertools.product(range(mb), repeat=nb))
     weights = rng.random(len(alice) * len(bob))
     weights[rng.random(weights.size) < 0.4] = classical.DROP_WEIGHT
-    model = classical.local_model_from_weights(Scenario(*shape), weights)
+    model = classical.local_model_from_weights(Scenario(*shape), weights, np.arange(weights.size))
     expected = [(float(weights[v]), DeterministicStrategy(alice[v // len(bob)], bob[v % len(bob)]))
                 for v in range(weights.size) if weights[v] > classical.DROP_WEIGHT]
     assert model.weights == tuple(expected)
@@ -392,3 +395,126 @@ def test_quantum_behavior_membership_matches_visibility(rng):
         if cert.verdict == "nonlocal":
             hi, _ = brute_force_extrema(cert.separating)
             assert pair(cert.separating, Behavior(base.scenario, probs)) > hi
+
+
+# one output on a side, a party of 9 and of 15 inputs (its assignments then
+# span several of the enumeration's blocks), integer coefficients for ties
+@pytest.mark.parametrize("shape", [(2, 2, 2, 2), (2, 3, 3, 2), (3, 1, 2, 4), (9, 1, 3, 2),
+                                   (1, 15, 2, 2), (3, 3, 4, 4)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_best_responses_are_the_lowest_best_vertices(rng, shape):
+    scenario = Scenario(*shape)
+    n_alice, n_bob = scenario.alice_strategy_count(), scenario.bob_strategy_count()
+    for coeffs in (rng.standard_normal(shape), rng.integers(-1, 2, shape).astype(float)):
+        vertices, values = classical.best_response_vertices(coeffs)
+        table = (polytope.vertex_matrix(scenario) @ coeffs.ravel()).reshape(n_alice, n_bob)
+        assert np.allclose(values, table.ravel()[vertices], rtol=0.0, atol=1e-12)
+        alice_rows, bob_cols = np.divmod(vertices, n_bob)
+        assert np.array_equal(alice_rows[:n_alice], np.arange(n_alice))
+        assert np.array_equal(bob_cols[n_alice:], np.arange(n_bob))
+        near_best = lambda t, axis: t >= t.max(axis=axis, keepdims=True) - 1e-12  # noqa: E731
+        assert np.array_equal(bob_cols[:n_alice], near_best(table, 1).argmax(axis=1))
+        assert np.array_equal(alice_rows[n_alice:], near_best(table, 0).argmax(axis=0))
+
+
+def _membership_battery():
+    """Seeded random behaviors: qubit ones, the same mixed with the PR box
+    p(a, b|x, y) = [a - b = xy mod m] / m, and mixtures of a few vertices."""
+    rng = np.random.default_rng(19)
+    for shape in [(2, 2, 2, 2), (3, 3, 2, 2), (2, 2, 3, 3), (4, 4, 2, 2), (6, 6, 2, 2),
+                  (3, 3, 4, 4)]:
+        scenario = Scenario(*shape)
+        x, y, a, b = np.ogrid[tuple(slice(0, n) for n in shape)]
+        pr_box = ((a - b - x * y) % shape[2] == 0) / shape[2]
+        for i in range(5):
+            quantum = behavior_from_quantum(_random_model(rng, scenario, 2, "complete"))
+            share = rng.uniform(0.2, 0.7) if i >= 3 else 0.0
+            yield Behavior(scenario, share * pr_box + (1.0 - share) * quantum.probs)
+        n = scenario.alice_strategy_count() * scenario.bob_strategy_count()
+        weights = rng.random(n) * (rng.random(n) < min(1.0, 40 / n))
+        yield behavior_from_local(classical.local_model_from_weights(
+            scenario, weights / weights.sum(), np.arange(n)), scenario)
+
+
+def test_column_generation_matches_the_full_vertex_lp(monkeypatch):
+    # the restricted master ends at the distance of the full LP, with its
+    # verdict; a nonlocal functional peaks at 1 over every vertex and
+    # separates by the certified margin
+    solve = numerics.RestrictedMaster.solve
+    last = []
+    monkeypatch.setattr(numerics.RestrictedMaster, "solve",
+                        lambda self, *args: last.append(solve(self, *args)) or last[-1])
+    verdicts = []
+    for behavior in _membership_battery():
+        reference = lp_solve(reference_membership_lp(behavior))
+        assert reference.status == "optimal"
+        cert = is_local(behavior)
+        verdicts.append(cert.verdict)
+        assert abs(last[-1].objective - reference.objective) <= 1e-9
+        assert cert.verdict == ("local" if reference.objective <= classical.MEMBERSHIP_TOL
+                                else "nonlocal")
+        if cert.verdict == "local":
+            rebuilt = behavior_from_local(cert.model, behavior.scenario).probs
+            assert cert.reconstruction_error == np.abs(rebuilt - behavior.probs).max()
+            assert cert.reconstruction_error <= 1e-12
+            continue
+        hi, _ = signed_extrema(cert.separating)
+        assert abs(hi - 1.0) <= 1e-12 and cert.max_vertex_value == 1.0
+        value = pair(cert.separating, behavior)
+        assert abs(value - cert.value_on_behavior) <= 1e-12
+        assert abs(cert.margin - reference.objective) <= 1e-9
+        assert value - hi >= cert.margin - 1e-12 > 0.0
+    assert verdicts.count("local") >= 10 and verdicts.count("nonlocal") >= 5
+
+
+def test_membership_at_10x10x2x2_is_certified_without_the_vertex_matrix(monkeypatch):
+    # a million vertices, ten times the vertex guard: the oracle prices them
+    def refuse(scenario):
+        raise AssertionError("membership built the vertex matrix")
+
+    monkeypatch.setattr(polytope, "vertex_matrix", refuse)
+    monkeypatch.setattr(polytope, "_vertex_matrix", refuse)
+    # each round adds at most as many columns as the master has rows (801),
+    # each seed functional as many; 4,096 assignments would offer more
+    solve, added = numerics.RestrictedMaster.solve, []
+    monkeypatch.setattr(numerics.RestrictedMaster, "solve",
+                        lambda self, c, columns: added.append(len(c)) or solve(self, c, columns))
+    scenario = Scenario(10, 10, 2, 2)
+    qubit = behavior_from_quantum(_random_model(np.random.default_rng(10), scenario, 2,
+                                                "complete"))
+    x, y, a, b = np.ogrid[0:10, 0:10, 0:2, 0:2]
+    pr_box = ((a + b + x * y) % 2 == 0) / 2.0
+    mixed = Behavior(scenario, 0.3 * pr_box + 0.7 * qubit.probs)
+    verdicts = []
+    for behavior in (qubit, mixed):
+        added.clear()
+        cert = is_local(behavior)
+        verdicts.append(cert.verdict)
+        assert added[0] <= 1 + 2 * 801 and max(added[1:], default=0) <= 801
+        if cert.verdict == "local":
+            rebuilt = behavior_from_local(cert.model, scenario).probs
+            assert cert.reconstruction_error == np.abs(rebuilt - behavior.probs).max() <= 1e-8
+            continue
+        hi, _ = signed_extrema(cert.separating)
+        assert abs(hi - 1.0) <= 1e-12
+        assert pair(cert.separating, behavior) - hi >= cert.margin - 1e-12 > 1e-3
+    assert verdicts[1] == "nonlocal"
+
+
+def test_vertex_rows_tables_only_the_given_assignments(monkeypatch):
+    # a million assignments of Bob: rows of two vertices table two of each
+    table = polytope.assignment_table
+    sizes = []
+    monkeypatch.setattr(polytope, "assignment_table",
+                        lambda ids, *args: sizes.append(np.size(ids)) or table(ids, *args))
+    scenario = Scenario(2, 20, 2, 2)
+    alice, bob = np.array([3, 1]), np.array([5, (1 << 20) - 1])
+    rows = polytope.vertex_rows(scenario, alice, bob)
+    assert sizes == [2, 2]
+    dense = np.zeros((2,) + scenario.shape)
+    for k in range(2):
+        for x, y in itertools.product(range(2), range(20)):
+            dense[(k, x, y, table(alice[k], 2, 2)[x], table(bob[k], 20, 2)[y])] = 1.0
+    assert rows.shape == (2, scenario.n_entries) and np.array_equal(rows.indptr, [0, 40, 80])
+    assert np.array_equal(rows.indices, np.nonzero(dense.reshape(2, -1))[1])
+    assert np.all(rows.data == 1.0)

@@ -36,7 +36,7 @@ from bellcalc import (
     pair,
 )
 from bellcalc import io as bio
-from bellcalc import violation
+from bellcalc import numerics, violation
 from bellcalc.cli import build_parser, main
 from bellcalc.numerics import LpSolution
 
@@ -373,6 +373,17 @@ def test_vertex_guard_trips_on_a_cached_vertex_matrix(capsys, chsh_optimal_behav
     assert "BELL_GUARD_LIMIT" in err
 
 
+def test_membership_guard_exits_3_before_any_lp(capsys, chsh_optimal_file, monkeypatch):
+    # the oracle enumerates 4 + 4 assignments of 2x2x2x2; a limit of 7 trips
+    opened = []
+    monkeypatch.setattr(numerics, "_run", lambda *args: opened.append(args))
+    monkeypatch.setenv("BELL_GUARD_LIMIT", "7")
+    code, out, err = run_cli(capsys, "behavior", "membership", chsh_optimal_file)
+    assert (code, out, opened) == (3, "", [])
+    assert err == ("error: membership oracle needs 8 assignments, above the guard of 7; "
+                   "set BELL_GUARD_LIMIT to override (unsafe)\n")
+
+
 @pytest.mark.parametrize("case", ["block-mass", "negative"])
 def test_membership_of_an_invalid_behavior_exits_2(tmp_path, capsys, scenario_2222, case):
     path = tmp_path / "invalid.json"
@@ -443,19 +454,18 @@ def test_behavior_signaling_within_the_tolerance_gets_nu(tmp_path, capsys, chsh_
         assert payload["comm_bound_bits"] == pytest.approx(0.5, abs=1e-6)
 
 
-@pytest.mark.parametrize("module, argv, status, expected", [
-    ("violation", ("behavior", "nu"), "failed", 5),
-    ("violation", ("behavior", "nu"), "infeasible", 5),
-    ("violation", ("behavior", "nu"), "unbounded", 5),
-    ("violation", ("behavior", "robustness"), "failed", 5),
-    ("classical", ("behavior", "membership"), "failed", 5),
+@pytest.mark.parametrize("solver, argv, status, expected", [
+    ("bellcalc.violation.lp_solve", ("behavior", "nu"), "failed", 5),
+    ("bellcalc.violation.lp_solve", ("behavior", "nu"), "infeasible", 5),
+    ("bellcalc.violation.lp_solve", ("behavior", "nu"), "unbounded", 5),
+    ("bellcalc.violation.lp_solve", ("behavior", "robustness"), "failed", 5),
+    ("bellcalc.numerics.RestrictedMaster.solve", ("behavior", "membership"), "failed", 5),
 ], ids=["nu-failed", "nu-infeasible", "nu-unbounded", "robustness-failed", "membership-failed"])
 def test_solver_failure_exits_5(capsys, chsh_optimal_file, monkeypatch,
-                                module, argv, status, expected):
+                                solver, argv, status, expected):
     # an LP without a certified optimum is the solver's failure, not the input's
     ended = LpSolution(status, None, None, None, np.inf, np.inf, np.inf, 0)
-    monkeypatch.setattr(importlib.import_module(f"bellcalc.{module}"), "lp_solve",
-                        lambda lp: ended)
+    monkeypatch.setattr(solver, lambda *args: ended)
     code, out, err = run_cli(capsys, *argv, chsh_optimal_file)
     assert code == expected
     assert out == ""

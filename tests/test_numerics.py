@@ -59,7 +59,7 @@ from bellcalc.numerics import (
 from bellcalc.polytope import assignment_table, vertex_matrix
 from bellcalc.seesaw import _random_model
 
-from conftest import random_feasible_lp
+from conftest import random_feasible_lp, reference_membership_lp
 
 
 def test_lp_simple_upper_bound_and_dual_sign():
@@ -210,8 +210,8 @@ def _csr_pairs():
 
 
 def test_csr_matrix_products_give_scipys_bits():
-    # lp_solve's certificates once came from scipy's CSC products, is_local's
-    # vertex values from its CSR product: both orders of summation agree
+    # lp_solve's certificates once came from scipy's CSC products, vertex
+    # values from its CSR product: both orders of summation agree
     rng = np.random.default_rng(61)
     for a, ref in _csr_pairs():
         assert _same_arrays(a, ref)
@@ -239,30 +239,31 @@ def _few_vertex_behavior(rng, scenario):
     n = scenario.alice_strategy_count() * scenario.bob_strategy_count()
     weights = rng.random(n) * (rng.random(n) < 0.1)
     behavior = behavior_from_local(
-        classical.local_model_from_weights(scenario, weights / weights.sum()), scenario)
+        classical.local_model_from_weights(scenario, weights / weights.sum(), np.arange(n)),
+        scenario)
     assert (behavior.probs == 0).any()
     return behavior
 
 
 def _posed_lps(monkeypatch, behavior):
+    """The nu and pi LPs the package poses for the behavior, then the
+    full-vertex membership LP of the tests' reference."""
     posed = []
 
     def keep(lp):
         posed.append(lp)
         return lp_solve(lp)
 
-    monkeypatch.setattr(classical, "lp_solve", keep)
     monkeypatch.setattr(violation, "lp_solve", keep)
     max_violation(behavior)
     noise_robustness(behavior)
-    is_local(behavior)
-    return posed
+    return posed + [reference_membership_lp(behavior)]
 
 
 @pytest.mark.parametrize("kind", ["quantum", "local"])
 def test_posed_lps_are_the_scipy_assembly(monkeypatch, kind):
-    # the nu, pi and membership LPs keep their shapes (mirrored rows, no
-    # two-sided rows) and every bit of the matrices scipy once assembled;
+    # the nu and pi LPs keep their shapes (mirrored rows, no two-sided
+    # rows) and every bit of the matrices scipy once assembled;
     # the pi LP's first column is the behavior projected onto the
     # no-signaling subspace, as the nu LP's objective is
     scenario = Scenario(3, 3, 2, 2)
@@ -271,8 +272,8 @@ def test_posed_lps_are_the_scipy_assembly(monkeypatch, kind):
         behavior = behavior_from_quantum(_random_model(rng, scenario, 2, "complete"))
     else:
         behavior = _few_vertex_behavior(rng, scenario)
-    nu_lp, pi_lp, member_lp = _posed_lps(monkeypatch, behavior)
-    assert [lp.a.shape for lp in (nu_lp, pi_lp, member_lp)] == [(128, 36), (74, 129), (73, 65)]
+    nu_lp, pi_lp, _ = _posed_lps(monkeypatch, behavior)
+    assert [lp.a.shape for lp in (nu_lp, pi_lp)] == [(128, 36), (74, 129)]
     d = sp.csr_matrix(_dense_vertex_matrix(scenario))
     dt = d.T.tocsr()
     assert _same_arrays(nu_lp.a, sp.vstack([d, d], format="csr"))
@@ -286,9 +287,6 @@ def test_posed_lps_are_the_scipy_assembly(monkeypatch, kind):
     # the mixture rows hold exactly: 0 <= . <= 0, then the two unit masses
     assert np.array_equal(pi_lp.rhs, np.concatenate([np.zeros(72), [1.0, 1.0]]))
     assert np.array_equal(pi_lp.senses, np.repeat([LE, GE, EQ], [36, 36, 2]))
-    minus_t = -np.ones((36, 1))
-    membership = sp.bmat([[d.T, minus_t], [-d.T, minus_t], [ones, None]], format="csr")
-    assert _same_arrays(member_lp.a, membership.sorted_indices())
 
 
 def _linprog_reference(lp):
@@ -389,20 +387,14 @@ def test_mirrored_pair_with_crossed_bounds_is_infeasible(maximize, rows_to_highs
     assert rows_to_highs == [1]
 
 
-def test_one_sided_rows_give_linprogs_bytes(monkeypatch):
-    # the membership LP poses <= rows followed by one == row: nothing folds,
-    # and HiGHS gets exactly what linprog gave it
-    posed = []
-
-    def keep(lp):
-        posed.append(lp)
-        return lp_solve(lp)
-
-    monkeypatch.setattr(classical, "lp_solve", keep)
+def test_one_sided_rows_give_linprogs_bytes():
+    # the reference membership LP poses <= rows followed by one == row:
+    # nothing folds, and HiGHS gets exactly what linprog gave it
     rng = np.random.default_rng(44)
     behavior = behavior_from_quantum(_random_model(rng, Scenario(4, 4, 2, 2), 2, "complete"))
-    sol, _ = classical._membership_lp(behavior)
-    x, y, objective = _linprog_reference(posed[0])
+    lp = reference_membership_lp(behavior)
+    sol = lp_solve(lp)
+    x, y, objective = _linprog_reference(lp)
     assert sol.status == "optimal" and sol.objective > 0
     assert np.array_equal(sol.x, x)
     assert np.array_equal(sol.row_duals, y)
@@ -479,8 +471,8 @@ def test_highs_solve_gives_the_bits_of_scipys_wrapper(monkeypatch, chsh_optimal_
     # lp_solve's backend hands HiGHS the rows of the model with the options
     # of scipy's _highs_wrapper (which takes presolve as a bool, and the
     # columns through tocsc) and the simplex strategy lp_solve chose, so
-    # every nu, pi and membership LP comes back with the same x, row duals
-    # and iterations either way
+    # every nu, pi and reference membership LP comes back with the same x,
+    # row duals and iterations either way
     highs = _core._Highs()
     assert all(highs.setOptionValue(key, value) == _core.HighsStatus.kOk
                for key, value in numerics._HIGHS_OPTIONS.items())
@@ -496,8 +488,9 @@ def test_highs_solve_gives_the_bits_of_scipys_wrapper(monkeypatch, chsh_optimal_
     local_behavior = _few_vertex_behavior(rng, Scenario(3, 3, 2, 2))
     monkeypatch.setattr(numerics, "lp_backend", lambda: keep)
     for behavior in (chsh_optimal_behavior, random_behavior, local_behavior):
-        for quantity in (max_violation, noise_robustness, is_local):
-            quantity(behavior)
+        max_violation(behavior)
+        noise_robustness(behavior)
+        lp_solve(reference_membership_lp(behavior))
     assert len(solved) == 9
     # HiGHS gets the rows of tall LPs and the columns of wide ones, here both
     assert [args[2] for args, _ in solved] == [len(args[4]) >= len(args[0]) for args, _ in solved]
@@ -566,6 +559,32 @@ def test_primal_simplex_exactly_from_a_feasible_origin_and_both_simplices_agree(
     assert chosen[::3] == expected
     assert expected[:6] == [primal_simplex, dual_simplex, dual_simplex] * 2
     assert 50 <= expected.count(primal_simplex) <= len(lps) - 50
+
+
+def test_membership_master_runs_dual_simplex_first_then_primal(monkeypatch):
+    # sum w = 1 excludes the origin, so the master's first solve, from no
+    # basis, runs dual simplex (primal simplex from an infeasible origin can
+    # end without a verdict, see the test above); each later round runs
+    # primal simplex from the previous optimal basis, on the same session
+    run = numerics._run
+    sessions = {}
+
+    def spy(highs, strategy):
+        sessions.setdefault(highs, []).append(strategy)
+        return run(highs, strategy)
+
+    monkeypatch.setattr(numerics, "_run", spy)
+    rng = np.random.default_rng(19)
+    behaviors = [behavior_from_quantum(_random_model(rng, Scenario(*shape), 2, "complete"))
+                 for shape in [(3, 3, 4, 4), (6, 6, 2, 2), (2, 2, 2, 2)] for _ in range(2)]
+    for behavior in behaviors:
+        is_local(behavior)
+    sessions = list(sessions.values())
+    assert len(sessions) == 6
+    assert max(len(strategies) for strategies in sessions) >= 3
+    for strategies in sessions:
+        assert strategies[0] is numerics._DUAL_SIMPLEX
+        assert all(strategy is numerics._PRIMAL_SIMPLEX for strategy in strategies[1:])
 
 
 def test_model_highs_rejects_is_never_optimal(monkeypatch):
