@@ -29,7 +29,6 @@ from .core import (
     Scenario,
     behavior_from_local,
     behavior_from_quantum,
-    hermitian_part,
     no_signaling_check,
     pair,
     validate,
@@ -55,7 +54,6 @@ from .seesaw import (
     SeesawConfig,
     SeesawResult,
     bell_operator,
-    pad_quantum_model,
     reduced_operators,
     seesaw,
 )
@@ -65,7 +63,6 @@ from .violation import (
     ViolationReport,
     comm_bits,
     complete_behavior,
-    complete_quantum_model,
     dimension_witness_report,
     eq4_gap,
     max_violation,
@@ -107,17 +104,14 @@ __all__ = [
     "classical_value_incomplete",
     "comm_bits",
     "complete_behavior",
-    "complete_quantum_model",
     "dimension_witness_report",
     "eq4_gap",
     "game_functional",
-    "hermitian_part",
     "is_local",
     "magic_square_functional",
     "max_violation",
     "no_signaling_check",
     "noise_robustness",
-    "pad_quantum_model",
     "pair",
     "random_correlation_functional",
     "random_functional",

@@ -27,6 +27,7 @@ from .core import (
     Behavior,
     BellFunctional,
     LocalModel,
+    NoSignalingResult,
     Scenario,
     behavior_from_local,
     no_signaling_check,
@@ -205,6 +206,17 @@ def _best_columns(found: np.ndarray, score: np.ndarray, limit: int, exclude=()) 
     return np.sort(found[order][np.sort(first)[:limit]])
 
 
+def checked_complete(behavior: Behavior, what: str) -> NoSignalingResult:
+    """The no-signaling check of a valid, complete behavior; ValidationError
+    naming ``what`` for any other."""
+    report = validate(behavior)
+    if report:
+        raise ValidationError(f"{what} requires a valid behavior", report)
+    if not behavior.is_complete:
+        raise ValidationError(f"{what} is defined for complete behaviors only")
+    return no_signaling_check(behavior)
+
+
 def is_local(behavior: Behavior) -> MembershipCertificate:
     """Decide membership of a complete, valid behavior in the local polytope.
 
@@ -212,21 +224,12 @@ def is_local(behavior: Behavior) -> MembershipCertificate:
     certificate carries a warning.  Incomplete behaviors must be
     completed first.
     """
-    report = validate(behavior)
-    if report:
-        raise ValidationError("membership requires a valid behavior", report)
-    if not behavior.is_complete:
-        raise ValidationError("membership is decided on complete behaviors; complete it first")
+    ns = checked_complete(behavior, "membership")
+    warning = None if ns.ok else (f"behavior signals (worst residual {ns.max_residual:.3g} "
+                                  f"at {ns.location}); it cannot be local")
     scenario = behavior.scenario
     check_guard(scenario.alice_strategy_count() + scenario.bob_strategy_count(), ENUM_GUARD,
                 "membership oracle", "assignments")
-    ns = no_signaling_check(behavior)
-    warning = None
-    if not ns.ok:
-        warning = (
-            f"behavior signals (worst residual {ns.max_residual:.3g} at {ns.location}); "
-            "it cannot be local"
-        )
     # Chebyshev distance: minimize t >= 0 over the weights w >= 0 of the
     # vertex columns so far, D.w - t <= q, -D.w - t <= -q, sum w = 1.  A
     # vertex's reduced cost is -(<S, D_v> + mu), S the difference of the two
@@ -250,19 +253,21 @@ def is_local(behavior: Behavior) -> MembershipCertificate:
     distance = CsrMatrix.from_dense(np.concatenate([-np.ones(2 * n_entries), [0.0]])[None])
     columns = CsrMatrix.vstack([distance, vertex_columns(vertices)])
     c = np.concatenate([[1.0], np.zeros(len(vertices))])
-    while True:
-        sol = master.solve(c, columns)
-        if sol.status != "optimal":
-            raise SolverError(f"membership LP ended with status {sol.status!r}")
+    # each round's answer goes unchecked into pricing; the last is certified
+    sol = master.solve(c, columns)
+    while sol.status == "optimal":
         duals = sol.row_duals
         s_vec = duals[:n_entries] - duals[n_entries:2 * n_entries]
         found, values = best_response_vertices(s_vec.reshape(scenario.shape))
         gain = values + duals[-1]
         new = _best_columns(found[gain > LP_DUAL_TOL], gain[gain > LP_DUAL_TOL], limit, vertices)
         if new.size == 0:
+            sol = master.certified()
             break
         vertices = np.concatenate([vertices, new])
-        columns, c = vertex_columns(new), np.zeros(len(new))
+        sol = master.solve(np.zeros(len(new)), vertex_columns(new))
+    if sol.status != "optimal":
+        raise SolverError(f"membership LP ended with status {sol.status!r}")
     if sol.objective <= MEMBERSHIP_TOL:
         order = np.argsort(vertices)
         model = local_model_from_weights(scenario, sol.x[1:][order], vertices[order])

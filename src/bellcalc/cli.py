@@ -4,9 +4,9 @@ Every command reads JSON documents, computes, and prints exactly one
 JSON document to stdout at the end.  Output bytes are a pure function
 of the command line and input files, so identical invocations produce
 identical bytes.  Exit codes: 0 success, 2 parse or validation
-problem, 3 resource guard exceeded, 4 the requested quantity is
-undefined for the input (for example nu of a signaling behavior), 5 a
-solver failed with no input at fault.
+problem, 3 resource guard exceeded or memory exhausted, 4 the requested
+quantity is undefined for the input (for example nu of a signaling
+behavior), 5 a solver failed with no input at fault.
 """
 
 from __future__ import annotations
@@ -302,5 +302,8 @@ def main(argv=None) -> int:
     except BellError as e:
         print(f"error: {e}", file=sys.stderr)
         return next((code for cls, code in EXIT_CODES if isinstance(e, cls)), PARSE_EXIT)
+    except MemoryError as e:
+        print("error: out of memory" + (f": {e}" if str(e) else ""), file=sys.stderr)
+        return GUARD_EXIT
     sys.stdout.write(bio.dump_document(doc))
     return 0

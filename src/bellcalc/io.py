@@ -65,8 +65,6 @@ def _plain(value, path: str):
 
 def document(kind: str, scenario: Scenario | None, payload: dict,
              name: str, provenance: str) -> dict:
-    if kind not in KINDS:
-        raise DocumentError(f"unknown document kind {kind!r}")
     return {
         "format_version": FORMAT_VERSION,
         "kind": kind,
@@ -155,12 +153,6 @@ def load_document(path: str, expect_kind: str | None = None) -> dict:
     return parse_document(read_text(path), expect_kind)
 
 
-def _positive_int(value, path: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise DocumentError(f"{path} must be a positive integer")
-    return value
-
-
 def _scenario_from_doc(doc: dict) -> Scenario:
     raw = doc.get("scenario")
     if not isinstance(raw, dict):
@@ -169,35 +161,25 @@ def _scenario_from_doc(doc: dict) -> Scenario:
         fields = {k: raw[k] for k in ("na", "nb", "ma", "mb")}
     except KeyError as e:
         raise DocumentError(f"scenario is missing key {e.args[0]!r}") from e
-    return Scenario(*(_positive_int(v, f"scenario.{k}") for k, v in fields.items()))
-
-
-def _numeric_array(raw, shape: tuple[int, ...], path: str) -> np.ndarray:
-    """Float array of the given shape with finite entries only."""
-    try:
-        arr = np.asarray(raw, dtype=np.float64)
-    except (TypeError, ValueError) as e:
-        raise DocumentError(f"{path} is not a numeric array: {e}") from e
-    if arr.shape != shape:
-        raise DocumentError(f"{path} has shape {arr.shape}, expected {shape}")
-    if not np.all(np.isfinite(arr)):
-        raise DocumentError(f"{path} contains non-finite entries")
-    return arr
+    for k, value in fields.items():
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            raise DocumentError(f"scenario.{k} must be a positive integer")
+    return Scenario(*fields.values())
 
 
 def _tensor_from_payload(payload: dict, key: str, scenario: Scenario) -> np.ndarray:
+    """payload[key] as a float array of the scenario's shape, all entries finite."""
     if key not in payload:
         raise DocumentError(f"payload is missing {key!r}")
-    return _numeric_array(payload[key], scenario.shape, f"payload.{key}")
-
-
-def _completeness_from_payload(payload: dict) -> str:
-    flag = payload.get("completeness")
-    if flag not in (COMPLETE, INCOMPLETE):
-        raise DocumentError(
-            f"payload.completeness must be {COMPLETE!r} or {INCOMPLETE!r}, got {flag!r}"
-        )
-    return flag
+    try:
+        arr = np.asarray(payload[key], dtype=np.float64)
+    except (TypeError, ValueError) as e:
+        raise DocumentError(f"payload.{key} is not a numeric array: {e}") from e
+    if arr.shape != scenario.shape:
+        raise DocumentError(f"payload.{key} has shape {arr.shape}, expected {scenario.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise DocumentError(f"payload.{key} contains non-finite entries")
+    return arr
 
 
 # -- functionals --------------------------------------------------------
@@ -236,7 +218,12 @@ def behavior_from_document(doc: dict) -> Behavior:
     payload = _payload_of(doc)
     scenario = _scenario_from_doc(doc)
     probs = _tensor_from_payload(payload, "probs", scenario)
-    return Behavior(scenario, probs, _completeness_from_payload(payload))
+    flag = payload.get("completeness")
+    if flag not in (COMPLETE, INCOMPLETE):
+        raise DocumentError(
+            f"payload.completeness must be {COMPLETE!r} or {INCOMPLETE!r}, got {flag!r}"
+        )
+    return Behavior(scenario, probs, flag)
 
 
 # -- quantum models -----------------------------------------------------
@@ -245,12 +232,6 @@ def _matrix_out(matrix: np.ndarray):
     """[re, im] pairs for every entry of a matrix or a stack of matrices."""
     m = np.asarray(matrix, dtype=np.complex128)
     return np.stack([m.real, m.imag], axis=-1)
-
-
-def _matrix_in(raw, shape: tuple[int, ...], path: str) -> np.ndarray:
-    """Complex array of the given shape from nested [re, im] pairs."""
-    arr = _numeric_array(raw, shape + (2,), path)
-    return arr[..., 0] + 1j * arr[..., 1]
 
 
 def quantum_model_document(model: QuantumModel, name: str, provenance: str) -> dict:
@@ -263,33 +244,6 @@ def quantum_model_document(model: QuantumModel, name: str, provenance: str) -> d
         "bob_povms": _matrix_out(model.bob_povms),
     }
     return document("quantum_model", model.scenario, payload, name, provenance)
-
-
-def quantum_model_from_document(doc: dict) -> QuantumModel:
-    payload = _payload_of(doc)
-    scenario = _scenario_from_doc(doc)
-    for key in ("dim_a", "dim_b", "state", "alice_povms", "bob_povms"):
-        if key not in payload:
-            raise DocumentError(f"payload is missing {key!r}")
-    da = _positive_int(payload["dim_a"], "payload.dim_a")
-    db = _positive_int(payload["dim_b"], "payload.dim_b")
-    state = _matrix_in(payload["state"], (da * db, da * db), "payload.state")
-
-    def povms_in(raw, dim, label):
-        if not (isinstance(raw, list) and raw and isinstance(raw[0], list) and raw[0]):
-            raise DocumentError(f"payload.{label} must be a non-empty list of non-empty lists")
-        return _matrix_in(raw, (len(raw), len(raw[0]), dim, dim), f"payload.{label}")
-
-    model = QuantumModel(
-        da, db, state,
-        povms_in(payload["alice_povms"], da, "alice_povms"),
-        povms_in(payload["bob_povms"], db, "bob_povms"),
-        completeness=_completeness_from_payload(payload),
-    )
-    if model.scenario != scenario:
-        raise DocumentError(f"scenario {scenario.shape} does not match the POVM stacks, "
-                            f"which imply {model.scenario.shape}")
-    return model
 
 
 # -- local models (embedded in membership reports) ----------------------

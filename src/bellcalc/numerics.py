@@ -21,10 +21,11 @@ lp_backend loads HiGHS's extension module on its own, so a process
 without LPs skips scipy and one with LPs loads no other scipy module.
 
 povm_update solves  max sum_a tr(E_a R_a)  over POVMs {E_a}: the
-two-outcome case in closed form, more outcomes through one monotone
-fixed-point iteration on the (n_out, d, d) stack of all outcomes at
-once, and the subnormalized variant by appending a dummy outcome with a
-zero reduced operator.  Every result carries a dual certificate computed
+two-outcome case in closed form, any other number of outcomes through
+one monotone fixed-point iteration on the (n_out, d, d) stack of all
+outcomes at once (one outcome stalls at its first step, on E = I), and
+the subnormalized variant by appending a dummy outcome with a zero
+reduced operator.  Every result carries a dual certificate computed
 once, on the final iterate: a feasible point Y >= R_a of the dual SDP.
 
 eigh and psd_project broadcast over leading axes, so a whole stack of
@@ -83,7 +84,7 @@ _HIGHS_CORE = "scipy.optimize._highspy._core"
 
 LE, EQ, GE = "<=", "==", ">="
 
-# Cap on povm_update's fixed-point iterations (more than two outcomes).
+# Cap on povm_update's fixed-point iterations (every outcome count but two).
 MAX_POVM_ITERS = 2000
 
 
@@ -307,8 +308,9 @@ class LpSolution:
     ``row_duals`` are sensitivities of the optimal objective to the row
     right-hand sides, in the orientation of the posed problem.  The
     residuals and ``duality_gap`` are recomputed here from scratch, on
-    the rows HiGHS solved, not taken from the solver; ``iterations`` is
-    HiGHS's simplex iteration count.
+    the rows HiGHS solved, not taken from the solver (NaN on the unchecked
+    answer of a RestrictedMaster round); ``iterations`` is HiGHS's simplex
+    iteration count.
     """
 
     status: Literal["optimal", "infeasible", "unbounded", "failed"]
@@ -384,49 +386,63 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
     return dataclasses.replace(sol, row_duals=y, objective=float(lp.c @ sol.x))
 
 
-def _certified(res, c, vectors, rowwise, lo, hi, lower, upper) -> LpSolution:
-    """HiGHS's answer, "failed" where certificates recomputed on its model miss
-    the contract; the row duals stay HiGHS's."""
+def _answer(res, c) -> LpSolution:
+    """HiGHS's answer for costs ``c``, its certificates not computed (NaN)."""
     status = _HIGHS_STATUS.get(res["status"].name, "failed")
     iterations = int(res.get("simplex_nit", 0))
     if status != "optimal":
         return LpSolution(status, None, None, None, np.inf, np.inf, np.inf, iterations)
-    x, lam = res["x"], res["lambda"]
-    objective = float(c @ x)
+    return LpSolution(status, res["x"], res["lambda"], float(c @ res["x"]),
+                      np.nan, np.nan, np.nan, iterations)
+
+
+def _certified(res, c, vectors, rowwise, lo, hi, lower, upper) -> LpSolution:
+    """HiGHS's answer, "failed" where certificates recomputed on its model miss
+    the contract; the row duals stay HiGHS's."""
+    sol = _answer(res, c)
+    if sol.x is None:
+        return sol
+    x, lam = sol.x, sol.row_duals
     # each product sums in the same order either way round
     activity, reduced = (vectors @ x, lam @ vectors) if rowwise else (x @ vectors, vectors @ lam)
     row_p, row_d, row_obj = _range_certificates(activity, lam, lo, hi)
     col_p, col_d, col_obj = _range_certificates(x, c - reduced, lower, upper)
     primal_resid, dual_resid = float(np.maximum(row_p, col_p)), float(np.maximum(row_d, col_d))
-    gap = float(abs(objective - (row_obj + col_obj)))
+    gap = float(abs(sol.objective - (row_obj + col_obj)))
     # written so that a NaN anywhere in the certificates fails it
-    if not (primal_resid <= LP_PRIMAL_TOL and dual_resid <= LP_DUAL_TOL
-            and gap <= LP_GAP_REL * (1.0 + abs(objective))):
-        status = "failed"
-    return LpSolution(status, x, lam, objective, primal_resid, dual_resid, gap, iterations)
+    met = (primal_resid <= LP_PRIMAL_TOL and dual_resid <= LP_DUAL_TOL
+           and gap <= LP_GAP_REL * (1.0 + abs(sol.objective)))
+    return dataclasses.replace(sol, status="optimal" if met else "failed",
+                               primal_residual=primal_resid, dual_residual=dual_resid,
+                               duality_gap=gap)
 
 
 class RestrictedMaster:
     """min c.x, lo <= a.x <= hi, x >= 0 over the columns so far, on one HiGHS
     session given the rows once.  Dual simplex first, as the rows may exclude
     the origin; then primal from the last optimal basis, which new columns,
-    nonbasic at 0, leave feasible.  Checked as lp_solve's, on every column."""
+    nonbasic at 0, leave feasible.  Each round's answer is left unchecked;
+    ``certified`` checks the last one as lp_solve's, on every column."""
 
     def __init__(self, lo, hi):
         self.lo, self.hi, self.highs = lo, hi, _session()
         no_entries = np.zeros(0, np.int32)
         self.highs.addRows(len(lo), lo, hi, 0, no_entries, no_entries, np.zeros(0))
-        self.c = np.zeros(0)
-        self.columns = CsrMatrix(np.zeros(1, np.int32), no_entries, np.zeros(0), (0, len(lo)))
+        self.c, self.blocks, self.res = np.zeros(0), [], None
 
     def solve(self, c, columns: CsrMatrix) -> LpSolution:
         """Add columns, one per row of ``columns``, with costs ``c``; solve."""
         self.highs.addCols(len(c), c, np.zeros(len(c)), np.full(len(c), np.inf),
                            len(columns.data), columns.indptr[:-1], columns.indices, columns.data)
-        res = _run(self.highs, _PRIMAL_SIMPLEX if len(self.c) else _DUAL_SIMPLEX)
-        self.c, self.columns = np.append(self.c, c), CsrMatrix.vstack([self.columns, columns])
-        return _certified(res, self.c, self.columns, False, self.lo, self.hi,
-                          np.zeros(len(self.c)), np.full(len(self.c), np.inf))
+        self.res = _run(self.highs, _PRIMAL_SIMPLEX if len(self.c) else _DUAL_SIMPLEX)
+        self.c = np.append(self.c, c)
+        self.blocks.append(columns)
+        return _answer(self.res, self.c)
+
+    def certified(self) -> LpSolution:
+        """The last answer, "failed" where its certificates miss the contract."""
+        return _certified(self.res, self.c, CsrMatrix.vstack(self.blocks), False, self.lo,
+                          self.hi, np.zeros(len(self.c)), np.full(len(self.c), np.inf))
 
 
 def _squared_frobenius(m: np.ndarray) -> np.ndarray:
@@ -601,7 +617,7 @@ def povm_update(
         incomplete case appends a dummy outcome with R = 0 and solves the
         complete problem one outcome larger.
     warm_start : optional POVM to improve upon; the result never scores below it.
-    gain_tol : with more than two outcomes, the fixed-point iteration
+    gain_tol : except with two outcomes, the fixed-point iteration
         stops on a stall, on a step that gains less than this, or after
         MAX_POVM_ITERS steps.  The default 0 runs to a stall; callers that
         re-solve in an outer loop and only need monotone progress pass a
@@ -629,12 +645,6 @@ def povm_update(
 
     n_out, d = mats.shape[0], mats.shape[-1]
     identity = np.eye(d, dtype=np.complex128)
-
-    if n_out == 1:
-        ops = identity[None]
-        obj = float(np.trace(mats[0]).real)
-        y, bound = _dual_certificate(ops, mats)
-        return PovmUpdateResult(ops, obj, True, 0, y, bound, (obj,))
 
     if n_out == 2:
         ops, obj, y = _two_outcome_exact(mats)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .classical import BOUNDARY_BAND, classical_value, classical_value_incomplete
+from .classical import BOUNDARY_BAND, checked_complete, classical_value, classical_value_incomplete
 from .core import (
     Behavior,
     BellFunctional,
@@ -91,18 +91,11 @@ class DimensionWitnessReport:
     warning: str | None
 
 
-def _checked_complete(behavior: Behavior, what: str) -> None:
-    report = validate(behavior)
-    if report:
-        raise ValidationError(f"{what} requires a valid behavior", report)
-    if not behavior.is_complete:
-        raise ValidationError(f"{what} is defined for complete behaviors only")
-    ns = no_signaling_check(behavior)
+def _checked_no_signaling(behavior: Behavior, what: str) -> None:
+    ns = checked_complete(behavior, what)
     if not ns.ok:
-        raise SignalingBehaviorError(
-            f"{what} is undefined for signaling behaviors "
-            f"(residual {ns.max_residual:.3e} at {ns.location})"
-        )
+        raise SignalingBehaviorError(f"{what} is undefined for signaling behaviors "
+                                     f"(residual {ns.max_residual:.3e} at {ns.location})")
 
 
 def _no_signaling_projection(behavior: Behavior) -> np.ndarray:
@@ -110,7 +103,7 @@ def _no_signaling_projection(behavior: Behavior) -> np.ndarray:
     no-signaling subspace: every (x, y) block sums to 1, and each party's
     marginals agree across the other party's inputs.
 
-    _checked_complete lets a residual up to NS_TOL through, and in full
+    _checked_no_signaling lets a residual up to NS_TOL through, and in full
     coordinates the nu LP is unbounded along the functionals that vanish
     on that subspace; on the projection it is bounded.  Each block splits
     orthogonally into its mean, Alice's and Bob's centred marginals spread
@@ -140,7 +133,7 @@ def max_violation(behavior: Behavior) -> tuple[float, BellFunctional]:
     constant functional already achieves 1.  Values within 1e-9 of 1
     are snapped to exactly 1 (see ViolationReport.boundary).
     """
-    _checked_complete(behavior, "max_violation")
+    _checked_no_signaling(behavior, "max_violation")
     scenario = behavior.scenario
     d = vertex_matrix(scenario)
     n_vertices = d.shape[0]
@@ -180,7 +173,7 @@ def noise_robustness(behavior: Behavior) -> float:
     Linear in (v, mixture weights), so one LP; the feasible v form an
     interval [0, pi] and the optimum is pi(Q).
     """
-    _checked_complete(behavior, "noise_robustness")
+    _checked_no_signaling(behavior, "noise_robustness")
     scenario = behavior.scenario
     dt = vertex_matrix(scenario).T        # (E, V)
     n_vertices = dt.shape[1]

@@ -26,6 +26,7 @@ from bellcalc import (
     DocumentError,
     GuardExceededError,
     LocalModel,
+    QuantumModel,
     Scenario,
     behavior_from_local,
     behavior_from_quantum,
@@ -56,6 +57,17 @@ def run_json(capsys, *argv):
     assert code == 0, err
     assert err == ""
     return json.loads(out)
+
+
+def model_from_payload(payload) -> QuantumModel:
+    """The QuantumModel a quantum_model document lists, [re, im] pairs joined."""
+    def joined(key):
+        pairs = np.asarray(payload[key], dtype=np.float64)
+        return pairs[..., 0] + 1j * pairs[..., 1]
+
+    return QuantumModel(payload["dim_a"], payload["dim_b"], joined("state"),
+                        joined("alice_povms"), joined("bob_povms"),
+                        completeness=payload["completeness"])
 
 
 @pytest.fixture()
@@ -120,8 +132,7 @@ def test_quantum_emits_reloadable_model(tmp_path, capsys, chsh_file, chsh):
     assert payload["converged"] is True
     assert len(payload["per_seed_values"]) == 3
     assert payload["model_path"] == str(model_path)
-    model_doc = bio.load_document(str(model_path), "quantum_model")
-    model = bio.quantum_model_from_document(model_doc)
+    model = model_from_payload(bio.load_document(str(model_path), "quantum_model")["payload"])
     value = abs(pair(chsh, behavior_from_quantum(model)))
     assert value == pytest.approx(payload["value"], abs=1e-12)
 
@@ -474,6 +485,42 @@ def test_solver_failure_exits_5(capsys, chsh_optimal_file, monkeypatch,
         assert f"status {status!r}" in err
 
 
+def test_membership_certifies_the_master_that_ended_pricing(capsys, chsh_optimal_file,
+                                                           monkeypatch):
+    # each round's answer goes unchecked into pricing: spoiling the primal
+    # point of the last one alone, which the duals that ended pricing came
+    # with, must still fail the certificate (exit 5)
+    run, calls = numerics._run, []
+    monkeypatch.setattr(numerics, "_run", lambda *args: calls.append(1) or run(*args))
+    clean = run_json(capsys, "behavior", "membership", chsh_optimal_file)
+    rounds = len(calls)
+
+    def spoil_last(*args):
+        calls.append(1)
+        res = run(*args)
+        if len(calls) == 2 * rounds:
+            res["x"] = res["x"] + 1.0
+        return res
+
+    monkeypatch.setattr(numerics, "_run", spoil_last)
+    code, out, err = run_cli(capsys, "behavior", "membership", chsh_optimal_file)
+    assert clean["payload"]["verdict"] == "nonlocal"
+    assert (code, out, len(calls)) == (5, "", 2 * rounds)
+    assert err == "error: membership LP ended with status 'failed'\n"
+
+
+def test_membership_out_of_memory_exits_3(capsys, chsh_optimal_file, monkeypatch):
+    # a master HiGHS cannot allocate is a resource limit, not a crash
+    def exhausted(self, c, columns):
+        raise MemoryError("std::bad_alloc")
+
+    monkeypatch.setattr(numerics.RestrictedMaster, "solve", exhausted)
+    code, out, err = run_cli(capsys, "behavior", "membership", chsh_optimal_file)
+    assert (code, out) == (3, "")
+    assert err == "error: out of memory: std::bad_alloc\n"
+    assert "Traceback" not in err
+
+
 def test_capped_seesaw_exits_0_or_5(tmp_path, capsys):
     # three sweeps can end on POVM elements with negative eigenvalues; that
     # model is the see-saw's own, so the failure is the solver's (exit 5)
@@ -584,38 +631,30 @@ def test_behavior_document_round_trip(chsh_optimal_behavior):
 def test_quantum_model_document_round_trip():
     model = build_chsh_optimal_model()
     doc = bio.quantum_model_document(model, "rt", "round trip")
-    back = bio.quantum_model_from_document(bio.parse_document(bio.dump_document(doc), "quantum_model"))
+    back = model_from_payload(bio.parse_document(bio.dump_document(doc), "quantum_model")["payload"])
     assert back.state.tolist() == np.asarray(model.state, dtype=complex).tolist()
     for orig, rebuilt in zip(model.alice_povms, back.alice_povms):
         for e1, e2 in zip(orig, rebuilt):
             assert np.asarray(e2).tolist() == np.asarray(e1, dtype=complex).tolist()
 
 
-@pytest.mark.parametrize("mangle", [
-    lambda povms: povms[1].append(povms[1][0]),   # ragged outcome counts
-    lambda povms: povms.__setitem__(1, []),       # an input with no outcomes
-    lambda povms: povms[0].__setitem__(0, [[0.5, 0.0], [0.0, 0.5]]),  # a 2x2 real matrix
-])
-def test_quantum_model_document_rejects_malformed_povms(mangle):
-    doc = bio.quantum_model_document(build_chsh_optimal_model(), "bad", "test")
-    doc = json.loads(bio.dump_document(doc))
-    mangle(doc["payload"]["alice_povms"])
-    with pytest.raises(DocumentError, match="payload.alice_povms"):
-        bio.quantum_model_from_document(doc)
-
-
 @pytest.mark.parametrize("header, match", [
-    ({"na": 5, "nb": 1, "ma": 7, "mb": 3}, "does not match the POVM stacks"),
     (None, "missing its scenario"),
-], ids=["mismatched", "missing"])
-def test_quantum_model_document_checks_its_scenario_header(header, match):
-    doc = json.loads(bio.dump_document(bio.quantum_model_document(build_chsh_optimal_model(), "bad", "test")))
-    if header is None:
-        del doc["scenario"]
-    else:
-        doc["scenario"] = header
-    with pytest.raises(DocumentError, match=match):
-        bio.quantum_model_from_document(doc)
+    ({"na": 2, "nb": 2, "ma": 2}, "missing key 'mb'"),
+    ({"na": 2, "nb": 0, "ma": 2, "mb": 2}, r"scenario\.nb must be a positive integer"),
+    ({"na": 2, "nb": 2, "ma": True, "mb": 2}, r"scenario\.ma must be a positive integer"),
+], ids=["missing", "missing-key", "zero", "bool"])
+def test_document_readers_check_the_scenario_header(header, match, chsh, chsh_optimal_behavior):
+    for doc, read in [(bio.functional_document(chsh, "bad", "test"), bio.functional_from_document),
+                      (bio.behavior_document(chsh_optimal_behavior, "bad", "test"),
+                       bio.behavior_from_document)]:
+        doc = json.loads(bio.dump_document(doc))
+        if header is None:
+            del doc["scenario"]
+        else:
+            doc["scenario"] = header
+        with pytest.raises(DocumentError, match=match):
+            read(doc)
 
 
 def test_quantum_ratio_is_null_for_a_zero_functional(tmp_path, capsys):

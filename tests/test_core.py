@@ -20,12 +20,12 @@ from bellcalc import (
     ValidationError,
     behavior_from_local,
     behavior_from_quantum,
-    hermitian_part,
     no_signaling_check,
     pair,
     seesaw,
     validate,
 )
+from bellcalc.core import hermitian_part
 from bellcalc.numerics import random_povms
 from conftest import chsh_optimal_probs, random_local_model
 

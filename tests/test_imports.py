@@ -1,18 +1,23 @@
 """Every module of the package uses what it imports, imports no private
 name from another package module, and the package exports exactly what
 its ``__init__`` imports; none imports the scipy.optimize or the
-scipy.sparse package, and every private module-level name is read
-somewhere in the package.
+scipy.sparse package, every private module-level name is read somewhere
+in the package, and so is every public function or class it does not
+export.
 
 No linter ships with the toolchain, so this walks the syntax tree of
 each module (the package ``__init__``, which re-exports, excepted from
 the unused-import check) and fails on a name that is imported but never
-read, on a ``_``-prefixed name imported from the package, or on a
+read, on a ``_``-prefixed name imported from the package, on a
 ``_``-prefixed module-level function, class or constant that no package
-module reads.
+module reads, or on a public module-level function or class outside
+``__all__`` that no package module reads.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,13 +49,24 @@ def _private_package_imports(source: str) -> list[str]:
             for alias in node.names if alias.name.startswith("_")]
 
 
+def _read_names(sources: dict[str, str]) -> set[str]:
+    # every name loaded and every attribute taken in any of the sources
+    read = set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return read
+
+
 def _unused_private_names(sources: dict[str, str]) -> list[str]:
     # module-level _-prefixed definitions (dunders aside) against every
     # name and attribute read in any of the sources
-    defined, read = [], set()
+    defined = []
     for module, source in sources.items():
-        tree = ast.parse(source)
-        for node in tree.body:
+        for node in ast.parse(source).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 names = [node.name]
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -60,12 +76,19 @@ def _unused_private_names(sources: dict[str, str]) -> list[str]:
                 continue
             defined += [(module, node.lineno, name) for name in names
                         if name.startswith("_") and not name.startswith("__")]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+    read = _read_names(sources)
     return [f"{module} line {line}: {name}" for module, line, name in defined if name not in read]
+
+
+def _unread_public_names(sources: dict[str, str], exported) -> list[str]:
+    # module-level functions and classes, neither _-prefixed nor exported,
+    # against every name and attribute read in any of the sources
+    read = _read_names(sources)
+    return [f"{module} line {node.lineno}: {node.name}"
+            for module, source in sources.items() for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in exported
+            and node.name not in read]
 
 
 def _package_imports(source: str, package: str) -> list[str]:
@@ -132,6 +155,44 @@ def test_checker_flags_an_unused_private_name():
                         "class _Gone:\n    pass\n"),
                "b.py": "import a\na._helper()\n"}
     assert _unused_private_names(sources) == ["a.py line 1: _SPARE", "a.py line 5: _Gone"]
+
+
+def test_package_reads_every_public_name_it_does_not_export():
+    # a public function or class outside __all__ that no package module
+    # reads is reachable from no command: dead code
+    sources = {p.name: p.read_text(encoding="utf-8")
+               for p in sorted(Path(bellcalc.__file__).parent.glob("*.py"))}
+    assert _unread_public_names(sources, set(bellcalc.__all__)) == []
+
+
+def test_checker_flags_an_unread_public_name():
+    sources = {"a.py": ("def used():\n    pass\n"
+                        "def exported():\n    pass\n"
+                        "class Gone:\n    pass\n"
+                        "def _private():\n    pass\n"
+                        "SPARE = 1\n"),
+               "b.py": "import a\na.used()\n"}
+    assert _unread_public_names(sources, {"exported"}) == ["a.py line 5: Gone"]
+
+
+def test_package_attribute_seesaw_stays_the_function():
+    # the bench calls bellcalc.seesaw and its tracer reaches the module
+    # through sys.modules; importing the submodule again, or running an LP,
+    # must not rebind the package attribute to the module (a PEP 562 lazy
+    # export would: the first import of a submodule binds it on the package)
+    src = str(Path(bellcalc.__file__).resolve().parent.parent)
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    code = ("import sys\n"
+            "import bellcalc\n"
+            "import bellcalc.seesaw\n"
+            "module = sys.modules['bellcalc.seesaw']\n"
+            "print(bellcalc.seesaw is module.seesaw)\n"
+            "bellcalc.max_violation(bellcalc.Behavior(bellcalc.Scenario(1, 1, 1, 1), [[[[1.0]]]]))\n"
+            "print(bellcalc.seesaw is module.seesaw, callable(bellcalc.seesaw))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(paths)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "True", "True"]
 
 
 def test_private_numpy_linalg_module_is_used_only_in_numerics():

@@ -820,6 +820,16 @@ def test_povm_update_single_outcome_is_identity():
     result = povm_update([r], "complete")
     np.testing.assert_allclose(result.operators[0], np.eye(2), atol=1e-12)
     assert result.objective == pytest.approx(-1.0, abs=1e-12)
+    # the fixed point stalls at its first step on exactly I, with tr R as
+    # its objective, bit for bit
+    rng = np.random.default_rng(20)
+    for d in (1, 2, 3, 4, 6):
+        r = hermitian_part(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        result = povm_update([r], "complete")
+        assert np.array_equal(result.operators, np.eye(d)[None])
+        assert result.objective == float(np.trace(r).real)
+        assert (result.iterations, result.objective_log, result.converged) == (
+            1, (result.objective,), True)
 
 
 def test_povm_update_two_outcome_closed_form():

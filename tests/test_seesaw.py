@@ -20,13 +20,12 @@ from bellcalc import (
     chsh_functional,
     classical_value,
     magic_square_functional,
-    pad_quantum_model,
     pair,
     reduced_operators,
     seesaw,
     validate,
 )
-from bellcalc.seesaw import MAX_JOINT_DIM, _random_model
+from bellcalc.seesaw import MAX_JOINT_DIM, _random_model, pad_quantum_model
 
 from conftest import build_chsh_optimal_model, build_magic_square_model
 

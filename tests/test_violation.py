@@ -22,7 +22,6 @@ from bellcalc import (
     classical_value,
     comm_bits,
     complete_behavior,
-    complete_quantum_model,
     dimension_witness_report,
     eq4_gap,
     magic_square_functional,
@@ -36,6 +35,7 @@ from bellcalc import (
 from bellcalc import violation
 from bellcalc.core import QuantumModel, hermitian_part, no_signaling_check
 from bellcalc.seesaw import _random_model
+from bellcalc.violation import complete_quantum_model
 
 from conftest import build_chsh_optimal_model, random_local_model
 
