@@ -34,7 +34,7 @@ from .core import (
     validate,
 )
 from .errors import SolverError, ValidationError
-from .numerics import LP_DUAL_TOL, CsrMatrix, RestrictedMaster
+from .numerics import LP_DUAL_TOL, CsrMatrix, RestrictedMaster, best_columns
 from .polytope import ENUM_GUARD, check_guard, strategies_from_vertices, vertex_rows
 
 # A behavior reproduced by vertex weights to within this max-norm error
@@ -196,14 +196,13 @@ def local_model_from_weights(scenario: Scenario, weights: np.ndarray,
                                 strategies_from_vertices(scenario, vertices[kept]))))
 
 
-def _best_columns(found: np.ndarray, score: np.ndarray, limit: int, exclude=()) -> np.ndarray:
-    """The ``limit`` best-scoring distinct vertices not in ``exclude`` (ties to
-    the lowest id), ascending."""
-    keep = ~np.isin(found, exclude)
-    found, score = found[keep], score[keep]
-    order = np.lexsort((found, -score))
-    _, first = np.unique(found[order], return_index=True)
-    return np.sort(found[order][np.sort(first)[:limit]])
+def seed_vertices(probs: np.ndarray) -> np.ndarray:
+    """The 2E + 1 best responses (E entries) to Q = ``probs`` and to Q - pA pB each
+    (a third to a half of membership's rounds of Q's alone), ascending."""
+    marginals = probs.sum(axis=3).mean(axis=1), probs.sum(axis=2).mean(axis=0)
+    product = marginals[0][:, None, :, None] * marginals[1][None, :, None, :]
+    return np.unique(np.concatenate([best_columns(*best_response_vertices(s), 2 * probs.size + 1)
+                                     for s in (probs, probs - product)]))
 
 
 def checked_complete(behavior: Behavior, what: str) -> NoSignalingResult:
@@ -242,14 +241,9 @@ def is_local(behavior: Behavior) -> MembershipCertificate:
         d = vertex_rows(scenario, *np.divmod(vertices, scenario.bob_strategy_count()))
         return CsrMatrix.hstack([d, -d, CsrMatrix.from_dense(np.ones((len(vertices), 1)))])
 
-    # seeds: best responses to Q and to its correlations Q - pA pB (a third to
-    # a half of the rounds of Q's alone).  Each seed functional and each round
-    # adds at most as many columns as a basis holds, the master's row count
+    # each round adds at most as many columns as a basis holds, the master's row count
     probs, limit = behavior.probs, 2 * n_entries + 1
-    marginals = probs.sum(axis=3).mean(axis=1), probs.sum(axis=2).mean(axis=0)
-    product = marginals[0][:, None, :, None] * marginals[1][None, :, None, :]
-    vertices = np.unique(np.concatenate([_best_columns(*best_response_vertices(s), limit)
-                                         for s in (probs, probs - product)]))
+    vertices = seed_vertices(probs)
     distance = CsrMatrix.from_dense(np.concatenate([-np.ones(2 * n_entries), [0.0]])[None])
     columns = CsrMatrix.vstack([distance, vertex_columns(vertices)])
     c = np.concatenate([[1.0], np.zeros(len(vertices))])
@@ -260,7 +254,7 @@ def is_local(behavior: Behavior) -> MembershipCertificate:
         s_vec = duals[:n_entries] - duals[n_entries:2 * n_entries]
         found, values = best_response_vertices(s_vec.reshape(scenario.shape))
         gain = values + duals[-1]
-        new = _best_columns(found[gain > LP_DUAL_TOL], gain[gain > LP_DUAL_TOL], limit, vertices)
+        new = best_columns(found[gain > LP_DUAL_TOL], gain[gain > LP_DUAL_TOL], limit, vertices)
         if new.size == 0:
             sol = master.certified()
             break

@@ -5,13 +5,13 @@ lp_solve wraps the HiGHS simplex behind a fixed contract: status in
 orientation of the posed problem, and self-computed feasibility
 residuals plus duality gap.  HiGHS takes two-sided rows lo <= a.x <= hi,
 so a >= block that mirrors the <= block goes to it as the lower bounds
-of those rows.  It runs its primal simplex when x = 0 satisfies every
-row and bound HiGHS gets, as in the nu LP (-1 <= D.T <= 1, T free):
-primal simplex starts there, at a feasible vertex, with no phase 1,
-where dual simplex starts dual infeasible on every free column.  Any
-other LP, pi's among them, goes to its dual simplex, as does the first
-solve of RestrictedMaster (membership's column generation).  The
-certificates are checked on the rows HiGHS solved, with its row duals,
+of those rows.  Given every column, HiGHS runs primal simplex from x = 0
+when that meets every row and bound, as in the nu LP (-1 <= D.T <= 1, T
+free), with no phase 1 (dual simplex starts dual infeasible on every
+free column); any other LP gets dual simplex.  Given a start set, as pi's
+LP is, HiGHS sees a working set priced on one RestrictedMaster session,
+dual simplex then primal.  Certificates are checked on the rows HiGHS
+solved, with its row duals, and on every posed column,
 by one range rule applied to rows and to columns; a solve whose
 certificates miss the contract is downgraded to "failed" rather than
 reported optimal.  Every LP matrix is a CsrMatrix, numpy
@@ -340,13 +340,16 @@ def _same_rows(a: CsrMatrix, b: CsrMatrix) -> bool:
                                                    (b.indptr, b.indices, b.data)))
 
 
-def lp_solve(lp: LinearProgram) -> LpSolution:
+def lp_solve(lp: LinearProgram, columns=None) -> LpSolution:
     """Solve a LinearProgram deterministically with dual certificates.
 
     Every row goes to HiGHS as lo <= a.x <= hi.  When the >= rows repeat
     the <= rows row for row, each >= row becomes the lower bound of its
-    <= twin, so HiGHS sees the pair as one row.  The certificates are
-    checked on exactly the model HiGHS solved, with its row duals.
+    <= twin, so HiGHS sees the pair as one row.  ``columns``, a non-empty
+    start set of column indices, has _sifted price a working set for HiGHS;
+    a column left out sits at 0, within its bounds.  The certificates are
+    checked on exactly the model HiGHS solved, with its row duals, and on
+    every posed column.
     """
     highs = lp_backend()
     le, ge = lp.senses == LE, lp.senses == GE
@@ -370,8 +373,9 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
               and np.all(lp.lower <= 0.0) and np.all(lp.upper >= 0.0))
     strategy = _PRIMAL_SIMPLEX if origin else _DUAL_SIMPLEX
     c = -lp.c if lp.maximize else lp.c
-    sol = _certified(highs(c, vectors, rowwise, strategy, lo, hi, lp.lower, lp.upper),
-                     c, vectors, rowwise, lo, hi, lp.lower, lp.upper)
+    res = (highs(c, vectors, rowwise, strategy, lo, hi, lp.lower, lp.upper) if columns is None
+           else _sifted(c, vectors.T if rowwise else vectors, lo, hi, lp.lower, lp.upper, columns))
+    sol = _certified(res, c, vectors, rowwise, lo, hi, lp.lower, lp.upper)
     if sol.x is None:
         return sol
     # HiGHS's row duals are d(min objective)/d(row bound); a posed
@@ -417,32 +421,72 @@ def _certified(res, c, vectors, rowwise, lo, hi, lower, upper) -> LpSolution:
                                duality_gap=gap)
 
 
+def best_columns(found: np.ndarray, score: np.ndarray, limit: int, exclude=()) -> np.ndarray:
+    """The ``limit`` best-scoring distinct columns not in ``exclude`` (ties to
+    the lowest index), ascending."""
+    keep = ~np.isin(found, exclude)
+    found, score = found[keep], score[keep]
+    order = np.lexsort((found, -score))
+    _, first = np.unique(found[order], return_index=True)
+    return np.sort(found[order][np.sort(first)[:limit]])
+
+
+def _sifted(c, cols, lo, hi, lower, upper, start) -> dict:
+    """HiGHS's answer for min c.x, lo <= a.x <= hi, lower <= x <= upper, a's
+    columns the rows of ``cols``, from a working set, first the columns
+    ``start``: after each optimum c - a.T y prices every column, and those
+    that would improve it from 0 join, at most one per row, until none does;
+    a working set without a feasible point gets every column."""
+    master, taken, order, iterations = RestrictedMaster(lo, hi), np.zeros(len(c), bool), [], 0
+    new = np.unique(start)
+    while new.size:
+        taken[new] = True
+        order.append(new)
+        master.solve(c[new], cols[np.bincount(new, minlength=len(c)) > 0], lower[new], upper[new])
+        res, iterations = master.res, iterations + master.res["simplex_nit"]
+        if res["status"].name == "kInfeasible":  # a working set's infeasibility proves nothing
+            new = np.flatnonzero(~taken)
+        elif res["status"].name == "kOptimal":
+            d = c - cols @ res["lambda"]
+            gain = np.abs(d) * np.where(d < 0, upper > 0, lower < 0) * ~taken
+            new = best_columns(np.flatnonzero(gain > LP_DUAL_TOL), gain[gain > LP_DUAL_TOL], len(lo))
+        else:
+            break
+    x = np.zeros(len(c))
+    x[np.concatenate(order)] = res["x"]
+    return {**res, "x": x, "simplex_nit": iterations}
+
+
 class RestrictedMaster:
-    """min c.x, lo <= a.x <= hi, x >= 0 over the columns so far, on one HiGHS
-    session given the rows once.  Dual simplex first, as the rows may exclude
-    the origin; then primal from the last optimal basis, which new columns,
-    nonbasic at 0, leave feasible.  Each round's answer is left unchecked;
-    ``certified`` checks the last one as lp_solve's, on every column."""
+    """min c.x, lo <= a.x <= hi, lower <= x <= upper over the columns so far,
+    on one HiGHS session given the rows once.  Dual simplex first, as the
+    rows may exclude the origin, and after an answer that is not optimal;
+    then primal from the last optimal basis, which new columns, nonbasic at
+    0, leave feasible.  ``certified`` checks the last answer as lp_solve's."""
 
     def __init__(self, lo, hi):
         self.lo, self.hi, self.highs = lo, hi, _session()
         no_entries = np.zeros(0, np.int32)
         self.highs.addRows(len(lo), lo, hi, 0, no_entries, no_entries, np.zeros(0))
-        self.c, self.blocks, self.res = np.zeros(0), [], None
+        self.c, self.lower, self.upper, self.blocks, self.res = *np.zeros((3, 0)), [], None
 
-    def solve(self, c, columns: CsrMatrix) -> LpSolution:
-        """Add columns, one per row of ``columns``, with costs ``c``; solve."""
-        self.highs.addCols(len(c), c, np.zeros(len(c)), np.full(len(c), np.inf),
+    def solve(self, c, columns: CsrMatrix, lower=0.0, upper=np.inf) -> LpSolution:
+        """Add columns, one per row of ``columns``, with costs ``c`` and bounds
+        ``lower`` <= x <= ``upper``, each an array or one number; solve."""
+        lower, upper = np.full(len(c), lower, float), np.full(len(c), upper, float)
+        self.highs.addCols(len(c), c, lower, upper,
                            len(columns.data), columns.indptr[:-1], columns.indices, columns.data)
-        self.res = _run(self.highs, _PRIMAL_SIMPLEX if len(self.c) else _DUAL_SIMPLEX)
-        self.c = np.append(self.c, c)
+        optimal = self.res is not None and self.res["status"].name == "kOptimal"
+        self.res = _run(self.highs, _PRIMAL_SIMPLEX if optimal else _DUAL_SIMPLEX)
+        self.c, self.lower, self.upper = (np.append(old, added) for old, added in
+                                          ((self.c, c), (self.lower, lower), (self.upper, upper)))
         self.blocks.append(columns)
         return _answer(self.res, self.c)
 
     def certified(self) -> LpSolution:
         """The last answer, "failed" where its certificates miss the contract."""
         return _certified(self.res, self.c, CsrMatrix.vstack(self.blocks), False, self.lo,
-                          self.hi, np.zeros(len(self.c)), np.full(len(self.c), np.inf))
+                          self.hi, self.lower, self.upper)
 
 
 def _squared_frobenius(m: np.ndarray) -> np.ndarray:

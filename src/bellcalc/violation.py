@@ -23,7 +23,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .classical import BOUNDARY_BAND, checked_complete, classical_value, classical_value_incomplete
+from .classical import (BOUNDARY_BAND, checked_complete, classical_value,
+                        classical_value_incomplete, seed_vertices)
 from .core import (
     Behavior,
     BellFunctional,
@@ -197,7 +198,8 @@ def noise_robustness(behavior: Behavior) -> float:
         c=c, a=a, rhs=rhs, senses=senses,
         lower=np.zeros(n_cols), upper=upper, maximize=True,
     )
-    sol = lp_solve(lp)
+    seeds = seed_vertices(behavior.probs)  # start from v and the seeds' lambda = mu, v = 0
+    sol = lp_solve(lp, np.concatenate([[0], 1 + seeds, 1 + n_vertices + seeds]))
     if sol.status != "optimal":
         raise SolverError(f"noise robustness LP ended with status {sol.status!r}")
     return float(min(max(sol.objective, 0.0), 1.0))

@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from bellcalc import io as bio
 from bellcalc import numerics, violation
 from bellcalc.cli import build_parser, main
 from bellcalc.numerics import LpSolution
+from bellcalc.seesaw import _random_model
 
 from conftest import build_chsh_optimal_model, invalid_behavior_probs, random_local_model
 
@@ -507,6 +509,52 @@ def test_membership_certifies_the_master_that_ended_pricing(capsys, chsh_optimal
     assert clean["payload"]["verdict"] == "nonlocal"
     assert (code, out, len(calls)) == (5, "", 2 * rounds)
     assert err == "error: membership LP ended with status 'failed'\n"
+
+
+@pytest.mark.parametrize("spoil", ["withheld column", "later round not optimal"])
+def test_robustness_certifies_every_column_of_the_priced_lp(tmp_path, capsys, monkeypatch, spoil):
+    # the pi LP is priced over a working set (three rounds on this local
+    # qubit behavior, where the first round's worst column is needed); the
+    # answer is certified on every posed column, so pricing that withholds
+    # it, or a later round that ends without an optimum, exits 5
+    behavior = behavior_from_quantum(_random_model(np.random.default_rng(8), Scenario(2, 2, 2, 2),
+                                                   2, "complete"))
+    path = str(tmp_path / "qubit.json")
+    Path(path).write_text(bio.dump_document(bio.behavior_document(behavior, "qubit", "test")),
+                          encoding="utf-8")
+    posed, lp_solve = [], numerics.lp_solve
+
+    def keep(lp, columns=None):
+        posed.append((lp, columns))
+        return lp_solve(lp, columns)
+
+    monkeypatch.setattr(violation, "lp_solve", keep)
+    clean = run_json(capsys, "behavior", "robustness", path)["payload"]
+    if spoil == "withheld column":
+        best, worst = numerics.best_columns, []
+
+        def withholding(found, score, limit, exclude=()):
+            worst[:] = worst or best(found, score, 1, exclude)  # the first round's worst column
+            new = best(found, score, limit, exclude)
+            return new[new != worst[0]]
+
+        monkeypatch.setattr(numerics, "best_columns", withholding)
+        sol = lp_solve(*posed[-1])
+        assert sol.status == "failed" and sol.dual_residual > numerics.LP_DUAL_TOL
+    else:
+        run, calls = numerics._run, []
+
+        def second_stops(highs, strategy):
+            calls.append(strategy)
+            res = run(highs, strategy)
+            stopped = {**res, "status": SimpleNamespace(name="kIterationLimit")}
+            return stopped if len(calls) == 2 else res
+
+        monkeypatch.setattr(numerics, "_run", second_stops)
+    code, out, err = run_cli(capsys, "behavior", "robustness", path)
+    assert clean["pi"] == 1.0
+    assert (code, out) == (5, "")
+    assert err == "error: noise robustness LP ended with status 'failed'\n"
 
 
 def test_membership_out_of_memory_exits_3(capsys, chsh_optimal_file, monkeypatch):

@@ -111,6 +111,22 @@ def test_lp_infeasible_detected():
     assert lp_solve(lp).status == "infeasible"
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["upper bound", "lower bound"])
+def test_priced_column_enters_toward_its_finite_bound(sign):
+    # max x0 + s x1, x0 + s x1 <= 1.5, x0 in [0, 1] and s x1 in [0, 1]: from
+    # the start set {x0}, x1 improves the answer toward a finite bound, so
+    # pricing lets it in (its multiplier's sign alone is not wrong)
+    lp = LinearProgram(
+        c=np.array([1.0, sign]), a=np.array([[1.0, sign]]), rhs=np.array([1.5]), senses=[LE],
+        lower=np.array([0.0, min(sign, 0.0)]), upper=np.array([1.0, max(sign, 0.0)]),
+        maximize=True,
+    )
+    sol = lp_solve(lp, [0])
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(1.5, abs=1e-9)
+    assert sol.x[1] == pytest.approx(0.5 * sign, abs=1e-9)
+
+
 def test_lp_solution_reports_simplex_iterations():
     rng = np.random.default_rng(12)
     counts = [lp_solve(random_feasible_lp(rng)).iterations for _ in range(5)]
@@ -250,9 +266,9 @@ def _posed_lps(monkeypatch, behavior):
     full-vertex membership LP of the tests' reference."""
     posed = []
 
-    def keep(lp):
+    def keep(lp, columns=None):
         posed.append(lp)
-        return lp_solve(lp)
+        return lp_solve(lp, columns)
 
     monkeypatch.setattr(violation, "lp_solve", keep)
     max_violation(behavior)
@@ -471,25 +487,43 @@ def test_highs_solve_gives_the_bits_of_scipys_wrapper(monkeypatch, chsh_optimal_
     # lp_solve's backend hands HiGHS the rows of the model with the options
     # of scipy's _highs_wrapper (which takes presolve as a bool, and the
     # columns through tocsc) and the simplex strategy lp_solve chose, so
-    # every nu, pi and reference membership LP comes back with the same x,
-    # row duals and iterations either way
+    # every nu LP, pi LP solved without a start set and reference membership
+    # LP comes back with the same x, row duals and iterations either way.
+    # noise_robustness prices its pi LP on a session of its own instead
     highs = _core._Highs()
     assert all(highs.setOptionValue(key, value) == _core.HighsStatus.kOk
                for key, value in numerics._HIGHS_OPTIONS.items())
-    solve = numerics.lp_backend()
-    solved = []
+    solve, run, lp_solve_priced = numerics.lp_backend(), numerics._run, violation.lp_solve
+    solved, sessions, priced = [], {}, []
 
     def keep(*args):
         solved.append((args, solve(*args)))
         return solved[-1][1]
 
+    def spy(session, strategy):
+        sessions.setdefault(session, []).append(strategy)
+        return run(session, strategy)
+
+    def pose(lp, columns=None):
+        priced.append((lp, columns))
+        return lp_solve_priced(lp, columns)
+
     rng = np.random.default_rng(7)
     random_behavior = behavior_from_quantum(_random_model(rng, Scenario(3, 3, 2, 2), 2, "complete"))
     local_behavior = _few_vertex_behavior(rng, Scenario(3, 3, 2, 2))
     monkeypatch.setattr(numerics, "lp_backend", lambda: keep)
+    monkeypatch.setattr(violation, "lp_solve", pose)
+    pi_sessions = []
     for behavior in (chsh_optimal_behavior, random_behavior, local_behavior):
         max_violation(behavior)
-        noise_robustness(behavior)
+        monkeypatch.setattr(numerics, "_run", spy)
+        pi = noise_robustness(behavior)
+        monkeypatch.setattr(numerics, "_run", run)
+        pi_sessions += sessions.values()
+        sessions.clear()
+        pi_lp, columns = priced[-1]
+        assert columns is not None
+        assert abs(pi - min(max(lp_solve(pi_lp).objective, 0.0), 1.0)) <= 1e-12
         lp_solve(reference_membership_lp(behavior))
     assert len(solved) == 9
     # HiGHS gets the rows of tall LPs and the columns of wide ones, here both
@@ -498,6 +532,11 @@ def test_highs_solve_gives_the_bits_of_scipys_wrapper(monkeypatch, chsh_optimal_
     # nu (from the feasible origin) by primal simplex, pi and membership by dual
     primal, dual = numerics._PRIMAL_SIMPLEX, numerics._DUAL_SIMPLEX
     assert [args[3] for args, _ in solved] == [primal, dual, dual] * 3
+    # a priced pi LP: one session, dual simplex first, then primal simplex
+    # from the last optimal basis each later round
+    assert len(pi_sessions) == 3 and max(len(strategies) for strategies in pi_sessions) >= 2
+    assert all(strategies == [dual] + [primal] * (len(strategies) - 1)
+               for strategies in pi_sessions)
     for (c, vectors, rowwise, strategy, lo, hi, lower, upper), res in solved:
         rows = _scipy_csr(vectors) if rowwise else _scipy_csr(vectors).T.tocsr()
         cols = rows.tocsc()

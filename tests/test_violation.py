@@ -32,8 +32,9 @@ from bellcalc import (
     validate,
     violation_report,
 )
-from bellcalc import violation
+from bellcalc import numerics, violation
 from bellcalc.core import QuantumModel, hermitian_part, no_signaling_check
+from bellcalc.numerics import lp_solve
 from bellcalc.seesaw import _random_model
 from bellcalc.violation import complete_quantum_model
 
@@ -136,6 +137,57 @@ def test_pi_increases_when_mixed_with_local(chsh_optimal_behavior, scenario_2222
         0.5 * chsh_optimal_behavior.probs + 0.5 * np.full(scenario_2222.shape, 0.25),
     )
     assert noise_robustness(mixed) >= pi_q + 1e-3
+
+
+def _priced_pi_lps(monkeypatch):
+    """Every (LP, start set) noise_robustness poses, as it poses them."""
+    posed = []
+
+    def keep(lp, columns=None):
+        posed.append((lp, columns))
+        return lp_solve(lp, columns)
+
+    monkeypatch.setattr(violation, "lp_solve", keep)
+    return posed
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2, 2), (3, 3, 2, 2), (4, 4, 2, 2), (3, 3, 3, 3),
+                                   (3, 3, 4, 4)], ids=lambda shape: "x".join(map(str, shape)))
+def test_priced_pi_matches_the_lp_without_a_start_set(monkeypatch, shape):
+    # noise_robustness gives HiGHS a working set of columns and prices the
+    # rest: pi is the LP's on every column from the start, up to roundoff,
+    # exactly 1.0 on local mixtures, and nu = 2/pi - 1 still holds
+    rng = np.random.default_rng(sum(shape))
+    scenario = Scenario(*shape)
+    posed = _priced_pi_lps(monkeypatch)
+    quantum = [behavior_from_quantum(_random_model(rng, scenario, 2, "complete"))
+               for _ in range(3)]
+    local = [behavior_from_local(random_local_model(rng, scenario), scenario) for _ in range(3)]
+    for i, behavior in enumerate(quantum + local):
+        report = violation_report(behavior)
+        lp, columns = posed[-1]
+        assert columns is not None and len(columns) < lp.a.shape[1]
+        full = lp_solve(lp)
+        assert full.status == "optimal"
+        assert abs(report.pi - min(max(full.objective, 0.0), 1.0)) <= 1e-9
+        assert report.identity_residual <= 1e-6
+        if i >= len(quantum):
+            assert report.pi == 1.0
+
+
+def test_priced_pi_from_a_start_set_without_a_feasible_point(monkeypatch, chsh_optimal_behavior):
+    # lambda_0 alone has no feasible point (v = 0 and no mu leave v + sum mu
+    # = 1 unmet): the working set's infeasibility proves nothing, so every
+    # column joins, and that LP, by dual simplex again, gives pi
+    posed = _priced_pi_lps(monkeypatch)
+    pi = noise_robustness(chsh_optimal_behavior)
+    lp, _ = posed[-1]
+    run, strategies = numerics._run, []
+    monkeypatch.setattr(numerics, "_run",
+                        lambda highs, strategy: strategies.append(strategy) or run(highs, strategy))
+    sol = lp_solve(lp, [1])
+    assert sol.status == "optimal" and abs(sol.objective - pi) <= 1e-12
+    assert strategies == [numerics._DUAL_SIMPLEX] * 2
 
 
 def test_nu_rejects_signaling(scenario_2222):
