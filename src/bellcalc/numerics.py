@@ -5,20 +5,19 @@ lp_solve wraps the HiGHS simplex behind a fixed contract: status in
 orientation of the posed problem, and self-computed feasibility
 residuals plus duality gap.  HiGHS takes two-sided rows lo <= a.x <= hi,
 so a >= block that mirrors the <= block goes to it as the lower bounds
-of those rows.  Given every column, HiGHS runs primal simplex from x = 0
-when that meets every row and bound, as in the nu LP (-1 <= D.T <= 1, T
-free), with no phase 1 (dual simplex starts dual infeasible on every
-free column); any other LP gets dual simplex.  Given a start set, as pi's
-LP is, HiGHS sees a working set priced on one RestrictedMaster session,
-dual simplex then primal.  Certificates are checked on the rows HiGHS
-solved, with its row duals, and on every posed column,
-by one range rule applied to rows and to columns; a solve whose
-certificates miss the contract is downgraded to "failed" rather than
-reported optimal.  Every LP matrix is a CsrMatrix, numpy
-arrays in compressed sparse row form, and HiGHS takes those rows as
-they are.  scipy is loaded lazily and only in part: on its first call
-lp_backend loads HiGHS's extension module on its own, so a process
-without LPs skips scipy and one with LPs loads no other scipy module.
+of those rows.  Every LP is solved on one RestrictedMaster session: the
+rows once, then the columns, all of them or, as for pi's LP, a working
+set that _sifted prices against the rest.  Its first solve runs primal
+simplex from x = 0 when that meets every row and bound, as in the nu LP,
+and dual simplex otherwise.  Certificates are checked on the rows HiGHS
+solved, with its row duals, and on every posed column, by one range rule
+applied to rows and to columns; a solve whose certificates miss the
+contract is downgraded to "failed" rather than reported optimal.  Every
+LP matrix is a CsrMatrix, numpy arrays in compressed sparse row form;
+HiGHS takes the rows of its transpose as columns.  scipy is loaded lazily
+and only in part: _session loads HiGHS's extension module on its own, so
+a process without LPs skips scipy, and one with LPs skips scipy.optimize
+and scipy.sparse, a third and a half of its start-up time.
 
 povm_update solves  max sum_a tr(E_a R_a)  over POVMs {E_a}: the
 two-outcome case in closed form, any other number of outcomes through
@@ -61,15 +60,13 @@ LP_DUAL_TOL = 1e-8
 LP_GAP_REL = 1e-7
 
 # Simplex, logging off, no presolve: it finds nothing to remove here.  Which
-# simplex is lp_solve's choice per LP, one of the two option sets below.
+# simplex is RestrictedMaster's choice per solve, one of the two option sets below.
 _HIGHS_OPTIONS = {"solver": "simplex", "presolve": "off",
                   "primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10,
                   "output_flag": False, "log_to_console": False}
 # Dual simplex (strategy 1) for an LP whose origin is infeasible; primal (4)
-# for one whose origin is feasible, where it needs no phase 1.  max_violation
-# took, dual against primal (random behaviors, 2-core host, one BLAS thread):
-# 0.18-0.24 s against 0.09-0.11 s at 6x6x2x2, 1.78-1.96 s against
-# 0.46-0.74 s at 7x7x2x2, 14.8-22.4 s against 5.2-10.2 s at 8x8x2x2.  On a
+# for one whose origin is feasible, where it needs no phase 1: it runs
+# max_violation 1.5-3.4 times as fast (timings in the README).  On a
 # degenerate optimum primal simplex can end with a few dual iterations that
 # clean up its bound perturbation; with dual steepest edge these first
 # compute a weight per row from a basis that is no longer the slack one
@@ -89,13 +86,15 @@ MAX_POVM_ITERS = 2000
 
 
 def _highs_core():
-    """scipy's HiGHS extension module, loaded without scipy.optimize.
+    """scipy's HiGHS extension module, loaded without scipy.optimize: private
+    to scipy and tested on scipy 1.17.1 only, so a scipy release that moves
+    it breaks this function alone.
 
     The file is found beside scipy's own package and registered under
     its dotted name before it runs, so a later ``import scipy.optimize``
     reuses it.  A module already in sys.modules, this function's or
     scipy.optimize's, is returned without a search: pybind11 registers
-    ``_Highs`` once per process, and lp_backend runs on every LP.
+    ``_Highs`` once per process, and _session runs on every LP.
     """
     module = sys.modules.get(_HIGHS_CORE)
     if module is not None:
@@ -111,36 +110,6 @@ def _highs_core():
     sys.modules[_HIGHS_CORE] = module
     spec.loader.exec_module(module)
     return module
-
-
-def lp_backend():
-    """HiGHS's solve entry, loaded on the first call.
-
-    The one place scipy enters the package: only the LP-backed
-    quantities need it.  Only HiGHS's extension loads (see _highs_core):
-    no other scipy module, neither scipy.optimize nor scipy.sparse, whose
-    imports took a third and then a half of a ``bell behavior`` LP
-    command's start-up time.  The entry solves
-    min c.x, lo <= a.x <= hi, lower <= x <= upper, given ``vectors``, a
-    CsrMatrix of a's rows, or of its columns (a's transpose) when
-    ``rowwise`` is false, with the simplex options ``strategy``
-    (_DUAL_SIMPLEX or _PRIMAL_SIMPLEX), on the pybind class ``_Highs`` of
-    scipy's private ``_highspy._core``, tested on scipy 1.17.1 only; a
-    scipy release that moves it breaks this function alone.
-    """
-    _core = _highs_core()
-
-    def solve(c, vectors, rowwise, strategy, lo, hi, lower, upper):
-        highs = _session()
-        layout = _core.MatrixFormat.kRowwise if rowwise else _core.MatrixFormat.kColwise
-        # integrality needs one entry per column: HiGHS rejects an empty array
-        if highs.passModel(len(c), len(lo), len(vectors.data), layout, _core.ObjSense.kMinimize,
-                           0.0, c, lower, upper, lo, hi, vectors.indptr, vectors.indices,
-                           vectors.data, np.zeros(len(c), np.int32)) == _core.HighsStatus.kError:
-            return {"status": _core.HighsModelStatus.kModelError}  # never run: HiGHS may crash
-        return _run(highs, strategy)
-
-    return solve
 
 
 def _session():
@@ -249,7 +218,9 @@ class CsrMatrix:
 
     @cached_property  # the cached vertex matrix is transposed once, not per LP
     def T(self) -> CsrMatrix:
-        order = np.argsort(self.indices, kind="stable")
+        # numpy sorts 16-bit keys stably by radix sort, 2-3 times as fast as int32
+        keys = self.indices.astype(np.uint16) if self.shape[1] <= 1 << 16 else self.indices
+        order = np.argsort(keys, kind="stable")
         return CsrMatrix(_indptr(np.bincount(self.indices, minlength=self.shape[1])),
                          self._rows()[order].astype(np.int32), self.data[order], self.shape[::-1])
 
@@ -345,13 +316,12 @@ def lp_solve(lp: LinearProgram, columns=None) -> LpSolution:
 
     Every row goes to HiGHS as lo <= a.x <= hi.  When the >= rows repeat
     the <= rows row for row, each >= row becomes the lower bound of its
-    <= twin, so HiGHS sees the pair as one row.  ``columns``, a non-empty
-    start set of column indices, has _sifted price a working set for HiGHS;
-    a column left out sits at 0, within its bounds.  The certificates are
-    checked on exactly the model HiGHS solved, with its row duals, and on
+    <= twin, so HiGHS sees the pair as one row.  _sifted solves the LP from
+    the start set ``columns`` (column indices, by default all of them); a
+    column left out sits at 0, within its bounds.  The certificates are
+    checked on exactly the rows HiGHS solved, with its row duals, and on
     every posed column.
     """
-    highs = lp_backend()
     le, ge = lp.senses == LE, lp.senses == GE
     lo = np.where(le, -np.inf, lp.rhs)
     hi = np.where(ge, np.inf, lp.rhs)
@@ -359,23 +329,11 @@ def lp_solve(lp: LinearProgram, columns=None) -> LpSolution:
     if folded:
         lo[le] = lp.rhs[ge]
     rows = ~ge if folded else slice(None)  # the rows HiGHS gets
-    vectors, lo, hi = lp.a[rows] if folded else lp.a, lo[rows], hi[rows]
-    # HiGHS takes a matrix fastest as many short vectors (a 146 x 8193 one
-    # with 300,000 entries took 31 ms as rows, 3 ms as columns), and either
-    # way gives the same solution, bit for bit: a wide matrix goes to it as
-    # the rows of its transpose, which alone stay for the certificates
-    rowwise = vectors.shape[0] >= vectors.shape[1]
-    if not rowwise:
-        vectors = vectors.T
-    # primal simplex starts at a feasible x = 0 without a phase 1 (the nu
-    # LP's -1 <= D.T <= 1, T free); dual simplex anywhere else
-    origin = (np.all(lo <= 0.0) and np.all(hi >= 0.0)
-              and np.all(lp.lower <= 0.0) and np.all(lp.upper >= 0.0))
-    strategy = _PRIMAL_SIMPLEX if origin else _DUAL_SIMPLEX
+    cols, lo, hi = (lp.a[rows] if folded else lp.a).T, lo[rows], hi[rows]
     c = -lp.c if lp.maximize else lp.c
-    res = (highs(c, vectors, rowwise, strategy, lo, hi, lp.lower, lp.upper) if columns is None
-           else _sifted(c, vectors.T if rowwise else vectors, lo, hi, lp.lower, lp.upper, columns))
-    sol = _certified(res, c, vectors, rowwise, lo, hi, lp.lower, lp.upper)
+    res = _sifted(c, cols, lo, hi, lp.lower, lp.upper,
+                  np.arange(len(c)) if columns is None else columns)
+    sol = _certified(res, c, cols, lo, hi, lp.lower, lp.upper)
     if sol.x is None:
         return sol
     # HiGHS's row duals are d(min objective)/d(row bound); a posed
@@ -400,15 +358,14 @@ def _answer(res, c) -> LpSolution:
                       np.nan, np.nan, np.nan, iterations)
 
 
-def _certified(res, c, vectors, rowwise, lo, hi, lower, upper) -> LpSolution:
-    """HiGHS's answer, "failed" where certificates recomputed on its model miss
-    the contract; the row duals stay HiGHS's."""
+def _certified(res, c, cols, lo, hi, lower, upper) -> LpSolution:
+    """HiGHS's answer, "failed" where certificates recomputed on its model (its
+    columns the rows of ``cols``) miss the contract; the row duals stay HiGHS's."""
     sol = _answer(res, c)
     if sol.x is None:
         return sol
     x, lam = sol.x, sol.row_duals
-    # each product sums in the same order either way round
-    activity, reduced = (vectors @ x, lam @ vectors) if rowwise else (x @ vectors, vectors @ lam)
+    activity, reduced = x @ cols, cols @ lam
     row_p, row_d, row_obj = _range_certificates(activity, lam, lo, hi)
     col_p, col_d, col_obj = _range_certificates(x, c - reduced, lower, upper)
     primal_resid, dual_resid = float(np.maximum(row_p, col_p)), float(np.maximum(row_d, col_d))
@@ -434,9 +391,9 @@ def best_columns(found: np.ndarray, score: np.ndarray, limit: int, exclude=()) -
 def _sifted(c, cols, lo, hi, lower, upper, start) -> dict:
     """HiGHS's answer for min c.x, lo <= a.x <= hi, lower <= x <= upper, a's
     columns the rows of ``cols``, from a working set, first the columns
-    ``start``: after each optimum c - a.T y prices every column, and those
-    that would improve it from 0 join, at most one per row, until none does;
-    a working set without a feasible point gets every column."""
+    ``start``: after each optimum c - a.T y prices every column left out,
+    and those that would improve it from 0 join, at most one per row, until
+    none does; a working set without a feasible point gets every column."""
     master, taken, order, iterations = RestrictedMaster(lo, hi), np.zeros(len(c), bool), [], 0
     new = np.unique(start)
     while new.size:
@@ -446,12 +403,14 @@ def _sifted(c, cols, lo, hi, lower, upper, start) -> dict:
         res, iterations = master.res, iterations + master.res["simplex_nit"]
         if res["status"].name == "kInfeasible":  # a working set's infeasibility proves nothing
             new = np.flatnonzero(~taken)
-        elif res["status"].name == "kOptimal":
+        elif res["status"].name == "kOptimal" and not taken.all():
             d = c - cols @ res["lambda"]
             gain = np.abs(d) * np.where(d < 0, upper > 0, lower < 0) * ~taken
             new = best_columns(np.flatnonzero(gain > LP_DUAL_TOL), gain[gain > LP_DUAL_TOL], len(lo))
         else:
             break
+    if res["status"].name != "kOptimal":
+        return {**res, "simplex_nit": iterations}
     x = np.zeros(len(c))
     x[np.concatenate(order)] = res["x"]
     return {**res, "x": x, "simplex_nit": iterations}
@@ -459,25 +418,31 @@ def _sifted(c, cols, lo, hi, lower, upper, start) -> dict:
 
 class RestrictedMaster:
     """min c.x, lo <= a.x <= hi, lower <= x <= upper over the columns so far,
-    on one HiGHS session given the rows once.  Dual simplex first, as the
-    rows may exclude the origin, and after an answer that is not optimal;
-    then primal from the last optimal basis, which new columns, nonbasic at
-    0, leave feasible.  ``certified`` checks the last answer as lp_solve's."""
+    on one HiGHS session given the rows once.  The first solve runs primal
+    simplex if x = 0 meets every row and the first block's bounds (the nu
+    LP), dual otherwise; later ones primal from the last optimal basis, which
+    new columns, nonbasic at 0, leave feasible, and dual after any other
+    answer.  Once HiGHS rejects rows or columns, which it may crash on if
+    run, every answer is kModelError.  ``certified`` checks the last answer."""
 
     def __init__(self, lo, hi):
         self.lo, self.hi, self.highs = lo, hi, _session()
         no_entries = np.zeros(0, np.int32)
-        self.highs.addRows(len(lo), lo, hi, 0, no_entries, no_entries, np.zeros(0))
+        self.loaded = self.highs.addRows(len(lo), lo, hi, 0, no_entries, no_entries,
+                                         np.zeros(0)).name != "kError"
         self.c, self.lower, self.upper, self.blocks, self.res = *np.zeros((3, 0)), [], None
 
     def solve(self, c, columns: CsrMatrix, lower=0.0, upper=np.inf) -> LpSolution:
         """Add columns, one per row of ``columns``, with costs ``c`` and bounds
         ``lower`` <= x <= ``upper``, each an array or one number; solve."""
         lower, upper = np.full(len(c), lower, float), np.full(len(c), upper, float)
-        self.highs.addCols(len(c), c, lower, upper,
-                           len(columns.data), columns.indptr[:-1], columns.indices, columns.data)
-        optimal = self.res is not None and self.res["status"].name == "kOptimal"
-        self.res = _run(self.highs, _PRIMAL_SIMPLEX if optimal else _DUAL_SIMPLEX)
+        primal = (np.all(np.append(self.lo, lower) <= 0) and np.all(np.append(self.hi, upper) >= 0)
+                  if self.res is None else self.res["status"].name == "kOptimal")
+        self.loaded = self.loaded and self.highs.addCols(
+            len(c), c, lower, upper, len(columns.data), columns.indptr[:-1], columns.indices,
+            columns.data).name != "kError"
+        self.res = (_run(self.highs, _PRIMAL_SIMPLEX if primal else _DUAL_SIMPLEX) if self.loaded
+                    else {"status": _highs_core().HighsModelStatus.kModelError, "simplex_nit": 0})
         self.c, self.lower, self.upper = (np.append(old, added) for old, added in
                                           ((self.c, c), (self.lower, lower), (self.upper, upper)))
         self.blocks.append(columns)
@@ -485,8 +450,8 @@ class RestrictedMaster:
 
     def certified(self) -> LpSolution:
         """The last answer, "failed" where its certificates miss the contract."""
-        return _certified(self.res, self.c, CsrMatrix.vstack(self.blocks), False, self.lo,
-                          self.hi, self.lower, self.upper)
+        return _certified(self.res, self.c, CsrMatrix.vstack(self.blocks), self.lo, self.hi,
+                          self.lower, self.upper)
 
 
 def _squared_frobenius(m: np.ndarray) -> np.ndarray:

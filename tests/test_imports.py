@@ -203,18 +203,20 @@ def test_private_numpy_linalg_module_is_used_only_in_numerics():
 
 
 def test_private_scipy_highs_module_is_used_only_in_numerics():
-    # numerics.lp_backend is the one entry into HiGHS, through the pybind
-    # class _core._Highs of scipy's private _highspy; every LP goes through
-    # it rather than through linprog or scipy's _highs_wrapper
+    # numerics._session is the one entry into HiGHS, a session of the pybind
+    # class _core._Highs of scipy's private _highspy that numerics._highs_core
+    # loads; every LP is solved on one, given its rows and then its columns,
+    # rather than through linprog, scipy's _highs_wrapper or a one-shot
+    # passModel
     users = sorted(p.name for p in MODULES if "_highspy" in p.read_text(encoding="utf-8"))
     assert users == ["numerics.py"]
     sources = sorted(Path(bellcalc.__file__).parent.rglob("*.py"))
-    for entry in ("linprog", "_highs_wrapper"):
+    for entry in ("linprog", "_highs_wrapper", "passModel"):
         assert [p.name for p in sources if entry in p.read_text(encoding="utf-8")] == []
 
 
 def test_no_module_imports_the_scipy_optimize_package():
-    # lp_backend loads HiGHS's extension on its own; the scipy.optimize
+    # _highs_core loads HiGHS's extension for _session on its own; the scipy.optimize
     # package is a third of an LP command's start-up time and unused
     sources = sorted(Path(bellcalc.__file__).parent.rglob("*.py"))
     assert {p.name: _package_imports(p.read_text(encoding="utf-8"), "scipy.optimize")

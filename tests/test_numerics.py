@@ -2,9 +2,9 @@
 
 The LP layer is checked against scipy's linprog dual simplex, a second
 front end to HiGHS that takes >= rows negated into <= form and never
-folds a mirrored pair, and its HiGHS call, by rows or by columns, bit for
-bit against scipy's column-wise _highs_wrapper; its certificates must
-reject HiGHS answers spoiled on purpose.  CsrMatrix, the package's sparse matrix, is
+folds a mirrored pair, and its HiGHS session, given every column in one
+block, bit for bit against scipy's _highs_wrapper on the same model; its
+certificates must reject HiGHS answers spoiled on purpose.  CsrMatrix, the package's sparse matrix, is
 checked bit for bit against scipy.sparse.
 
 The POVM solver is checked against an independent semidefinite
@@ -31,6 +31,7 @@ from scipy.optimize._highspy._highs_wrapper import _highs_wrapper
 
 from bellcalc import (
     Scenario,
+    SolverError,
     ValidationError,
     behavior_from_local,
     behavior_from_quantum,
@@ -212,12 +213,19 @@ def _dense_vertex_matrix(scenario):
 
 def _csr_pairs():
     """(CsrMatrix, the same matrix in scipy CSR): 50 random ones with
-    empty rows and columns, then four vertex matrices."""
+    empty rows and columns, two about 2**16 columns wide, then four vertex
+    matrices."""
     rng = np.random.default_rng(60)
     pairs = []
     for _ in range(50):
         m, n = (int(k) for k in rng.integers(1, 30, size=2))
         dense = rng.standard_normal((m, n)) * (rng.random((m, n)) < rng.random())
+        pairs.append((CsrMatrix.from_dense(dense), sp.csr_matrix(dense)))
+    # the widest matrix whose transpose sorts 16-bit keys, and one column
+    # wider, whose last column would share the first one's 16-bit key
+    for n in (1 << 16, (1 << 16) + 1):
+        dense = rng.standard_normal((5, n)) * (rng.random((5, n)) < 1e-3)
+        dense[:, [0, n - 1]] = 1.0
         pairs.append((CsrMatrix.from_dense(dense), sp.csr_matrix(dense)))
     for shape in [(2, 2, 2, 2), (3, 3, 2, 2), (2, 3, 3, 2), (3, 3, 4, 4)]:
         scenario = Scenario(*shape)
@@ -352,14 +360,13 @@ def _mirrored_lp(rng, maximize, nudge=0.0):
 @pytest.fixture
 def rows_to_highs(monkeypatch):
     """The row count of every LP that lp_solve hands HiGHS."""
-    highs = numerics.lp_backend()
-    seen = []
+    init, seen = numerics.RestrictedMaster.__init__, []
 
-    def spy(c, vectors, rowwise, strategy, lo, *rest):
+    def spy(master, lo, hi):
         seen.append(len(lo))
-        return highs(c, vectors, rowwise, strategy, lo, *rest)
+        init(master, lo, hi)
 
-    monkeypatch.setattr(numerics, "lp_backend", lambda: spy)
+    monkeypatch.setattr(numerics.RestrictedMaster, "__init__", spy)
     return seen
 
 
@@ -422,14 +429,14 @@ def test_one_sided_rows_give_linprogs_bytes():
     ("kUnboundedOrInfeasible", "failed"), ("kIterationLimit", "failed"), ("kTimeLimit", "failed"),
 ])
 def test_highs_status_map(monkeypatch, highs_status, status):
-    monkeypatch.setattr(numerics, "lp_backend", lambda: lambda *args: {
+    monkeypatch.setattr(numerics, "_run", lambda highs, strategy: {
         "x": None, "status": SimpleNamespace(name=highs_status), "simplex_nit": 17})
     sol = lp_solve(random_feasible_lp(np.random.default_rng(0)))
     assert (sol.status, sol.iterations, sol.x, sol.row_duals) == (status, 17, None, None)
 
 
 def test_nan_solution_is_failed(monkeypatch):
-    monkeypatch.setattr(numerics, "lp_backend", lambda: lambda *args: {
+    monkeypatch.setattr(numerics, "_run", lambda highs, strategy: {
         "x": np.array([np.nan]), "lambda": np.zeros(1),
         "status": SimpleNamespace(name="kOptimal"), "simplex_nit": 1})
     lp = LinearProgram(
@@ -439,12 +446,25 @@ def test_nan_solution_is_failed(monkeypatch):
     assert lp_solve(lp).status == "failed"
 
 
-def _perturb_highs(monkeypatch, defect):
-    """Point lp_backend at HiGHS with its optimal answer spoiled by one defect."""
-    solve = numerics.lp_backend()
+def _session_model(highs):
+    """(costs, column-wise matrix, row bounds, column bounds) of the model a
+    HiGHS session holds."""
+    model = highs.getLp()
+    a = model.a_matrix_
+    assert a.format_ == _core.MatrixFormat.kColwise
+    cols = sp.csc_matrix((np.array(a.value_), np.array(a.index_), np.array(a.start_)),
+                         shape=(model.num_row_, model.num_col_))
+    return (np.array(model.col_cost_), cols, np.array(model.row_lower_),
+            np.array(model.row_upper_), np.array(model.col_lower_), np.array(model.col_upper_))
 
-    def perturbed(c, vectors, rowwise, strategy, lo, hi, lower, upper):
-        res = solve(c, vectors, rowwise, strategy, lo, hi, lower, upper)
+
+def _perturb_highs(monkeypatch, defect):
+    """Point _run at HiGHS with its optimal answer spoiled by one defect."""
+    run = numerics._run
+
+    def perturbed(highs, strategy):
+        res = run(highs, strategy)
+        _, cols, _, _, _, upper = _session_model(highs)
         x, lam = res["x"].copy(), res["lambda"].copy()
         i = int(np.argmax(np.abs(lam)))  # an active row: at hi when its dual is negative
         if defect == "row dual":
@@ -453,12 +473,12 @@ def _perturb_highs(monkeypatch, defect):
             j = int(np.flatnonzero(np.isfinite(upper))[0])
             x[j] = upper[j] + 1e-6
         else:  # one column moves row i's activity 1e-6 out of its range
-            row = (_scipy_csr(vectors).toarray() if rowwise else _scipy_csr(vectors).T.toarray())[i]
+            row = cols.toarray()[i]
             j = int(np.argmax(np.abs(row)))
             x[j] += (1e-6 if lam[i] < 0 else -1e-6) / row[j]
         return {**res, "x": x, "lambda": lam}
 
-    monkeypatch.setattr(numerics, "lp_backend", lambda: perturbed)
+    monkeypatch.setattr(numerics, "_run", perturbed)
 
 
 @pytest.mark.parametrize("defect", ["row dual", "column", "row"])
@@ -484,25 +504,24 @@ def test_answer_its_certificates_disprove_is_failed(monkeypatch, rows_to_highs, 
 
 
 def test_highs_solve_gives_the_bits_of_scipys_wrapper(monkeypatch, chsh_optimal_behavior):
-    # lp_solve's backend hands HiGHS the rows of the model with the options
-    # of scipy's _highs_wrapper (which takes presolve as a bool, and the
-    # columns through tocsc) and the simplex strategy lp_solve chose, so
-    # every nu LP, pi LP solved without a start set and reference membership
-    # LP comes back with the same x, row duals and iterations either way.
-    # noise_robustness prices its pi LP on a session of its own instead
+    # lp_solve hands a session the rows, then every column in one block,
+    # with the options of scipy's _highs_wrapper (which takes presolve as a
+    # bool) and the simplex strategy the session chose, so every nu LP, pi
+    # LP solved without a start set and reference membership LP comes back
+    # with the same x, row duals and iterations as the wrapper on the model
+    # the session holds.  noise_robustness prices its pi LP over several
+    # rounds of one session instead
     highs = _core._Highs()
     assert all(highs.setOptionValue(key, value) == _core.HighsStatus.kOk
                for key, value in numerics._HIGHS_OPTIONS.items())
-    solve, run, lp_solve_priced = numerics.lp_backend(), numerics._run, violation.lp_solve
-    solved, sessions, priced = [], {}, []
+    run, lp_solve_priced = numerics._run, violation.lp_solve
+    sessions, priced = {}, []
 
-    def keep(*args):
-        solved.append((args, solve(*args)))
-        return solved[-1][1]
-
-    def spy(session, strategy):
-        sessions.setdefault(session, []).append(strategy)
-        return run(session, strategy)
+    def spy(highs, strategy):
+        model = _session_model(highs)
+        res = run(highs, strategy)
+        sessions.setdefault(highs, []).append((strategy, model, res))
+        return res
 
     def pose(lp, columns=None):
         priced.append((lp, columns))
@@ -511,35 +530,30 @@ def test_highs_solve_gives_the_bits_of_scipys_wrapper(monkeypatch, chsh_optimal_
     rng = np.random.default_rng(7)
     random_behavior = behavior_from_quantum(_random_model(rng, Scenario(3, 3, 2, 2), 2, "complete"))
     local_behavior = _few_vertex_behavior(rng, Scenario(3, 3, 2, 2))
-    monkeypatch.setattr(numerics, "lp_backend", lambda: keep)
+    monkeypatch.setattr(numerics, "_run", spy)
     monkeypatch.setattr(violation, "lp_solve", pose)
-    pi_sessions = []
     for behavior in (chsh_optimal_behavior, random_behavior, local_behavior):
         max_violation(behavior)
-        monkeypatch.setattr(numerics, "_run", spy)
         pi = noise_robustness(behavior)
-        monkeypatch.setattr(numerics, "_run", run)
-        pi_sessions += sessions.values()
-        sessions.clear()
         pi_lp, columns = priced[-1]
-        assert columns is not None
+        assert columns is not None and len(columns) < pi_lp.a.shape[1]
         assert abs(pi - min(max(lp_solve(pi_lp).objective, 0.0), 1.0)) <= 1e-12
         lp_solve(reference_membership_lp(behavior))
-    assert len(solved) == 9
-    # HiGHS gets the rows of tall LPs and the columns of wide ones, here both
-    assert [args[2] for args, _ in solved] == [len(args[4]) >= len(args[0]) for args, _ in solved]
-    assert {args[2] for args, _ in solved} == {True, False}
+    # per behavior: the nu LP, the priced pi LP, the pi LP and membership's
+    rounds = list(sessions.values())
+    assert len(rounds) == 12
+    one_round = [r for i, r in enumerate(rounds) if i % 4 != 1]
+    assert all(len(r) == 1 for r in one_round)
     # nu (from the feasible origin) by primal simplex, pi and membership by dual
     primal, dual = numerics._PRIMAL_SIMPLEX, numerics._DUAL_SIMPLEX
-    assert [args[3] for args, _ in solved] == [primal, dual, dual] * 3
-    # a priced pi LP: one session, dual simplex first, then primal simplex
-    # from the last optimal basis each later round
-    assert len(pi_sessions) == 3 and max(len(strategies) for strategies in pi_sessions) >= 2
+    assert [r[0][0] for r in one_round] == [primal, dual, dual] * 3
+    # a priced pi LP: dual simplex first, then primal simplex from the last
+    # optimal basis each later round
+    pi_sessions = [[strategy for strategy, _, _ in r] for r in rounds[1::4]]
+    assert max(len(strategies) for strategies in pi_sessions) >= 2
     assert all(strategies == [dual] + [primal] * (len(strategies) - 1)
                for strategies in pi_sessions)
-    for (c, vectors, rowwise, strategy, lo, hi, lower, upper), res in solved:
-        rows = _scipy_csr(vectors) if rowwise else _scipy_csr(vectors).T.tocsr()
-        cols = rows.tocsc()
+    for [(strategy, (c, cols, lo, hi, lower, upper), res)] in one_round:
         options = {**numerics._HIGHS_OPTIONS, "presolve": False, **strategy}
         ref = _highs_wrapper(c, cols.indptr, cols.indices, cols.data, lo, hi, lower, upper,
                              np.empty(0, np.uint8), options)
@@ -571,14 +585,13 @@ def test_primal_simplex_exactly_from_a_feasible_origin_and_both_simplices_agree(
     monkeypatch.undo()
     accept_rng = np.random.default_rng(10)  # acceptance 10's draws
     lps += [random_feasible_lp(accept_rng) for _ in range(500)]
-    solve = numerics.lp_backend()
-    chosen, forced = [], {}
+    run, chosen, forced = numerics._run, [], {}
 
-    def backend(c, vectors, rowwise, strategy, *rest):
+    def forcing(highs, strategy):
         chosen.append(strategy)
-        return solve(c, vectors, rowwise, forced.get("strategy", strategy), *rest)
+        return run(highs, forced.get("strategy", strategy))
 
-    monkeypatch.setattr(numerics, "lp_backend", lambda: backend)
+    monkeypatch.setattr(numerics, "_run", forcing)
     primal_simplex, dual_simplex = numerics._PRIMAL_SIMPLEX, numerics._DUAL_SIMPLEX
     expected = []
     for i, lp in enumerate(lps):
@@ -626,26 +639,62 @@ def test_membership_master_runs_dual_simplex_first_then_primal(monkeypatch):
         assert all(strategy is numerics._PRIMAL_SIMPLEX for strategy in strategies[1:])
 
 
+class _ScrambledSession:
+    """A HiGHS session whose ``addCols`` calls, from the ``scrambled``-th on,
+    get their first two column starts swapped: HiGHS rejects the block."""
+
+    def __init__(self, highs, statuses, scrambled):
+        self.highs, self.statuses, self.scrambled = highs, statuses, scrambled
+
+    def __getattr__(self, name):
+        return getattr(self.highs, name)
+
+    def addCols(self, n, c, lower, upper, nnz, starts, indices, data):
+        if len(self.statuses) + 1 >= self.scrambled:
+            starts = starts.copy()
+            starts[[0, 1]] = starts[[1, 0]]
+        num_col = self.highs.getNumCol()
+        status = self.highs.addCols(n, c, lower, upper, nnz, starts, indices, data)
+        self.statuses.append((status, self.highs.getNumCol() - num_col))
+        return status
+
+
+def _scramble_session(monkeypatch, scrambled):
+    """Scramble each session's addCols calls from the ``scrambled``-th on; the
+    lists of every call's (status, columns added) and every _run's strategy."""
+    session, statuses, runs = numerics._session, [], []
+    monkeypatch.setattr(numerics, "_session",
+                        lambda: _ScrambledSession(session(), statuses, scrambled))
+    run = numerics._run
+    monkeypatch.setattr(numerics, "_run", lambda highs, strategy: runs.append(strategy)
+                        or run(highs, strategy))
+    return statuses, runs
+
+
 def test_model_highs_rejects_is_never_optimal(monkeypatch):
-    # row starts that decrease: HiGHS rejects the model when it is passed
-    solve = numerics.lp_backend()
-    statuses = []
-
-    def scramble(c, vectors, *rest):
-        indptr = vectors.indptr.copy()
-        indptr[1], indptr[2] = indptr[2], indptr[1]
-        res = solve(c, CsrMatrix(indptr, vectors.indices, vectors.data, vectors.shape), *rest)
-        statuses.append(res["status"])
-        return res
-
-    monkeypatch.setattr(numerics, "lp_backend", lambda: scramble)
+    # column starts that decrease: HiGHS rejects the block, adds none of
+    # it, and the session answers kModelError without running HiGHS
+    statuses, runs = _scramble_session(monkeypatch, 1)
     lp = LinearProgram(
         c=np.ones(2), a=np.array([[1.0, 2.0], [3.0, 1.0]]), rhs=np.array([4.0, 6.0]),
         senses=[LE, LE], lower=np.zeros(2), upper=np.full(2, np.inf),
     )
     sol = lp_solve(lp)
-    assert statuses == [_core.HighsModelStatus.kModelError]
+    assert statuses == [(_core.HighsStatus.kError, 0)] and runs == []
     assert sol.status == "failed" and sol.x is None
+
+
+def test_priced_round_highs_rejects_ends_the_lp_failed(monkeypatch):
+    # the pi LP of this qubit behavior is priced over three rounds; HiGHS
+    # rejects the second round's block, so that round never runs and the
+    # LP ends "failed": a solver error, not a crash on a short solution
+    behavior = behavior_from_quantum(_random_model(np.random.default_rng(8), Scenario(2, 2, 2, 2),
+                                                   2, "complete"))
+    statuses, runs = _scramble_session(monkeypatch, 2)
+    with pytest.raises(SolverError, match="status 'failed'"):
+        noise_robustness(behavior)
+    assert statuses == [(_core.HighsStatus.kOk, 17), (_core.HighsStatus.kError, 0)]
+    assert runs == [numerics._DUAL_SIMPLEX]
 
 
 # Runs code in a fresh interpreter that imports bellcalc from this checkout.
@@ -658,11 +707,11 @@ def run_fresh(code):
     return proc.stdout.split()
 
 
-def test_scipy_optimize_reuses_the_highs_module_lp_backend_loaded():
+def test_scipy_optimize_reuses_the_highs_module_the_session_loaded():
     out = run_fresh(
         "import sys\n"
         "from bellcalc import numerics\n"
-        "numerics.lp_backend()\n"
+        "numerics._session()\n"
         "core = sys.modules['scipy.optimize._highspy._core']\n"
         "print('scipy.optimize' in sys.modules)\n"
         "from scipy.optimize import linprog\n"
@@ -672,7 +721,7 @@ def test_scipy_optimize_reuses_the_highs_module_lp_backend_loaded():
     assert out == ["False", "0", "3.0", "True", "True", "True"]
 
 
-def test_lp_backend_reuses_the_highs_module_scipy_optimize_loaded():
+def test_session_reuses_the_highs_module_scipy_optimize_loaded():
     out = run_fresh(
         "import sys\n"
         "import numpy as np\n"
@@ -692,12 +741,12 @@ def test_lp_backend_reuses_the_highs_module_scipy_optimize_loaded():
 
 
 def test_missing_highs_extension_names_the_scipy_floor(monkeypatch, tmp_path):
-    numerics.lp_backend()
+    numerics._session()
     monkeypatch.delitem(sys.modules, numerics._HIGHS_CORE)
     monkeypatch.setattr(importlib.util, "find_spec",
                         lambda name: SimpleNamespace(submodule_search_locations=[str(tmp_path)]))
     with pytest.raises(ImportError, match=r"scipy >= 1\.15"):
-        numerics.lp_backend()
+        numerics._session()
 
 
 def test_eigh_contract_on_random_hermitian():
