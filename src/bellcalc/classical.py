@@ -34,7 +34,7 @@ from .core import (
     validate,
 )
 from .errors import SolverError, ValidationError
-from .numerics import LP_DUAL_TOL, CsrMatrix, RestrictedMaster, best_columns
+from .numerics import CsrMatrix, RestrictedMaster, best_columns
 from .polytope import ENUM_GUARD, check_guard, strategies_from_vertices, vertex_rows
 
 # A behavior reproduced by vertex weights to within this max-norm error
@@ -239,27 +239,24 @@ def is_local(behavior: Behavior) -> MembershipCertificate:
 
     def vertex_columns(vertices):
         d = vertex_rows(scenario, *np.divmod(vertices, scenario.bob_strategy_count()))
-        return CsrMatrix.hstack([d, -d, CsrMatrix.from_dense(np.ones((len(vertices), 1)))])
+        return (np.zeros(len(vertices)),
+                CsrMatrix.hstack([d, -d, CsrMatrix.from_dense(np.ones((len(vertices), 1)))]))
 
-    # each round adds at most as many columns as a basis holds, the master's row count
-    probs, limit = behavior.probs, 2 * n_entries + 1
-    vertices = seed_vertices(probs)
+    values = None  # the vertex values of the last pricing round, which ended it
+
+    def price(duals):
+        nonlocal values
+        found, values = best_response_vertices(
+            (duals[:n_entries] - duals[n_entries:2 * n_entries]).reshape(scenario.shape))
+        return found, values + duals[-1]
+
+    probs, vertices = behavior.probs, seed_vertices(behavior.probs)
     distance = CsrMatrix.from_dense(np.concatenate([-np.ones(2 * n_entries), [0.0]])[None])
-    columns = CsrMatrix.vstack([distance, vertex_columns(vertices)])
-    c = np.concatenate([[1.0], np.zeros(len(vertices))])
+    c, columns = vertex_columns(vertices)
+    first = master.solve(np.concatenate([[1.0], c]), CsrMatrix.vstack([distance, columns]))
     # each round's answer goes unchecked into pricing; the last is certified
-    sol = master.solve(c, columns)
-    while sol.status == "optimal":
-        duals = sol.row_duals
-        s_vec = duals[:n_entries] - duals[n_entries:2 * n_entries]
-        found, values = best_response_vertices(s_vec.reshape(scenario.shape))
-        gain = values + duals[-1]
-        new = best_columns(found[gain > LP_DUAL_TOL], gain[gain > LP_DUAL_TOL], limit, vertices)
-        if new.size == 0:
-            sol = master.certified()
-            break
-        vertices = np.concatenate([vertices, new])
-        sol = master.solve(np.zeros(len(new)), vertex_columns(new))
+    vertices, sol = master.generate(first, vertices, vertex_columns, price)
+    sol = master.certified() if sol.status == "optimal" else sol
     if sol.status != "optimal":
         raise SolverError(f"membership LP ended with status {sol.status!r}")
     if sol.objective <= MEMBERSHIP_TOL:
@@ -270,6 +267,7 @@ def is_local(behavior: Behavior) -> MembershipCertificate:
     # Separating functional S, shifted so its best vertex value is exactly
     # one: every complete behavior has total mass Na*Nb, so a constant
     # tensor moves all vertex values and <S, Q> equally
+    s_vec = sol.row_duals[:n_entries] - sol.row_duals[n_entries:2 * n_entries]
     max_vertex = float(values.max())
     shift = (1.0 - max_vertex) / (scenario.n_inputs_a * scenario.n_inputs_b)
     functional = BellFunctional(scenario, s_vec.reshape(scenario.shape) + shift)

@@ -298,12 +298,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        doc = args.run(args)
+        text = bio.dump_document(args.run(args))
     except BellError as e:
         print(f"error: {e}", file=sys.stderr)
         return next((code for cls, code in EXIT_CODES if isinstance(e, cls)), PARSE_EXIT)
     except MemoryError as e:
         print("error: out of memory" + (f": {e}" if str(e) else ""), file=sys.stderr)
         return GUARD_EXIT
-    sys.stdout.write(bio.dump_document(doc))
+    sys.stdout.write(text)
     return 0

@@ -10,8 +10,9 @@ One fixed layout so files are diffable and stable across runs:
       "metadata": {"name": .., "provenance": ..}
     }
 
-Coefficient and probability tensors nest as [x][y][a][b].  Complex
-matrix entries serialize as [re, im] pairs.  Numbers are written with
+Coefficient and probability tensors nest as [x][y][a][b]; numpy values
+stay in payloads until json's one walk writes them, any complex value as
+[re, im], and NaN or infinity is rejected.  Numbers are written with
 shortest round-trip formatting, so parse(serialize(x)) reproduces x
 bit for bit; serializers are pure functions of their inputs (no
 timestamps), which is what makes command output byte-reproducible.
@@ -20,7 +21,6 @@ timestamps), which is what makes command output byte-reproducible.
 from __future__ import annotations
 
 import json
-import math
 import os
 
 import numpy as np
@@ -37,30 +37,6 @@ from .core import (
 from .errors import DocumentError
 
 FORMAT_VERSION = "1"
-KINDS = ("functional", "behavior", "quantum_model", "report")
-
-
-def _plain(value, path: str):
-    """Copy of a payload in plain Python types: numpy arrays and scalars
-    converted, complex numbers as [re, im].  A non-finite float raises,
-    naming its path."""
-    if isinstance(value, np.ndarray):
-        value = value.tolist()
-    elif isinstance(value, np.floating):
-        value = float(value)
-    elif isinstance(value, np.integer):
-        value = int(value)
-    elif isinstance(value, np.bool_):
-        value = bool(value)
-    if isinstance(value, complex):
-        value = [value.real, value.imag]
-    if isinstance(value, float) and not math.isfinite(value):
-        raise DocumentError(f"non-finite number at {path}")
-    if isinstance(value, dict):
-        return {k: _plain(v, f"{path}.{k}") for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v, f"{path}[{i}]") for i, v in enumerate(value)]
-    return value
 
 
 def document(kind: str, scenario: Scenario | None, payload: dict,
@@ -74,14 +50,23 @@ def document(kind: str, scenario: Scenario | None, payload: dict,
             "ma": scenario.n_outputs_a,
             "mb": scenario.n_outputs_b,
         },
-        "payload": _plain(payload, "payload"),
+        "payload": payload,
         "metadata": {"name": name, "provenance": provenance},
     }
 
 
+def _json_default(value):
+    """A complex number as [re, im]; a numpy array or scalar as Python values."""
+    return [value.real, value.imag] if isinstance(value, complex) else value.tolist()
+
+
 def dump_document(doc: dict) -> str:
-    """Serialize with a trailing newline; floats keep full precision."""
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    """Serialize with a trailing newline; floats keep full precision.  A
+    non-finite number raises DocumentError."""
+    try:
+        return json.dumps(doc, indent=2, allow_nan=False, default=_json_default) + "\n"
+    except ValueError as e:
+        raise DocumentError("a document cannot hold a non-finite number") from e
 
 
 def read_text(path: str) -> str:
@@ -130,7 +115,7 @@ def parse_json(text: str):
         ) from e
 
 
-def parse_document(text: str, expect_kind: str | None = None) -> dict:
+def parse_document(text: str, expect_kind: str) -> dict:
     doc = parse_json(text)
     if not isinstance(doc, dict):
         raise DocumentError("document root must be an object")
@@ -140,16 +125,14 @@ def parse_document(text: str, expect_kind: str | None = None) -> dict:
             f"format_version must be {FORMAT_VERSION!r}, got {version!r}"
         )
     kind = doc.get("kind")
-    if kind not in KINDS:
-        raise DocumentError(f"unknown document kind {kind!r}")
-    if expect_kind is not None and kind != expect_kind:
+    if kind != expect_kind:
         raise DocumentError(f"expected a {expect_kind} document, got {kind!r}")
     if "payload" not in doc or not isinstance(doc["payload"], dict):
         raise DocumentError("document payload must be an object")
     return doc
 
 
-def load_document(path: str, expect_kind: str | None = None) -> dict:
+def load_document(path: str, expect_kind: str) -> dict:
     return parse_document(read_text(path), expect_kind)
 
 
@@ -228,20 +211,14 @@ def behavior_from_document(doc: dict) -> Behavior:
 
 # -- quantum models -----------------------------------------------------
 
-def _matrix_out(matrix: np.ndarray):
-    """[re, im] pairs for every entry of a matrix or a stack of matrices."""
-    m = np.asarray(matrix, dtype=np.complex128)
-    return np.stack([m.real, m.imag], axis=-1)
-
-
 def quantum_model_document(model: QuantumModel, name: str, provenance: str) -> dict:
     payload = {
         "dim_a": model.dim_a,
         "dim_b": model.dim_b,
         "completeness": model.completeness,
-        "state": _matrix_out(model.state),
-        "alice_povms": _matrix_out(model.alice_povms),
-        "bob_povms": _matrix_out(model.bob_povms),
+        "state": model.state,
+        "alice_povms": model.alice_povms,
+        "bob_povms": model.bob_povms,
     }
     return document("quantum_model", model.scenario, payload, name, provenance)
 

@@ -7,7 +7,9 @@ residuals plus duality gap.  HiGHS takes two-sided rows lo <= a.x <= hi,
 so a >= block that mirrors the <= block goes to it as the lower bounds
 of those rows.  Every LP is solved on one RestrictedMaster session: the
 rows once, then the columns, all of them or, as for pi's LP, a working
-set that _sifted prices against the rest.  Its first solve runs primal
+set priced against the rest (sifting, Bixby et al., Oper. Res. 40, 885,
+1992) by RestrictedMaster.generate, the one column-generation loop, which
+membership runs with the classical oracle.  Its first solve runs primal
 simplex from x = 0 when that meets every row and bound, as in the nu LP,
 and dual simplex otherwise.  Certificates are checked on the rows HiGHS
 solved, with its row duals, and on every posed column, by one range rule
@@ -316,11 +318,11 @@ def lp_solve(lp: LinearProgram, columns=None) -> LpSolution:
 
     Every row goes to HiGHS as lo <= a.x <= hi.  When the >= rows repeat
     the <= rows row for row, each >= row becomes the lower bound of its
-    <= twin, so HiGHS sees the pair as one row.  _sifted solves the LP from
-    the start set ``columns`` (column indices, by default all of them); a
-    column left out sits at 0, within its bounds.  The certificates are
-    checked on exactly the rows HiGHS solved, with its row duals, and on
-    every posed column.
+    <= twin, so HiGHS sees the pair as one row.  RestrictedMaster.generate
+    solves the LP from the start set ``columns`` (column indices, by default
+    all), pricing the rest by c - a.T y; a column left out sits at 0.  The
+    certificates are checked on exactly the rows HiGHS solved, with its row
+    duals, and on every posed column; ``iterations`` totals the rounds.
     """
     le, ge = lp.senses == LE, lp.senses == GE
     lo = np.where(le, -np.inf, lp.rhs)
@@ -331,9 +333,21 @@ def lp_solve(lp: LinearProgram, columns=None) -> LpSolution:
     rows = ~ge if folded else slice(None)  # the rows HiGHS gets
     cols, lo, hi = (lp.a[rows] if folded else lp.a).T, lo[rows], hi[rows]
     c = -lp.c if lp.maximize else lp.c
-    res = _sifted(c, cols, lo, hi, lp.lower, lp.upper,
-                  np.arange(len(c)) if columns is None else columns)
-    sol = _certified(res, c, cols, lo, hi, lp.lower, lp.upper)
+    master, everything = RestrictedMaster(lo, hi), np.arange(len(c))
+    start = everything if columns is None else np.unique(columns)
+
+    def take(new):
+        return c[new], cols[np.bincount(new, minlength=len(c)) > 0], lp.lower[new], lp.upper[new]
+
+    def price(y):  # a column left out at 0 gains |c - a.T y| if it may move that way
+        d = c - cols @ y
+        return everything, np.abs(d) * np.where(d < 0, lp.upper > 0, lp.lower < 0)
+
+    order, sol = master.generate(master.solve(*take(start)), start, take, price, len(c))
+    x = np.zeros(len(c))
+    x[order] = 0.0 if sol.x is None else sol.x
+    sol = _certified({**master.res, "x": x, "simplex_nit": sol.iterations}, c, cols, lo, hi,
+                     lp.lower, lp.upper)
     if sol.x is None:
         return sol
     # HiGHS's row duals are d(min objective)/d(row bound); a posed
@@ -388,34 +402,6 @@ def best_columns(found: np.ndarray, score: np.ndarray, limit: int, exclude=()) -
     return np.sort(found[order][np.sort(first)[:limit]])
 
 
-def _sifted(c, cols, lo, hi, lower, upper, start) -> dict:
-    """HiGHS's answer for min c.x, lo <= a.x <= hi, lower <= x <= upper, a's
-    columns the rows of ``cols``, from a working set, first the columns
-    ``start``: after each optimum c - a.T y prices every column left out,
-    and those that would improve it from 0 join, at most one per row, until
-    none does; a working set without a feasible point gets every column."""
-    master, taken, order, iterations = RestrictedMaster(lo, hi), np.zeros(len(c), bool), [], 0
-    new = np.unique(start)
-    while new.size:
-        taken[new] = True
-        order.append(new)
-        master.solve(c[new], cols[np.bincount(new, minlength=len(c)) > 0], lower[new], upper[new])
-        res, iterations = master.res, iterations + master.res["simplex_nit"]
-        if res["status"].name == "kInfeasible":  # a working set's infeasibility proves nothing
-            new = np.flatnonzero(~taken)
-        elif res["status"].name == "kOptimal" and not taken.all():
-            d = c - cols @ res["lambda"]
-            gain = np.abs(d) * np.where(d < 0, upper > 0, lower < 0) * ~taken
-            new = best_columns(np.flatnonzero(gain > LP_DUAL_TOL), gain[gain > LP_DUAL_TOL], len(lo))
-        else:
-            break
-    if res["status"].name != "kOptimal":
-        return {**res, "simplex_nit": iterations}
-    x = np.zeros(len(c))
-    x[np.concatenate(order)] = res["x"]
-    return {**res, "x": x, "simplex_nit": iterations}
-
-
 class RestrictedMaster:
     """min c.x, lo <= a.x <= hi, lower <= x <= upper over the columns so far,
     on one HiGHS session given the rows once.  The first solve runs primal
@@ -447,6 +433,30 @@ class RestrictedMaster:
                                           ((self.c, c), (self.lower, lower), (self.upper, upper)))
         self.blocks.append(columns)
         return _answer(self.res, self.c)
+
+    def generate(self, sol, ids, columns, price, total=None):
+        """Column generation from the answer ``sol`` over the columns ``ids``: after
+        each optimum, the columns not yet in that ``price(row duals)`` credits, as
+        (ids, gains), with more than LP_DUAL_TOL join by ``self.solve(*columns(new))``,
+        best first, as many as a basis holds (one per row), until none does.  Of
+        ``total`` columns none is priced once all are in, and an infeasible working
+        set, which proves nothing, gets the rest.  Returns the ids in order of entry
+        and the last answer, unchecked, with its iterations summed over the rounds."""
+        iterations = sol.iterations
+        while True:
+            if sol.status == "infeasible" and total is not None:
+                new = np.setdiff1d(np.arange(total), ids)
+            elif sol.status == "optimal" and len(ids) != total:
+                found, gain = price(sol.row_duals)
+                new = best_columns(found[gain > LP_DUAL_TOL], gain[gain > LP_DUAL_TOL],
+                                   len(self.lo), ids)
+            else:
+                new = ids[:0]
+            if not new.size:
+                return ids, dataclasses.replace(sol, iterations=iterations)
+            ids = np.concatenate([ids, new])
+            sol = self.solve(*columns(new))
+            iterations += sol.iterations
 
     def certified(self) -> LpSolution:
         """The last answer, "failed" where its certificates miss the contract."""

@@ -467,6 +467,24 @@ def test_column_generation_matches_the_full_vertex_lp(monkeypatch):
     assert verdicts.count("local") >= 10 and verdicts.count("nonlocal") >= 5
 
 
+def test_membership_runs_the_oracle_once_per_master_answer(monkeypatch):
+    # twice for the seeds, then once to price each round's optimum; the
+    # separating functional's best vertex value comes from the last round
+    oracle, solve, calls = classical.best_response_vertices, numerics.RestrictedMaster.solve, []
+    monkeypatch.setattr(classical, "best_response_vertices",
+                        lambda coeffs: calls.append("oracle") or oracle(coeffs))
+    monkeypatch.setattr(numerics.RestrictedMaster, "solve",
+                        lambda self, *args: calls.append("solve") or solve(self, *args))
+    scenario = Scenario(3, 3, 3, 3)
+    x, y, a, b = np.ogrid[0:3, 0:3, 0:3, 0:3]
+    pr_box = ((a - b - x * y) % 3 == 0) / 3.0
+    qubit = behavior_from_quantum(_random_model(np.random.default_rng(4), scenario, 2, "complete"))
+    cert = is_local(Behavior(scenario, 0.4 * pr_box + 0.6 * qubit.probs))
+    assert cert.verdict == "nonlocal"
+    assert calls[:2] == ["oracle", "oracle"] and calls.count("solve") >= 2
+    assert calls[2:] == ["solve", "oracle"] * calls.count("solve")
+
+
 def test_membership_at_10x10x2x2_is_certified_without_the_vertex_matrix(monkeypatch):
     # a million vertices, ten times the vertex guard: the oracle prices them
     def refuse(scenario):

@@ -557,6 +557,17 @@ def test_robustness_certifies_every_column_of_the_priced_lp(tmp_path, capsys, mo
     assert err == "error: noise robustness LP ended with status 'failed'\n"
 
 
+def test_non_finite_report_value_exits_2(capsys, chsh_optimal_file, monkeypatch):
+    # the document writer rejects NaN; the command dumps its report where
+    # its errors are caught, so it exits 2 with one line and prints nothing
+    monkeypatch.setattr(importlib.import_module("bellcalc.cli"), "noise_robustness",
+                        lambda behavior: float("nan"))
+    code, out, err = run_cli(capsys, "behavior", "robustness", chsh_optimal_file)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_membership_out_of_memory_exits_3(capsys, chsh_optimal_file, monkeypatch):
     # a master HiGHS cannot allocate is a resource limit, not a crash
     def exhausted(self, c, columns):
@@ -667,6 +678,47 @@ def test_functional_document_round_trip_is_bit_exact(values):
     text = bio.dump_document(doc)
     back = bio.functional_from_document(bio.parse_document(text, "functional"))
     assert back.coeffs.tolist() == coeffs.tolist()
+
+
+def test_numpy_values_are_written_as_plain_json():
+    # numpy scalars as Python numbers, arrays as nested lists, and every
+    # complex entry as [re, im]: the bytes the writer has always produced
+    payload = {"float": np.float64(2 / 3), "int": np.int64(-7), "bool": np.bool_(True),
+               "real": np.array([0.1, -2.5e-17]), "complex": np.array([[1 + 0.5j], [-0.25j]])}
+    text = bio.dump_document(bio.document("report", None, payload, "numpy", "test"))
+    assert text == """{
+  "format_version": "1",
+  "kind": "report",
+  "scenario": null,
+  "payload": {
+    "float": 0.6666666666666666,
+    "int": -7,
+    "bool": true,
+    "real": [
+      0.1,
+      -2.5e-17
+    ],
+    "complex": [
+      [
+        [
+          1.0,
+          0.5
+        ]
+      ],
+      [
+        [
+          -0.0,
+          -0.25
+        ]
+      ]
+    ]
+  },
+  "metadata": {
+    "name": "numpy",
+    "provenance": "test"
+  }
+}
+"""
 
 
 def test_behavior_document_round_trip(chsh_optimal_behavior):

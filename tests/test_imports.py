@@ -107,6 +107,18 @@ def _package_imports(source: str, package: str) -> list[str]:
     return found
 
 
+def _references(source: str, name: str) -> list[str]:
+    # every import, load or attribute of the given name
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found |= {node.lineno for alias in node.names if alias.name == name}
+        elif (isinstance(node, ast.Name) and node.id == name
+              or isinstance(node, ast.Attribute) and node.attr == name):
+            found.add(node.lineno)
+    return [f"line {line}: {name}" for line in sorted(found)]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
@@ -249,3 +261,38 @@ def test_checker_flags_a_scipy_optimize_import():
 def test_checker_flags_a_scipy_sparse_import():
     assert _package_imports(_SCIPY_IMPORTS, "scipy.sparse") == [
         "line 4: scipy.sparse", "line 5: scipy.sparse", "line 6: scipy.sparse.csc_matrix"]
+
+
+def test_only_numerics_refers_to_the_dual_tolerance():
+    # column generation, the one place that prices columns, lives in
+    # numerics: a second module that reads LP_DUAL_TOL is a second pricing rule
+    sources = sorted(Path(bellcalc.__file__).parent.glob("*.py"))
+    assert [p.name for p in sources if _references(p.read_text(encoding="utf-8"), "LP_DUAL_TOL")] \
+        == ["numerics.py"]
+
+
+def test_checker_flags_a_reference_to_a_name():
+    source = ("from .numerics import LP_DUAL_TOL, best_columns\n"
+              "from . import numerics\n"
+              "gain > numerics.LP_DUAL_TOL\n"
+              "tol = LP_DUAL_TOL_SPARE\n"
+              "gain > LP_DUAL_TOL\n")
+    assert _references(source, "LP_DUAL_TOL") == ["line 1: LP_DUAL_TOL", "line 3: LP_DUAL_TOL",
+                                                  "line 5: LP_DUAL_TOL"]
+
+
+def test_only_io_imports_json():
+    # documents are written and read in io alone, in one walk each
+    sources = sorted(Path(bellcalc.__file__).parent.rglob("*.py"))
+    assert [p.name for p in sources if _package_imports(p.read_text(encoding="utf-8"), "json")] \
+        == ["io.py"]
+
+
+def test_checker_flags_a_json_import():
+    source = ("import json\n"
+              "from json import dumps\n"
+              "import jsonschema\n"
+              "from . import io as json\n"
+              "import json.decoder as decoder\n")
+    assert _package_imports(source, "json") == ["line 1: json", "line 2: json.dumps",
+                                                "line 5: json.decoder"]

@@ -424,6 +424,42 @@ def test_one_sided_rows_give_linprogs_bytes():
     assert sol.objective == objective
 
 
+def test_infeasible_working_set_gets_every_other_column(monkeypatch):
+    # a working set's infeasibility proves nothing: column 0 alone cannot
+    # meet the == row, so the next round adds every column left out, and
+    # the answer is the full LP's, with the iterations of both rounds
+    solve, rounds = numerics.RestrictedMaster.solve, []
+
+    def spy(master, c, *args):
+        sol = solve(master, c, *args)
+        rounds.append((len(c), sol.status, sol.iterations))
+        return sol
+
+    monkeypatch.setattr(numerics.RestrictedMaster, "solve", spy)
+    lp = LinearProgram(c=np.array([1.0, 0.0, 2.0]), a=np.array([[1.0, 1.0, 1.0], [0.0, 1.0, 0.0]]),
+                       rhs=np.array([3.0, 1.0]), senses=[LE, EQ], lower=np.zeros(3),
+                       upper=np.full(3, 5.0))
+    priced = lp_solve(lp, [0])
+    assert [(n, status) for n, status, _ in rounds] == [(1, "infeasible"), (2, "optimal")]
+    assert priced.iterations == sum(iterations for _, _, iterations in rounds)
+    full = lp_solve(lp)
+    assert priced.status == full.status == "optimal"
+    assert np.array_equal(priced.x, full.x) and priced.objective == full.objective == 4.0
+
+
+def test_a_master_holding_every_column_is_not_priced(monkeypatch):
+    # with every posed column in, pricing could add none: skip its product
+    def refuse(*args):
+        raise AssertionError("priced a master that holds every column")
+
+    monkeypatch.setattr(numerics, "best_columns", refuse)
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        lp = random_feasible_lp(rng)
+        assert lp_solve(lp).status == "optimal"
+        assert lp_solve(lp, np.arange(len(lp.c))[::-1]).status == "optimal"
+
+
 @pytest.mark.parametrize("highs_status, status", [
     ("kInfeasible", "infeasible"), ("kModelError", "failed"), ("kUnbounded", "unbounded"),
     ("kUnboundedOrInfeasible", "failed"), ("kIterationLimit", "failed"), ("kTimeLimit", "failed"),
