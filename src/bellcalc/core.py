@@ -147,20 +147,15 @@ class DeterministicStrategy:
         object.__setattr__(self, "bob_outputs", tuple(int(v) for v in self.bob_outputs))
 
     def check_against(self, scenario: Scenario) -> None:
-        if len(self.alice_outputs) != scenario.n_inputs_a:
-            raise ValidationError(
-                f"strategy defines {len(self.alice_outputs)} Alice outputs, "
-                f"scenario has {scenario.n_inputs_a} inputs"
-            )
-        if len(self.bob_outputs) != scenario.n_inputs_b:
-            raise ValidationError(
-                f"strategy defines {len(self.bob_outputs)} Bob outputs, "
-                f"scenario has {scenario.n_inputs_b} inputs"
-            )
-        if any(a < 0 or a >= scenario.n_outputs_a for a in self.alice_outputs):
-            raise ValidationError(f"Alice outputs {self.alice_outputs} out of range")
-        if any(b < 0 or b >= scenario.n_outputs_b for b in self.bob_outputs):
-            raise ValidationError(f"Bob outputs {self.bob_outputs} out of range")
+        parties = (("Alice", self.alice_outputs, scenario.n_inputs_a, scenario.n_outputs_a),
+                   ("Bob", self.bob_outputs, scenario.n_inputs_b, scenario.n_outputs_b))
+        for name, outputs, n_in, _ in parties:
+            if len(outputs) != n_in:
+                raise ValidationError(f"strategy defines {len(outputs)} {name} outputs, "
+                                      f"scenario has {n_in} inputs")
+        for name, outputs, _, n_out in parties:
+            if any(o < 0 or o >= n_out for o in outputs):
+                raise ValidationError(f"{name} outputs {outputs} out of range")
 
 
 @dataclass(frozen=True)
@@ -277,16 +272,15 @@ def behavior_from_local(model: LocalModel, scenario: Scenario) -> Behavior:
     Raises ValidationError for negative weights, total weight above one,
     or strategies that do not fit the scenario.
     """
+    report = validate(model)
+    if report:
+        raise ValidationError("local model violates invariants", report)
     probs = np.zeros(scenario.shape)
     x, y = np.ix_(range(scenario.n_inputs_a), range(scenario.n_inputs_b))
-    for i, (w, strat) in enumerate(model.weights):
-        if w < -EPS_FEAS:
-            raise ValidationError(f"weight {i} is negative: {w}")
+    for w, strat in model.weights:
         strat.check_against(scenario)
         if w > 0.0:  # one entry per (x, y), so the fancy-indexed add has no repeats
             probs[x, y, np.array(strat.alice_outputs)[:, None], np.array(strat.bob_outputs)] += w
-    if model.total_weight > 1.0 + EPS_FEAS:
-        raise ValidationError(f"total weight {model.total_weight} exceeds 1")
     return clipped_behavior(scenario, probs, model.completeness)
 
 

@@ -496,8 +496,8 @@ def _nonconvergence(err, flag):
 
 # The error state np.linalg.eigh sets around LAPACK, under which
 # _eigh_unchecked raises LinAlgError on non-convergence.  Use it only as a
-# decorator: numpy >= 2 then enters a fresh state per call, so povm_update
-# may recurse, while `with` on this one shared instance works only once.
+# decorator: numpy >= 2 then enters a fresh state per call, so calls may nest
+# or run on several threads, while `with` on this one shared instance works only once.
 _lapack_errors = np.errstate(call=_nonconvergence, invalid="call",
                              over="ignore", divide="ignore", under="ignore")
 
@@ -647,68 +647,61 @@ def povm_update(
     is False only when the iteration cap fired first.
     """
     mats = _check_reduced_ops(reduced)
-    if mode == INCOMPLETE:
-        d = mats.shape[-1]
-        extended = np.concatenate([mats, np.zeros((1, d, d), dtype=np.complex128)])
-        ws = None
-        if warm_start is not None:
-            ws = np.asarray(warm_start, dtype=np.complex128)
-            ws = np.concatenate([ws, psd_project(np.eye(d) - sum(ws))[None]])
-        inner = povm_update(extended, COMPLETE, ws, gain_tol)
-        ops = inner.operators[:-1]
-        objective = _povm_objective(ops, mats)
-        return PovmUpdateResult(ops, objective, inner.converged, inner.iterations,
-                                inner.dual_matrix, inner.dual_bound, inner.objective_log)
-    if mode != COMPLETE:
+    if mode not in (COMPLETE, INCOMPLETE):
         raise ValidationError(f"mode must be {COMPLETE!r} or {INCOMPLETE!r}")
-
-    n_out, d = mats.shape[0], mats.shape[-1]
+    kept, d = mats.shape[0], mats.shape[-1]
     identity = np.eye(d, dtype=np.complex128)
+    ws = None if warm_start is None else np.asarray(warm_start, dtype=np.complex128)
+    if mode == INCOMPLETE:  # the dummy outcome, dropped from the result
+        mats = np.concatenate([mats, np.zeros((1, d, d), dtype=np.complex128)])
+        if ws is not None:
+            ws = np.concatenate([ws, psd_project(identity - sum(ws))[None]])
+    n_out = mats.shape[0]
 
     if n_out == 2:
-        ops, obj, y = _two_outcome_exact(mats)
-        if warm_start is not None:
-            warm_obj = _povm_objective(warm_start, mats)
-            if warm_obj > obj:  # possible only through rounding; keep the better POVM
-                ops = hermitian_part(np.asarray(warm_start, dtype=np.complex128))
-                obj = warm_obj
-        return PovmUpdateResult(ops, obj, True, 0, y, float(np.trace(y).real), (obj,))
-
-    # Shift to strictly positive operators; the objective moves by the
-    # constant c*d which is subtracted back out of every report.
-    min_eig = float(np.min(np.linalg.eigvalsh(mats)[:, 0]))
-    c = max(0.0, -min_eig) + 1e-9
-    shifted = mats + c * identity
-
-    if warm_start is not None:
-        current = hermitian_part(np.asarray(warm_start, dtype=np.complex128))
+        current, best_obj, y = _two_outcome_exact(mats)
+        if ws is not None:
+            warm_obj = _povm_objective(ws, mats)
+            if warm_obj > best_obj:  # possible only through rounding; keep the better POVM
+                current, best_obj = hermitian_part(ws), warm_obj
+        log, iterations, converged, bound = [best_obj], 0, True, float(np.trace(y).real)
     else:
-        current = np.repeat((identity / n_out)[None], n_out, axis=0)
-    best_obj = _povm_objective(current, mats)
-    log = [best_obj]
-    iterations = 0
-    converged = True
-    # Matmul chains stay left to right and outcome sums use the builtin
-    # sum (numpy's sum(0) goes pairwise at d = 1), so every iterate equals,
-    # bit for bit, taking the outcomes one at a time.
-    for iterations in range(1, MAX_POVM_ITERS + 1):
-        lam = hermitian_part(sum(shifted @ current @ shifted))
-        l_inv = _inv_sqrt_psd(lam)
-        # Hermitian in exact arithmetic; hermitian_part flattens roundoff
-        sandwich = hermitian_part(l_inv @ shifted @ current @ shifted @ l_inv)
-        candidate = _clip_negative(*_eigh_unchecked(sandwich))
-        # redistribute whatever the pseudo-inverse cut off
-        candidate = candidate + (identity - sum(candidate)) / n_out
-        obj = _povm_objective(candidate, mats)
-        if obj <= best_obj:
-            break  # stalled; keep the monotone incumbent
-        gain = obj - best_obj
-        current = candidate
-        best_obj = obj
-        log.append(best_obj)
-        if gain < gain_tol:
-            break
-    else:
-        converged = False
-    y, bound = _dual_certificate(current, mats)
+        # Shift to strictly positive operators; the objective moves by the
+        # constant c*d which is subtracted back out of every report.
+        min_eig = float(np.min(np.linalg.eigvalsh(mats)[:, 0]))
+        c = max(0.0, -min_eig) + 1e-9
+        shifted = mats + c * identity
+
+        if ws is not None:
+            current = hermitian_part(ws)
+        else:
+            current = np.repeat((identity / n_out)[None], n_out, axis=0)
+        best_obj = _povm_objective(current, mats)
+        log, iterations, converged = [best_obj], 0, True
+        # Matmul chains stay left to right and outcome sums use the builtin
+        # sum (numpy's sum(0) goes pairwise at d = 1), so every iterate equals,
+        # bit for bit, taking the outcomes one at a time.
+        for iterations in range(1, MAX_POVM_ITERS + 1):
+            lam = hermitian_part(sum(shifted @ current @ shifted))
+            l_inv = _inv_sqrt_psd(lam)
+            # Hermitian in exact arithmetic; hermitian_part flattens roundoff
+            sandwich = hermitian_part(l_inv @ shifted @ current @ shifted @ l_inv)
+            candidate = _clip_negative(*_eigh_unchecked(sandwich))
+            # redistribute whatever the pseudo-inverse cut off
+            candidate = candidate + (identity - sum(candidate)) / n_out
+            obj = _povm_objective(candidate, mats)
+            if obj <= best_obj:
+                break  # stalled; keep the monotone incumbent
+            gain = obj - best_obj
+            current = candidate
+            best_obj = obj
+            log.append(best_obj)
+            if gain < gain_tol:
+                break
+        else:
+            converged = False
+        y, bound = _dual_certificate(current, mats)
+    if kept < n_out:
+        current = current[:kept]
+        best_obj = _povm_objective(current, mats[:kept])
     return PovmUpdateResult(current, best_obj, converged, iterations, y, bound, tuple(log))

@@ -102,27 +102,26 @@ def reduced_operators(functional: BellFunctional, state: np.ndarray,
     They satisfy sum_{x,a} tr(E_a^x R_a^x) = <T, Q> for every POVM set
     of the named party, with the other party's POVM stack and the state
     held fixed.  Hermitized so the defining identity holds for Hermitian E.
+    Bob's are Alice's formula applied to the functional with the parties
+    swapped and the state indexed Bob-major.
     """
-    coeffs = functional.coeffs
+    coeffs, d_other = functional.coeffs, other_povms.shape[-1]
+    d = state.shape[0] // d_other
     if party == "alice":
-        db = other_povms.shape[-1]
-        da = state.shape[0] // db
-        rho4 = state.reshape(da, db, da, db)
-        # partial trace over Bob of (1 tensor F) rho
-        partial = np.einsum("ybkc,icjk->ybij", other_povms, rho4, optimize=True)
-        raw = np.einsum("xyab,ybij->xaij", coeffs, partial, optimize=True)
+        rho4 = state.reshape(d, d_other, d, d_other)
     elif party == "bob":
-        da = other_povms.shape[-1]
-        db = state.shape[0] // da
-        rho4 = state.reshape(da, db, da, db)
-        partial = np.einsum("xaic,ckil->xakl", other_povms, rho4, optimize=True)
-        raw = np.einsum("xyab,xakl->ybkl", coeffs, partial, optimize=True)
+        coeffs = coeffs.transpose(1, 0, 3, 2)
+        rho4 = state.reshape(d_other, d, d_other, d).transpose(1, 0, 3, 2)
     else:
         raise ValidationError(f"party must be 'alice' or 'bob', got {party!r}")
-    return hermitian_part(raw)
+    # partial trace over the other party of (1 tensor F) rho
+    partial = np.einsum("ybkc,icjk->ybij", other_povms, rho4, optimize=True)
+    return hermitian_part(np.einsum("xyab,ybij->xaij", coeffs, partial, optimize=True))
 
 
 def _random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
+    # A run's first sweep replaces this state before reading it; the draw is
+    # kept only so that the POVMs drawn after it keep their RNG stream.
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     v /= np.linalg.norm(v)
     return np.outer(v, v.conj())
@@ -170,7 +169,6 @@ def _one_run(functional: BellFunctional, cfg: SeesawConfig, model: QuantumModel)
     """Sweep one model to a stall; returns (value, model, log, converged, sweeps)."""
     alice = np.array(model.alice_povms)  # writable copies, updated input by input
     bob = np.array(model.bob_povms)
-    state = np.asarray(model.state)
     log = []
     prev = -np.inf
     converged = False

@@ -843,8 +843,8 @@ def test_eigh_unchecked_raises_on_nan():
 
 
 def test_povm_update_restores_the_floating_point_error_state():
-    # the incomplete mode nests povm_update in itself; each level must put
-    # back exactly the state it found, and leave no LinAlgError hook behind
+    # povm_update and random_povms run under one shared errstate; each call
+    # must put back exactly the state it found, and leave no LinAlgError hook behind
     def hook(err, flag):
         pass
     rng = np.random.default_rng(13)
@@ -856,6 +856,20 @@ def test_povm_update_restores_the_floating_point_error_state():
         assert (np.geterr(), np.geterrcall()) == before
     with pytest.warns(RuntimeWarning):
         np.sqrt(-np.ones(1))
+
+
+def test_povm_update_incomplete_mode_is_one_call(monkeypatch):
+    # the dummy outcome is appended in place: povm_update must not call itself
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return povm_update(*args, **kwargs)
+    monkeypatch.setattr(numerics, "povm_update", counted)
+    rng = np.random.default_rng(14)
+    numerics.povm_update(_random_reduced(rng, 3, 3), "incomplete",
+                         warm_start=random_povms(rng, 1, 3, 3)[0] * 0.5)
+    assert len(calls) == 1
 
 
 def test_eigh_rejects_non_hermitian():
