@@ -244,8 +244,9 @@ def is_local(behavior: Behavior) -> MembershipCertificate:
 
     values = None  # the vertex values of the last pricing round, which ended it
 
-    def price(duals):
+    def price(sol):
         nonlocal values
+        duals = sol.row_duals
         found, values = best_response_vertices(
             (duals[:n_entries] - duals[n_entries:2 * n_entries]).reshape(scenario.shape))
         return found, values + duals[-1]

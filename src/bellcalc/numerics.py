@@ -5,18 +5,24 @@ lp_solve wraps the HiGHS simplex behind a fixed contract: status in
 orientation of the posed problem, and self-computed feasibility
 residuals plus duality gap.  HiGHS takes two-sided rows lo <= a.x <= hi,
 so a >= block that mirrors the <= block goes to it as the lower bounds
-of those rows.  Every LP is solved on one RestrictedMaster session: the
-rows once, then the columns, all of them or, as for pi's LP, a working
-set priced against the rest (sifting, Bixby et al., Oper. Res. 40, 885,
-1992) by RestrictedMaster.generate, the one column-generation loop, which
-membership runs with the classical oracle.  Its first solve runs primal
-simplex from x = 0 when that meets every row and bound, as in the nu LP,
-and dual simplex otherwise.  Certificates are checked on the rows HiGHS
-solved, with its row duals, and on every posed column, by one range rule
-applied to rows and to columns; a solve whose certificates miss the
-contract is downgraded to "failed" rather than reported optimal.  Every
-LP matrix is a CsrMatrix, numpy arrays in compressed sparse row form;
-HiGHS takes the rows of its transpose as columns.  scipy is loaded lazily
+of those rows: the folded rows.  Every LP is solved on one
+RestrictedMaster session, grown by RestrictedMaster.generate, the one
+generation loop.  By default the session gets the rows once, then the
+columns, all of them or, as for pi's LP, a working set priced against the
+rest (sifting, Bixby et al., Oper. Res. 40, 885, 1992); membership runs
+the loop with the classical oracle.  Given a start set of rows, as nu's
+LP is, it gets every column once, without entries, then a working set of
+folded rows, joined by the rows its answer violates (row generation over
+the local polytope's vertices, Brierley, Navascues and Vertesi,
+arXiv:1609.05011).  Its first solve runs primal simplex from x = 0 when
+that meets every row and bound, as in the nu LP, and dual simplex
+otherwise.  Certificates are checked on every folded row, with HiGHS's
+row duals (0 on a row it never held), and on every posed column, by one
+range rule applied to rows and to columns; a solve whose certificates
+miss the contract is downgraded to "failed" rather than reported optimal.
+Every LP matrix is a CsrMatrix, numpy arrays in compressed sparse row
+form; HiGHS takes its rows as they are, or the rows of its transpose as
+columns.  scipy is loaded lazily
 and only in part: _session loads HiGHS's extension module on its own, so
 a process without LPs skips scipy, and one with LPs skips scipy.optimize
 and scipy.sparse, a third and a half of its start-up time.
@@ -67,8 +73,8 @@ _HIGHS_OPTIONS = {"solver": "simplex", "presolve": "off",
                   "primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10,
                   "output_flag": False, "log_to_console": False}
 # Dual simplex (strategy 1) for an LP whose origin is infeasible; primal (4)
-# for one whose origin is feasible, where it needs no phase 1: it runs
-# max_violation 1.5-3.4 times as fast (timings in the README).  On a
+# for one whose origin is feasible, where it needs no phase 1: on every row
+# of the nu LP it ran max_violation 1.5-3.4 times as fast.  On a
 # degenerate optimum primal simplex can end with a few dual iterations that
 # clean up its bound perturbation; with dual steepest edge these first
 # compute a weight per row from a basis that is no longer the slack one
@@ -131,6 +137,10 @@ def _run(highs, strategy) -> dict:
     return {"status": highs.getModelStatus(), "x": np.array(solution.col_value),
             "lambda": np.array(solution.row_dual),
             "simplex_nit": highs.getInfo().simplex_iteration_count}
+
+
+# the starts and indices of rows or columns added without entries
+_NO_ENTRIES = np.zeros(0, np.int32)
 
 
 def _indptr(counts) -> np.ndarray:
@@ -281,7 +291,7 @@ class LpSolution:
     ``row_duals`` are sensitivities of the optimal objective to the row
     right-hand sides, in the orientation of the posed problem.  The
     residuals and ``duality_gap`` are recomputed here from scratch, on
-    the rows HiGHS solved, not taken from the solver (NaN on the unchecked
+    the folded rows, not taken from the solver (NaN on the unchecked
     answer of a RestrictedMaster round); ``iterations`` is HiGHS's simplex
     iteration count.
     """
@@ -313,41 +323,61 @@ def _same_rows(a: CsrMatrix, b: CsrMatrix) -> bool:
                                                    (b.indptr, b.indices, b.data)))
 
 
-def lp_solve(lp: LinearProgram, columns=None) -> LpSolution:
+def lp_solve(lp: LinearProgram, columns=None, rows=None) -> LpSolution:
     """Solve a LinearProgram deterministically with dual certificates.
 
     Every row goes to HiGHS as lo <= a.x <= hi.  When the >= rows repeat
     the <= rows row for row, each >= row becomes the lower bound of its
-    <= twin, so HiGHS sees the pair as one row.  RestrictedMaster.generate
-    solves the LP from the start set ``columns`` (column indices, by default
-    all), pricing the rest by c - a.T y; a column left out sits at 0.  The
-    certificates are checked on exactly the rows HiGHS solved, with its row
-    duals, and on every posed column; ``iterations`` totals the rounds.
+    <= twin, so HiGHS sees the pair as one row: the folded rows.
+    RestrictedMaster.generate solves the LP from a start set, priced
+    against the rest: of ``columns`` (column indices, by default all), by
+    c - a.T y, a column left out sitting at 0; or of ``rows`` (indices of
+    folded rows), by how far x violates each row left out, every column in
+    from the start.  The certificates are checked on every folded row and
+    every posed column, with the row duals HiGHS gave, zero on a row it
+    never held; ``iterations`` totals the rounds.
     """
+    if columns is not None and rows is not None:
+        raise ValidationError("lp_solve takes a start set of columns or of rows, not both")
     le, ge = lp.senses == LE, lp.senses == GE
     lo = np.where(le, -np.inf, lp.rhs)
     hi = np.where(ge, np.inf, lp.rhs)
     folded = le.sum() == ge.sum() > 0 and _same_rows(lp.a[le], lp.a[ge])
     if folded:
         lo[le] = lp.rhs[ge]
-    rows = ~ge if folded else slice(None)  # the rows HiGHS gets
-    cols, lo, hi = (lp.a[rows] if folded else lp.a).T, lo[rows], hi[rows]
+    kept = ~ge if folded else slice(None)  # the rows HiGHS gets
+    a, lo, hi = lp.a[kept] if folded else lp.a, lo[kept], hi[kept]
     c = -lp.c if lp.maximize else lp.c
-    master, everything = RestrictedMaster(lo, hi), np.arange(len(c))
-    start = everything if columns is None else np.unique(columns)
+    if rows is None:
+        master, everything, cols = RestrictedMaster(lo, hi), np.arange(len(c)), a.T
+        start = everything if columns is None else np.unique(columns)
 
-    def take(new):
-        return c[new], cols[np.bincount(new, minlength=len(c)) > 0], lp.lower[new], lp.upper[new]
+        def take(new):
+            return c[new], cols[np.bincount(new, minlength=len(c)) > 0], lp.lower[new], lp.upper[new]
 
-    def price(y):  # a column left out at 0 gains |c - a.T y| if it may move that way
-        d = c - cols @ y
-        return everything, np.abs(d) * np.where(d < 0, lp.upper > 0, lp.lower < 0)
+        def price(sol):  # a column left out at 0 gains |c - a.T y| if it may move that way
+            d = c - cols @ sol.row_duals
+            return everything, np.abs(d) * np.where(d < 0, lp.upper > 0, lp.lower < 0)
 
-    order, sol = master.generate(master.solve(*take(start)), start, take, price, len(c))
-    x = np.zeros(len(c))
-    x[order] = 0.0 if sol.x is None else sol.x
-    sol = _certified({**master.res, "x": x, "simplex_nit": sol.iterations}, c, cols, lo, hi,
-                     lp.lower, lp.upper)
+        order, sol = master.generate(master.solve(*take(start)), start, take, price, len(c))
+        x, y = np.zeros(len(c)), sol.row_duals
+        x[order] = 0.0 if sol.x is None else sol.x
+    else:
+        master, start = RestrictedMaster.of_columns(c, lp.lower, lp.upper), np.unique(rows)
+
+        def take(new):
+            return lo[new], hi[new], a[np.bincount(new, minlength=len(lo)) > 0]
+
+        def price(sol):  # a row left out gains how far x lies outside its range
+            activity = a @ sol.x
+            return np.arange(len(lo)), np.maximum(lo - activity, activity - hi)
+
+        order, sol = master.generate(master.solve_rows(*take(start)), start, take, price,
+                                     len(lo), rows=True)
+        x, y = sol.x, np.zeros(len(lo))
+        y[order] = 0.0 if sol.row_duals is None else sol.row_duals
+    sol = _certified({**master.res, "x": x, "lambda": y, "simplex_nit": sol.iterations}, c, a,
+                     lo, hi, lp.lower, lp.upper)
     if sol.x is None:
         return sol
     # HiGHS's row duals are d(min objective)/d(row bound); a posed
@@ -355,7 +385,7 @@ def lp_solve(lp: LinearProgram, columns=None) -> LpSolution:
     # which bound is active: <= duals are >= 0 and >= duals <= 0 for a
     # maximization, the other way round for a minimization.
     y = np.zeros(len(lp.senses))
-    y[rows] = -sol.row_duals if lp.maximize else sol.row_duals
+    y[kept] = -sol.row_duals if lp.maximize else sol.row_duals
     if folded:
         pair, sign = y[le], 1.0 if lp.maximize else -1.0
         y[le], y[ge] = np.where(sign * pair > 0, pair, 0.0), np.where(sign * pair < 0, pair, 0.0)
@@ -372,14 +402,14 @@ def _answer(res, c) -> LpSolution:
                       np.nan, np.nan, np.nan, iterations)
 
 
-def _certified(res, c, cols, lo, hi, lower, upper) -> LpSolution:
-    """HiGHS's answer, "failed" where certificates recomputed on its model (its
-    columns the rows of ``cols``) miss the contract; the row duals stay HiGHS's."""
+def _certified(res, c, a, lo, hi, lower, upper) -> LpSolution:
+    """HiGHS's answer, "failed" where certificates recomputed on the rows of
+    ``a``, in row form, miss the contract; the row duals stay HiGHS's."""
     sol = _answer(res, c)
     if sol.x is None:
         return sol
     x, lam = sol.x, sol.row_duals
-    activity, reduced = x @ cols, cols @ lam
+    activity, reduced = a @ x, lam @ a
     row_p, row_d, row_obj = _range_certificates(activity, lam, lo, hi)
     col_p, col_d, col_obj = _range_certificates(x, c - reduced, lower, upper)
     primal_resid, dual_resid = float(np.maximum(row_p, col_p)), float(np.maximum(row_d, col_d))
@@ -403,64 +433,96 @@ def best_columns(found: np.ndarray, score: np.ndarray, limit: int, exclude=()) -
 
 
 class RestrictedMaster:
-    """min c.x, lo <= a.x <= hi, lower <= x <= upper over the columns so far,
-    on one HiGHS session given the rows once.  The first solve runs primal
-    simplex if x = 0 meets every row and the first block's bounds (the nu
-    LP), dual otherwise; later ones primal from the last optimal basis, which
-    new columns, nonbasic at 0, leave feasible, and dual after any other
-    answer.  Once HiGHS rejects rows or columns, which it may crash on if
-    run, every answer is kModelError.  ``certified`` checks the last answer."""
+    """min c.x, lo <= a.x <= hi, lower <= x <= upper over the rows and columns
+    so far, on one HiGHS session that starts from rows or columns without
+    entries and grows by blocks of columns (``solve``) or of rows
+    (``solve_rows``).  The first solve runs primal simplex if x = 0 meets every
+    row and bound (the nu LP), dual otherwise; a later one runs primal from
+    the last optimal basis after new columns, which enter nonbasic at 0 and
+    leave it feasible, and dual after new rows, which leave it dual feasible,
+    or after any answer but an optimum.  Once HiGHS rejects rows or columns,
+    which it may crash on if run, every answer is kModelError.  ``certified``
+    checks the last answer of a master grown by columns."""
 
     def __init__(self, lo, hi):
         self.lo, self.hi, self.highs = lo, hi, _session()
-        no_entries = np.zeros(0, np.int32)
-        self.loaded = self.highs.addRows(len(lo), lo, hi, 0, no_entries, no_entries,
+        self.loaded = self.highs.addRows(len(lo), lo, hi, 0, _NO_ENTRIES, _NO_ENTRIES,
                                          np.zeros(0)).name != "kError"
         self.c, self.lower, self.upper, self.blocks, self.res = *np.zeros((3, 0)), [], None
+
+    @classmethod
+    def of_columns(cls, c, lower, upper) -> RestrictedMaster:
+        """A master of no rows and the columns c, lower <= x <= upper, without
+        entries: it grows by solve_rows."""
+        master = cls(np.zeros(0), np.zeros(0))
+        master.loaded = master.loaded and master.highs.addCols(
+            len(c), c, lower, upper, 0, _NO_ENTRIES, _NO_ENTRIES, np.zeros(0)).name != "kError"
+        master.c, master.lower, master.upper = c, lower, upper
+        return master
 
     def solve(self, c, columns: CsrMatrix, lower=0.0, upper=np.inf) -> LpSolution:
         """Add columns, one per row of ``columns``, with costs ``c`` and bounds
         ``lower`` <= x <= ``upper``, each an array or one number; solve."""
         lower, upper = np.full(len(c), lower, float), np.full(len(c), upper, float)
-        primal = (np.all(np.append(self.lo, lower) <= 0) and np.all(np.append(self.hi, upper) >= 0)
-                  if self.res is None else self.res["status"].name == "kOptimal")
         self.loaded = self.loaded and self.highs.addCols(
             len(c), c, lower, upper, len(columns.data), columns.indptr[:-1], columns.indices,
             columns.data).name != "kError"
-        self.res = (_run(self.highs, _PRIMAL_SIMPLEX if primal else _DUAL_SIMPLEX) if self.loaded
-                    else {"status": _highs_core().HighsModelStatus.kModelError, "simplex_nit": 0})
         self.c, self.lower, self.upper = (np.append(old, added) for old, added in
                                           ((self.c, c), (self.lower, lower), (self.upper, upper)))
         self.blocks.append(columns)
+        return self._resolve(primal=True)
+
+    def solve_rows(self, lo, hi, rows: CsrMatrix) -> LpSolution:
+        """Add the rows lo <= ``rows``.x <= hi; solve."""
+        self.loaded = self.loaded and self.highs.addRows(
+            len(lo), lo, hi, len(rows.data), rows.indptr[:-1], rows.indices, rows.data
+        ).name != "kError"
+        self.lo, self.hi = np.append(self.lo, lo), np.append(self.hi, hi)
+        return self._resolve(primal=False)
+
+    def _resolve(self, primal) -> LpSolution:
+        """Run HiGHS on the model so far: primal simplex if ``primal`` and the
+        last answer is optimal, dual otherwise; the first run by the origin."""
+        if self.res is None:
+            primal = (np.all(self.lo <= 0) and np.all(self.hi >= 0) and np.all(self.lower <= 0)
+                      and np.all(self.upper >= 0))
+        else:
+            primal = primal and self.res["status"].name == "kOptimal"
+        self.res = (_run(self.highs, _PRIMAL_SIMPLEX if primal else _DUAL_SIMPLEX) if self.loaded
+                    else {"status": _highs_core().HighsModelStatus.kModelError, "simplex_nit": 0})
         return _answer(self.res, self.c)
 
-    def generate(self, sol, ids, columns, price, total=None):
-        """Column generation from the answer ``sol`` over the columns ``ids``: after
-        each optimum, the columns not yet in that ``price(row duals)`` credits, as
-        (ids, gains), with more than LP_DUAL_TOL join by ``self.solve(*columns(new))``,
-        best first, as many as a basis holds (one per row), until none does.  Of
-        ``total`` columns none is priced once all are in, and an infeasible working
-        set, which proves nothing, gets the rest.  Returns the ids in order of entry
-        and the last answer, unchecked, with its iterations summed over the rounds."""
+    def generate(self, sol, ids, block, price, total=None, rows=False):
+        """Column generation, or with ``rows`` row generation, from the answer
+        ``sol`` over the ids ``ids``: after each optimum, the ids not yet in that
+        ``price(sol)`` scores, as (ids, scores), above LP_DUAL_TOL (LP_PRIMAL_TOL
+        for rows) join by ``self.solve(*block(new))`` (``solve_rows``), best
+        first, as many as a basis holds (one per row, or per column), until
+        none does.  Of ``total`` ids none is priced once all are in, and a
+        working set whose answer proves nothing of the whole LP gets the rest:
+        of columns an infeasible one, of rows any answer but an optimum.
+        Returns the ids in order of entry and the last answer, unchecked, with
+        its iterations summed over the rounds."""
         iterations = sol.iterations
+        tol, limit = (LP_PRIMAL_TOL, len(self.c)) if rows else (LP_DUAL_TOL, len(self.lo))
         while True:
-            if sol.status == "infeasible" and total is not None:
+            inconclusive = sol.status != "optimal" if rows else sol.status == "infeasible"
+            if inconclusive and total is not None:
                 new = np.setdiff1d(np.arange(total), ids)
             elif sol.status == "optimal" and len(ids) != total:
-                found, gain = price(sol.row_duals)
-                new = best_columns(found[gain > LP_DUAL_TOL], gain[gain > LP_DUAL_TOL],
-                                   len(self.lo), ids)
+                found, gain = price(sol)
+                new = best_columns(found[gain > tol], gain[gain > tol], limit, ids)
             else:
                 new = ids[:0]
             if not new.size:
                 return ids, dataclasses.replace(sol, iterations=iterations)
             ids = np.concatenate([ids, new])
-            sol = self.solve(*columns(new))
+            sol = (self.solve_rows if rows else self.solve)(*block(new))
             iterations += sol.iterations
 
     def certified(self) -> LpSolution:
         """The last answer, "failed" where its certificates miss the contract."""
-        return _certified(self.res, self.c, CsrMatrix.vstack(self.blocks), self.lo, self.hi,
+        return _certified(self.res, self.c, CsrMatrix.vstack(self.blocks).T, self.lo, self.hi,
                           self.lower, self.upper)
 
 

@@ -87,6 +87,21 @@ def vertex_rows(scenario: Scenario, alice: np.ndarray, bob: np.ndarray) -> CsrMa
                      np.ones(cols.size), (cols.size // (na * nb), scenario.n_entries))
 
 
+def collins_gisin_vertices(scenario: Scenario) -> np.ndarray:
+    """The (na(ma-1) + 1)(nb(mb-1) + 1) vertices, ascending, whose rows span
+    vertex_matrix's rows (the Collins-Gisin product basis, J. Phys. A 37,
+    1775, 2004): each party answers 0 on every input, or on all inputs but
+    one, which gets another output.  Assignment a on input x alone has id
+    a * m**(n-1-x) in the order of the module docstring."""
+    def flips(n_inputs, n_outputs):
+        place = n_outputs ** np.arange(n_inputs - 1, -1, -1)[:, None]
+        return np.append(0, np.arange(1, n_outputs) * place)
+
+    alice = flips(scenario.n_inputs_a, scenario.n_outputs_a)
+    bob = flips(scenario.n_inputs_b, scenario.n_outputs_b)
+    return np.sort((alice[:, None] * scenario.bob_strategy_count() + bob).ravel())
+
+
 def strategies_from_vertices(scenario: Scenario, vertices) -> list[DeterministicStrategy]:
     """Inverse of the vertex ordering: vertex indices -> strategies, decoded
     with one assignment_table call per party."""

@@ -46,7 +46,7 @@ from .errors import (
     ValidationError,
 )
 from .numerics import EQ, GE, LE, CsrMatrix, LinearProgram, lp_solve
-from .polytope import vertex_matrix
+from .polytope import collins_gisin_vertices, vertex_matrix
 from .seesaw import SeesawConfig, pad_quantum_model, seesaw
 
 # A dimension counts as contradicted only when the observed value beats
@@ -151,7 +151,10 @@ def max_violation(behavior: Behavior) -> tuple[float, BellFunctional]:
         upper=np.full(n_entries, np.inf),
         maximize=True,
     )
-    sol = lp_solve(lp)
+    # HiGHS starts from the rows of a spanning set of vertices, on which the
+    # projected objective is bounded, and of the best responses to Q
+    sol = lp_solve(lp, rows=np.concatenate([collins_gisin_vertices(scenario),
+                                            seed_vertices(behavior.probs)]))
     if sol.status != "optimal":
         raise SolverError(f"violation LP ended with status {sol.status!r}")
     nu = float(sol.objective)

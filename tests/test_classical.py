@@ -519,6 +519,30 @@ def test_membership_at_10x10x2x2_is_certified_without_the_vertex_matrix(monkeypa
     assert verdicts[1] == "nonlocal"
 
 
+@pytest.mark.parametrize("shape", [(2, 2, 2, 2), (3, 3, 2, 2), (2, 3, 3, 2), (3, 3, 4, 4),
+                                   (3, 2, 1, 3)], ids=lambda shape: "x".join(map(str, shape)))
+def test_collins_gisin_vertices_span_the_vertex_rows(shape):
+    # each party answers 0 on every input, or on all inputs but one: the
+    # (na(ma-1) + 1)(nb(mb-1) + 1) rows are independent and span every vertex row
+    scenario = Scenario(*shape)
+    na, nb, ma, mb = shape
+    vertices = polytope.collins_gisin_vertices(scenario)
+    assert len(vertices) == (na * (ma - 1) + 1) * (nb * (mb - 1) + 1)
+    assert np.array_equal(vertices, np.unique(vertices))
+    d = polytope.vertex_matrix(scenario)
+    full = np.zeros(d.shape)
+    full[np.repeat(np.arange(d.shape[0]), np.diff(d.indptr)), d.indices] = d.data
+    assert np.linalg.matrix_rank(full[vertices]) == np.linalg.matrix_rank(full) == len(vertices)
+
+    def flips(n_inputs, n_outputs):
+        return {(0,) * n_inputs} | {tuple(a if k == x else 0 for k in range(n_inputs))
+                                    for x in range(n_inputs) for a in range(1, n_outputs)}
+
+    decoded = [(s.alice_outputs, s.bob_outputs)
+               for s in polytope.strategies_from_vertices(scenario, vertices)]
+    assert set(decoded) == set(itertools.product(flips(na, ma), flips(nb, mb)))
+
+
 def test_vertex_rows_tables_only_the_given_assignments(monkeypatch):
     # a million assignments of Bob: rows of two vertices table two of each
     table = polytope.assignment_table

@@ -478,7 +478,7 @@ def test_solver_failure_exits_5(capsys, chsh_optimal_file, monkeypatch,
                                 solver, argv, status, expected):
     # an LP without a certified optimum is the solver's failure, not the input's
     ended = LpSolution(status, None, None, None, np.inf, np.inf, np.inf, 0)
-    monkeypatch.setattr(solver, lambda *args: ended)
+    monkeypatch.setattr(solver, lambda *args, **kwargs: ended)
     code, out, err = run_cli(capsys, *argv, chsh_optimal_file)
     assert code == expected
     assert out == ""
@@ -524,9 +524,9 @@ def test_robustness_certifies_every_column_of_the_priced_lp(tmp_path, capsys, mo
                           encoding="utf-8")
     posed, lp_solve = [], numerics.lp_solve
 
-    def keep(lp, columns=None):
+    def keep(lp, columns=None, rows=None):
         posed.append((lp, columns))
-        return lp_solve(lp, columns)
+        return lp_solve(lp, columns, rows)
 
     monkeypatch.setattr(violation, "lp_solve", keep)
     clean = run_json(capsys, "behavior", "robustness", path)["payload"]

@@ -274,9 +274,9 @@ def _posed_lps(monkeypatch, behavior):
     full-vertex membership LP of the tests' reference."""
     posed = []
 
-    def keep(lp, columns=None):
+    def keep(lp, columns=None, rows=None):
         posed.append(lp)
-        return lp_solve(lp, columns)
+        return lp_solve(lp, columns, rows)
 
     monkeypatch.setattr(violation, "lp_solve", keep)
     max_violation(behavior)
@@ -447,6 +447,40 @@ def test_infeasible_working_set_gets_every_other_column(monkeypatch):
     assert np.array_equal(priced.x, full.x) and priced.objective == full.objective == 4.0
 
 
+def test_row_start_set_without_an_optimum_gets_every_row(monkeypatch):
+    # a working set of rows relaxes the LP, so its unboundedness proves
+    # nothing: from row 0 alone the nu LP's next round holds every folded
+    # row, and the answer is the LP's without a start set.  So it is on
+    # acceptance 10's LPs, whose bounded columns keep every round optimal,
+    # and on mirrored LPs, whose free columns leave many first rounds
+    # unbounded.  A start set of rows and of columns at once is refused
+    solve_rows, rounds = numerics.RestrictedMaster.solve_rows, []
+
+    def spy(master, *args):
+        sol = solve_rows(master, *args)
+        rounds.append((len(master.lo), sol.status))
+        return sol
+
+    rng = np.random.default_rng(17)
+    behavior = behavior_from_quantum(_random_model(rng, Scenario(3, 3, 2, 2), 2, "complete"))
+    nu_lp = _posed_lps(monkeypatch, behavior)[0]
+    with pytest.raises(ValidationError, match="columns or of rows, not both"):
+        lp_solve(nu_lp, [0], [0])
+    monkeypatch.setattr(numerics.RestrictedMaster, "solve_rows", spy)
+    accept_rng = np.random.default_rng(10)  # acceptance 10's draws
+    mirrored = [_mirrored_lp(rng, bool(i % 2)) for i in range(20)]
+    fell_back = []
+    for lp in [nu_lp] + [random_feasible_lp(accept_rng) for _ in range(100)] + mirrored:
+        rounds.clear()
+        sifted, full = lp_solve(lp, rows=[0]), lp_solve(lp)
+        assert sifted.status == full.status == "optimal"
+        assert abs(sifted.objective - full.objective) <= 1e-9 * (1.0 + abs(full.objective))
+        if rounds[0][1] != "optimal":  # each mirrored pair is one folded row
+            assert rounds[:2] == [(1, "unbounded"), (int((lp.senses != GE).sum()), "optimal")]
+            fell_back.append(lp)
+    assert fell_back[0] is nu_lp and len(fell_back) >= 6
+
+
 def test_a_master_holding_every_column_is_not_priced(monkeypatch):
     # with every posed column in, pricing could add none: skip its product
     def refuse(*args):
@@ -487,9 +521,11 @@ def _session_model(highs):
     HiGHS session holds."""
     model = highs.getLp()
     a = model.a_matrix_
-    assert a.format_ == _core.MatrixFormat.kColwise
-    cols = sp.csc_matrix((np.array(a.value_), np.array(a.index_), np.array(a.start_)),
-                         shape=(model.num_row_, model.num_col_))
+    # a session grown by rows holds them row-wise, one grown by columns column-wise
+    form = {_core.MatrixFormat.kColwise: sp.csc_matrix, _core.MatrixFormat.kRowwise: sp.csr_matrix}
+    cols = sp.csc_matrix(form[a.format_]((np.array(a.value_), np.array(a.index_),
+                                          np.array(a.start_)),
+                                         shape=(model.num_row_, model.num_col_)))
     return (np.array(model.col_cost_), cols, np.array(model.row_lower_),
             np.array(model.row_upper_), np.array(model.col_lower_), np.array(model.col_upper_))
 
@@ -540,13 +576,15 @@ def test_answer_its_certificates_disprove_is_failed(monkeypatch, rows_to_highs, 
 
 
 def test_highs_solve_gives_the_bits_of_scipys_wrapper(monkeypatch, chsh_optimal_behavior):
-    # lp_solve hands a session the rows, then every column in one block,
-    # with the options of scipy's _highs_wrapper (which takes presolve as a
-    # bool) and the simplex strategy the session chose, so every nu LP, pi
-    # LP solved without a start set and reference membership LP comes back
-    # with the same x, row duals and iterations as the wrapper on the model
-    # the session holds.  noise_robustness prices its pi LP over several
-    # rounds of one session instead
+    # a session is handed the options of scipy's _highs_wrapper (which takes
+    # presolve as a bool) and the simplex strategy the session chose, so
+    # every pi LP solved without a start set and reference membership LP
+    # comes back with the same x, row duals and iterations as the wrapper on
+    # the model the session holds, and so does each nu LP's first row round.
+    # A later nu round starts from the last basis, which the wrapper cannot
+    # take: it ends in the wrapper's status with its objective within the gap
+    # budget.  noise_robustness prices its pi LP over several rounds of one
+    # session instead
     highs = _core._Highs()
     assert all(highs.setOptionValue(key, value) == _core.HighsStatus.kOk
                for key, value in numerics._HIGHS_OPTIONS.items())
@@ -559,16 +597,24 @@ def test_highs_solve_gives_the_bits_of_scipys_wrapper(monkeypatch, chsh_optimal_
         sessions.setdefault(highs, []).append((strategy, model, res))
         return res
 
-    def pose(lp, columns=None):
+    def pose(lp, columns=None, rows=None):
         priced.append((lp, columns))
-        return lp_solve_priced(lp, columns)
+        return lp_solve_priced(lp, columns, rows)
+
+    def wrapper(strategy, c, cols, lo, hi, lower, upper):
+        options = {**numerics._HIGHS_OPTIONS, "presolve": False, **strategy}
+        return _highs_wrapper(c, cols.indptr, cols.indices, cols.data, lo, hi, lower, upper,
+                              np.empty(0, np.uint8), options)
 
     rng = np.random.default_rng(7)
     random_behavior = behavior_from_quantum(_random_model(rng, Scenario(3, 3, 2, 2), 2, "complete"))
     local_behavior = _few_vertex_behavior(rng, Scenario(3, 3, 2, 2))
+    # a qubit behavior whose nu LP takes a second row round
+    rounds_behavior = behavior_from_quantum(_random_model(np.random.default_rng(0),
+                                                          Scenario(4, 4, 2, 2), 2, "complete"))
     monkeypatch.setattr(numerics, "_run", spy)
     monkeypatch.setattr(violation, "lp_solve", pose)
-    for behavior in (chsh_optimal_behavior, random_behavior, local_behavior):
+    for behavior in (chsh_optimal_behavior, random_behavior, local_behavior, rounds_behavior):
         max_violation(behavior)
         pi = noise_robustness(behavior)
         pi_lp, columns = priced[-1]
@@ -577,26 +623,35 @@ def test_highs_solve_gives_the_bits_of_scipys_wrapper(monkeypatch, chsh_optimal_
         lp_solve(reference_membership_lp(behavior))
     # per behavior: the nu LP, the priced pi LP, the pi LP and membership's
     rounds = list(sessions.values())
-    assert len(rounds) == 12
-    one_round = [r for i, r in enumerate(rounds) if i % 4 != 1]
+    assert len(rounds) == 16
+    one_round = [r for i, r in enumerate(rounds) if i % 4 > 1]
     assert all(len(r) == 1 for r in one_round)
-    # nu (from the feasible origin) by primal simplex, pi and membership by dual
+    # pi and membership by dual simplex
     primal, dual = numerics._PRIMAL_SIMPLEX, numerics._DUAL_SIMPLEX
-    assert [r[0][0] for r in one_round] == [primal, dual, dual] * 3
-    # a priced pi LP: dual simplex first, then primal simplex from the last
-    # optimal basis each later round
+    assert [r[0][0] for r in one_round] == [dual, dual] * 4
+    # a nu LP: primal simplex from the feasible origin, then dual simplex
+    # from the last optimal basis each later round; a priced pi LP: dual
+    # simplex first, then primal simplex
+    nu_sessions = [[strategy for strategy, _, _ in r] for r in rounds[::4]]
     pi_sessions = [[strategy for strategy, _, _ in r] for r in rounds[1::4]]
+    assert max(len(strategies) for strategies in nu_sessions) >= 2
     assert max(len(strategies) for strategies in pi_sessions) >= 2
+    assert all(strategies == [primal] + [dual] * (len(strategies) - 1)
+               for strategies in nu_sessions)
     assert all(strategies == [dual] + [primal] * (len(strategies) - 1)
                for strategies in pi_sessions)
-    for [(strategy, (c, cols, lo, hi, lower, upper), res)] in one_round:
-        options = {**numerics._HIGHS_OPTIONS, "presolve": False, **strategy}
-        ref = _highs_wrapper(c, cols.indptr, cols.indices, cols.data, lo, hi, lower, upper,
-                             np.empty(0, np.uint8), options)
+    first_rounds = [r[:1] for r in rounds[::4]] + one_round
+    for [(strategy, model, res)] in first_rounds:
+        ref = wrapper(strategy, *model)
         assert res["status"] == ref["status"] == _core.HighsModelStatus.kOptimal
         assert res["simplex_nit"] == ref["simplex_nit"]
         assert np.array_equal(res["x"], ref["x"]) and np.array_equal(res["lambda"], ref["lambda"])
+        c = model[0]
         assert c @ res["x"] == c @ ref["x"]  # lp_solve's objective
+    for strategy, model, res in (round_ for r in rounds[::4] for round_ in r[1:]):
+        ref, c = wrapper(strategy, *model), model[0]
+        assert res["status"] == ref["status"] == _core.HighsModelStatus.kOptimal
+        assert abs(c @ res["x"] - c @ ref["x"]) <= LP_GAP_REL * (1.0 + abs(c @ ref["x"]))
 
 
 def _origin_feasible(lp):

@@ -140,12 +140,13 @@ def test_pi_increases_when_mixed_with_local(chsh_optimal_behavior, scenario_2222
 
 
 def _priced_pi_lps(monkeypatch):
-    """Every (LP, start set) noise_robustness poses, as it poses them."""
+    """Every (LP, column start set) max_violation and noise_robustness pose,
+    as they pose them."""
     posed = []
 
-    def keep(lp, columns=None):
+    def keep(lp, columns=None, rows=None):
         posed.append((lp, columns))
-        return lp_solve(lp, columns)
+        return lp_solve(lp, columns, rows)
 
     monkeypatch.setattr(violation, "lp_solve", keep)
     return posed
@@ -188,6 +189,39 @@ def test_priced_pi_from_a_start_set_without_a_feasible_point(monkeypatch, chsh_o
     sol = lp_solve(lp, [1])
     assert sol.status == "optimal" and abs(sol.objective - pi) <= 1e-12
     assert strategies == [numerics._DUAL_SIMPLEX] * 2
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2, 2), (3, 3, 2, 2), (4, 4, 2, 2), (3, 3, 3, 3),
+                                   (3, 3, 4, 4), (6, 6, 2, 2)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_sifted_nu_matches_the_lp_without_a_start_set(monkeypatch, shape):
+    # max_violation gives HiGHS a working set of vertex rows and adds the
+    # rows its answer violates: nu is the LP's on every row up to roundoff,
+    # exactly 1.0 on local mixtures, and the witness attains it at classical
+    # value 1; at 6x6x2x2 HiGHS never holds every row
+    rng = np.random.default_rng(sum(shape))
+    scenario = Scenario(*shape)
+    posed = _priced_pi_lps(monkeypatch)
+    run, held = numerics._run, []
+    monkeypatch.setattr(numerics, "_run",
+                        lambda highs, strategy: held.append(highs.getNumRow()) or run(highs, strategy))
+    quantum = [behavior_from_quantum(_random_model(rng, scenario, 2, "complete"))
+               for _ in range(3)]
+    local = [behavior_from_local(random_local_model(rng, scenario), scenario) for _ in range(3)]
+    for i, behavior in enumerate(quantum + local):
+        held.clear()
+        nu, witness = max_violation(behavior)
+        lp, _ = posed[-1]
+        n_vertices = lp.a.shape[0] // 2
+        if shape == (6, 6, 2, 2):
+            assert max(held) < n_vertices
+        full = lp_solve(lp)
+        assert full.status == "optimal"
+        assert abs(nu - full.objective) <= 1e-9
+        if i >= len(quantum):
+            assert nu == 1.0
+        assert abs(classical_value(witness) - 1.0) <= 1e-9
+        assert abs(pair(witness, behavior) - nu) <= 1e-9
 
 
 def test_nu_rejects_signaling(scenario_2222):
