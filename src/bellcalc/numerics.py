@@ -4,7 +4,7 @@ lp_solve wraps the HiGHS simplex behind a fixed contract: status in
 {optimal, infeasible, unbounded, failed}, primal and dual vectors in the
 orientation of the posed problem, and self-computed feasibility
 residuals plus duality gap.  HiGHS takes two-sided rows lo <= a.x <= hi,
-so a >= block that mirrors the <= block goes to it as the lower bounds
+so a <= block that mirrors the >= block goes to it as the upper bounds
 of those rows: the folded rows.  Every LP is solved on one
 RestrictedMaster session, grown by RestrictedMaster.generate, the one
 generation loop.  By default the session gets the rows once, then the
@@ -21,11 +21,12 @@ row duals (0 on a row it never held), and on every posed column, by one
 range rule applied to rows and to columns; a solve whose certificates
 miss the contract is downgraded to "failed" rather than reported optimal.
 Every LP matrix is a CsrMatrix, numpy arrays in compressed sparse row
-form; HiGHS takes its rows as they are, or the rows of its transpose as
-columns.  scipy is loaded lazily
-and only in part: _session loads HiGHS's extension module on its own, so
-a process without LPs skips scipy, and one with LPs skips scipy.optimize
-and scipy.sparse, a third and a half of its start-up time.
+form; lp_solve hands HiGHS the folded rows, or their columns gathered a
+block per round, and multiplies them from either side, transposing none.
+scipy is loaded lazily and only in part: _session loads HiGHS's extension
+module on its own, so a process without LPs skips scipy, and one with LPs
+skips scipy.optimize and scipy.sparse, a third and a half of its start-up
+time.
 
 povm_update solves  max sum_a tr(E_a R_a)  over POVMs {E_a}: the
 two-outcome case in closed form, any other number of outcomes through
@@ -157,10 +158,11 @@ class CsrMatrix:
     Only what the LP layer uses: ``a @ x`` and the transpose product
     ``y @ a``, each one np.bincount summing the entries in stored order
     (the order of scipy's CSR and CSC products, so the bits agree); the
-    rows a boolean mask selects, ``a[mask]``; the transpose ``a.T``;
-    ``-a``; ``vstack`` and ``hstack``.  ``a != 0`` over the stored
-    entries is not for the LP layer: the bench's tracer counts nonzeros
-    with it, and ``--trace 1`` fails without it.
+    rows a boolean mask selects, ``a[mask]`` (views for one run of rows);
+    the columns it selects as rows, ``a.columns(mask)``, and of them all,
+    ``a.T``, cached; ``-a``; ``vstack`` and ``hstack``.  ``a != 0`` over
+    the stored entries is not for the LP layer: the bench's tracer counts
+    nonzeros with it, and ``--trace 1`` fails without it.
     """
 
     indptr: np.ndarray
@@ -202,15 +204,13 @@ class CsrMatrix:
             start += b.shape[1]
         return cls(indptr, indices, data, (blocks[0].shape[0], start))
 
-    def _rows(self) -> np.ndarray:
-        """The row of every stored entry."""
-        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
-
     def __matmul__(self, x):
-        return np.bincount(self._rows(), self.data * x[self.indices], self.shape[0])
+        rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+        return np.bincount(rows, self.data * x[self.indices], self.shape[0])
 
-    def __rmatmul__(self, y):
-        return np.bincount(self.indices, self.data * y[self._rows()], self.shape[1])
+    def __rmatmul__(self, y):  # y repeated along each row: y[row] of every entry
+        return np.bincount(self.indices, self.data * np.repeat(y, np.diff(self.indptr)),
+                           self.shape[1])
 
     def __neg__(self) -> CsrMatrix:
         return CsrMatrix(self.indptr, self.indices, -self.data, self.shape)
@@ -219,22 +219,32 @@ class CsrMatrix:
         return self.data != value
 
     def __getitem__(self, mask) -> CsrMatrix:
-        # copied a run of consecutive rows at a time: the LP layer selects
-        # blocks of rows, each one slice of the entries
+        # the LP layer selects blocks of rows, each one slice of the entries:
+        # one block is a view of them, more are copied a block at a time
         starts, stops = np.flatnonzero(np.diff(mask, prepend=False, append=False)).reshape(-1, 2).T
-        spans = [slice(self.indptr[i], self.indptr[j]) for i, j in zip(starts, stops)]
-        return CsrMatrix(_indptr(np.diff(self.indptr)[mask]),
-                         np.concatenate([self.indices[:0]] + [self.indices[s] for s in spans]),
-                         np.concatenate([self.data[:0]] + [self.data[s] for s in spans]),
+        runs = [slice(self.indptr[i], self.indptr[j]) for i, j in zip(starts, stops)]
+
+        def join(v):
+            return v[runs[0]] if len(runs) == 1 else np.concatenate([v[s] for s in runs] or [v[:0]])
+
+        return CsrMatrix(_indptr(np.diff(self.indptr)[mask]), join(self.indices), join(self.data),
                          (int(np.count_nonzero(mask)), self.shape[1]))
+
+    def columns(self, mask) -> CsrMatrix:
+        """The columns a boolean mask selects, as rows, each in row order."""
+        chosen = np.flatnonzero(mask[self.indices])  # the entries, in row order
+        keys = self.indices[chosen]
+        rows = np.repeat(np.arange(self.shape[0], dtype=np.int32),
+                         np.diff(np.searchsorted(chosen, self.indptr)))
+        # numpy sorts 16-bit keys stably by radix sort, 2-3 times as fast as int32
+        order = np.argsort(keys.astype(np.uint16) if self.shape[1] <= 1 << 16 else keys,
+                           kind="stable")
+        return CsrMatrix(_indptr(np.bincount(keys, minlength=self.shape[1])[mask]), rows[order],
+                         self.data[chosen[order]], (int(np.count_nonzero(mask)), self.shape[0]))
 
     @cached_property  # the cached vertex matrix is transposed once, not per LP
     def T(self) -> CsrMatrix:
-        # numpy sorts 16-bit keys stably by radix sort, 2-3 times as fast as int32
-        keys = self.indices.astype(np.uint16) if self.shape[1] <= 1 << 16 else self.indices
-        order = np.argsort(keys, kind="stable")
-        return CsrMatrix(_indptr(np.bincount(self.indices, minlength=self.shape[1])),
-                         self._rows()[order].astype(np.int32), self.data[order], self.shape[::-1])
+        return self.columns(np.ones(self.shape[1], bool))
 
 
 @dataclass(frozen=True, eq=False)
@@ -327,11 +337,12 @@ def lp_solve(lp: LinearProgram, columns=None, rows=None) -> LpSolution:
     """Solve a LinearProgram deterministically with dual certificates.
 
     Every row goes to HiGHS as lo <= a.x <= hi.  When the >= rows repeat
-    the <= rows row for row, each >= row becomes the lower bound of its
-    <= twin, so HiGHS sees the pair as one row: the folded rows.
+    the <= rows row for row, each <= row becomes the upper bound of its
+    >= twin, so HiGHS sees the pair as one row: the folded rows, views of
+    the posed rows when all but the <= rows are one run, as in nu's and pi's.
     RestrictedMaster.generate solves the LP from a start set, priced
     against the rest: of ``columns`` (column indices, by default all), by
-    c - a.T y, a column left out sitting at 0; or of ``rows`` (indices of
+    c - y a, a column left out sitting at 0; or of ``rows`` (indices of
     folded rows), by how far x violates each row left out, every column in
     from the start.  The certificates are checked on every folded row and
     every posed column, with the row duals HiGHS gave, zero on a row it
@@ -344,19 +355,21 @@ def lp_solve(lp: LinearProgram, columns=None, rows=None) -> LpSolution:
     hi = np.where(ge, np.inf, lp.rhs)
     folded = le.sum() == ge.sum() > 0 and _same_rows(lp.a[le], lp.a[ge])
     if folded:
-        lo[le] = lp.rhs[ge]
-    kept = ~ge if folded else slice(None)  # the rows HiGHS gets
+        hi[ge] = lp.rhs[le]
+    kept = ~le if folded else slice(None)  # the rows HiGHS gets
     a, lo, hi = lp.a[kept] if folded else lp.a, lo[kept], hi[kept]
     c = -lp.c if lp.maximize else lp.c
+    last = [None, None]  # the vector the last pricing round multiplied, and the product
     if rows is None:
-        master, everything, cols = RestrictedMaster(lo, hi), np.arange(len(c)), a.T
+        master, everything = RestrictedMaster(lo, hi), np.arange(len(c))
         start = everything if columns is None else np.unique(columns)
 
         def take(new):
-            return c[new], cols[np.bincount(new, minlength=len(c)) > 0], lp.lower[new], lp.upper[new]
+            return c[new], a.columns(np.isin(everything, new)), lp.lower[new], lp.upper[new]
 
-        def price(sol):  # a column left out at 0 gains |c - a.T y| if it may move that way
-            d = c - cols @ sol.row_duals
+        def price(sol):  # a column left out at 0 gains |c - y a| if it may move that way
+            last[:] = sol.row_duals, sol.row_duals @ a
+            d = c - last[1]
             return everything, np.abs(d) * np.where(d < 0, lp.upper > 0, lp.lower < 0)
 
         order, sol = master.generate(master.solve(*take(start)), start, take, price, len(c))
@@ -369,15 +382,20 @@ def lp_solve(lp: LinearProgram, columns=None, rows=None) -> LpSolution:
             return lo[new], hi[new], a[np.bincount(new, minlength=len(lo)) > 0]
 
         def price(sol):  # a row left out gains how far x lies outside its range
-            activity = a @ sol.x
-            return np.arange(len(lo)), np.maximum(lo - activity, activity - hi)
+            last[:] = sol.x, a @ sol.x
+            return np.arange(len(lo)), np.maximum(lo - last[1], last[1] - hi)
 
         order, sol = master.generate(master.solve_rows(*take(start)), start, take, price,
                                      len(lo), rows=True)
         x, y = sol.x, np.zeros(len(lo))
         y[order] = 0.0 if sol.row_duals is None else sol.row_duals
-    sol = _certified({**master.res, "x": x, "lambda": y, "simplex_nit": sol.iterations}, c, a,
-                     lo, hi, lp.lower, lp.upper)
+
+    def products(x, y):  # a x, y a: the one last priced, the other over x's or y's nonzeros
+        return (last[1] if last[0] is x else x[x != 0] @ a.columns(x != 0),
+                last[1] if last[0] is y else y[y != 0] @ a[y != 0])
+
+    sol = _certified({**master.res, "x": x, "lambda": y, "simplex_nit": sol.iterations}, c,
+                     products, lo, hi, lp.lower, lp.upper)
     if sol.x is None:
         return sol
     # HiGHS's row duals are d(min objective)/d(row bound); a posed
@@ -387,7 +405,7 @@ def lp_solve(lp: LinearProgram, columns=None, rows=None) -> LpSolution:
     y = np.zeros(len(lp.senses))
     y[kept] = -sol.row_duals if lp.maximize else sol.row_duals
     if folded:
-        pair, sign = y[le], 1.0 if lp.maximize else -1.0
+        pair, sign = y[ge], 1.0 if lp.maximize else -1.0
         y[le], y[ge] = np.where(sign * pair > 0, pair, 0.0), np.where(sign * pair < 0, pair, 0.0)
     return dataclasses.replace(sol, row_duals=y, objective=float(lp.c @ sol.x))
 
@@ -402,14 +420,14 @@ def _answer(res, c) -> LpSolution:
                       np.nan, np.nan, np.nan, iterations)
 
 
-def _certified(res, c, a, lo, hi, lower, upper) -> LpSolution:
-    """HiGHS's answer, "failed" where certificates recomputed on the rows of
-    ``a``, in row form, miss the contract; the row duals stay HiGHS's."""
+def _certified(res, c, products, lo, hi, lower, upper) -> LpSolution:
+    """HiGHS's answer, "failed" where certificates recomputed in row form, from
+    ``products(x, y)`` = (a x, y a), miss the contract; the row duals stay HiGHS's."""
     sol = _answer(res, c)
     if sol.x is None:
         return sol
     x, lam = sol.x, sol.row_duals
-    activity, reduced = a @ x, lam @ a
+    activity, reduced = products(x, lam)
     row_p, row_d, row_obj = _range_certificates(activity, lam, lo, hi)
     col_p, col_d, col_obj = _range_certificates(x, c - reduced, lower, upper)
     primal_resid, dual_resid = float(np.maximum(row_p, col_p)), float(np.maximum(row_d, col_d))
@@ -522,8 +540,9 @@ class RestrictedMaster:
 
     def certified(self) -> LpSolution:
         """The last answer, "failed" where its certificates miss the contract."""
-        return _certified(self.res, self.c, CsrMatrix.vstack(self.blocks).T, self.lo, self.hi,
-                          self.lower, self.upper)
+        columns = CsrMatrix.vstack(self.blocks)  # the matrix's columns as rows
+        return _certified(self.res, self.c, lambda x, y: (x @ columns, columns @ y), self.lo,
+                          self.hi, self.lower, self.upper)
 
 
 def _squared_frobenius(m: np.ndarray) -> np.ndarray:

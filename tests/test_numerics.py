@@ -258,6 +258,27 @@ def test_csr_matrix_rows_transpose_and_stacks_match_scipy():
         assert int((a != 0).sum()) == ref.nnz
 
 
+def test_csr_matrix_column_gather_transpose_and_row_views_match_scipy():
+    # a.columns(mask) holds the columns mask selects as rows, a.T is the
+    # gather of every column, and a mask selecting one run of rows gives
+    # views of a's entries, copying none (the fold's a[le] and a[ge])
+    rng = np.random.default_rng(64)
+    for a, ref in _csr_pairs():
+        m, n = a.shape
+        single = np.arange(n) == rng.integers(n)
+        for mask in (np.zeros(n, bool), np.ones(n, bool), rng.random(n) < 0.3, single):
+            assert _same_arrays(a.columns(mask), ref[:, mask].T.tocsr())
+        assert _same_arrays(a.T, a.columns(np.ones(n, bool)))
+        starts = np.flatnonzero(np.diff(a.indptr))  # rows holding an entry
+        if not starts.size:
+            continue
+        i = int(rng.choice(starts))
+        run = (np.arange(m) >= i) & (np.arange(m) <= rng.integers(i, m))
+        view = a[run]
+        assert _same_arrays(view, ref[run])
+        assert np.shares_memory(view.data, a.data) and np.shares_memory(view.indices, a.indices)
+
+
 def _few_vertex_behavior(rng, scenario):
     """A mixture of about a tenth of the vertices, with zero entries."""
     n = scenario.alice_strategy_count() * scenario.bob_strategy_count()
@@ -492,6 +513,100 @@ def test_a_master_holding_every_column_is_not_priced(monkeypatch):
         lp = random_feasible_lp(rng)
         assert lp_solve(lp).status == "optimal"
         assert lp_solve(lp, np.arange(len(lp.c))[::-1]).status == "optimal"
+
+
+def test_behavior_lps_transpose_nothing_and_multiply_once_per_priced_answer(monkeypatch):
+    # nu, pi and membership gather every column of no matrix but the vertex
+    # matrix, for its cached transpose; the nu LP multiplies its folded rows
+    # by x (a @ x) and the pi LP by y (y @ a) once per priced answer, and
+    # their certificates reuse the last of those products
+    gathered, full, priced = [], [], []
+    columns, matmul, rmatmul = CsrMatrix.columns, CsrMatrix.__matmul__, CsrMatrix.__rmatmul__
+    best = numerics.best_columns
+
+    def gather(a, mask):
+        if mask.all():
+            gathered.append(a)
+        return columns(a, mask)
+
+    def spy(product):
+        def counted(a, v):
+            full.append(a.shape)
+            return product(a, v)
+        return counted
+
+    def counted_pricing(*args):
+        priced.append(args)
+        return best(*args)
+
+    monkeypatch.setattr(CsrMatrix, "columns", gather)
+    monkeypatch.setattr(CsrMatrix, "__matmul__", spy(matmul))
+    monkeypatch.setattr(CsrMatrix, "__rmatmul__", spy(rmatmul))
+    monkeypatch.setattr(numerics, "best_columns", counted_pricing)
+    rng = np.random.default_rng(66)
+    rounds = []
+    for scenario in (Scenario(3, 3, 2, 2), Scenario(2, 2, 3, 3), Scenario(3, 3, 3, 3)):
+        vertices = vertex_matrix(scenario)
+        vars(vertices).pop("T", None)  # transposed again, under the spy
+        n_vertices, n_entries = vertices.shape
+        behavior = behavior_from_quantum(_random_model(rng, scenario, 2, "complete"))
+        for run, shape in ((max_violation, (n_vertices, n_entries)),
+                           (noise_robustness, (n_entries + 2, 1 + 2 * n_vertices))):
+            full.clear()
+            priced.clear()
+            run(behavior)
+            assert full.count(shape) == len(priced) >= 1
+            rounds.append(len(priced))
+        is_local(behavior)
+        assert gathered == [vertices]
+        gathered.clear()
+    assert max(rounds) >= 2
+
+
+def test_working_set_products_give_the_full_products_bits(monkeypatch):
+    # the certificate sums a @ x over the columns where x != 0 and y @ a over
+    # the rows where y != 0: the terms left out are exact zeros of either
+    # sign, so the bytes are the full product's, with cancelling terms and
+    # a NaN too, and a NaN in x still fails the LP
+    rng = np.random.default_rng(67)
+    for a, _ in _csr_pairs():
+        x, y = (rng.choice([1.5, -1.5, 0.0, -0.0, 0.25], k) for k in (a.shape[1], a.shape[0]))
+        for v in (x, y):
+            if (v != 0).any() and rng.random() < 0.5:
+                v[rng.choice(np.flatnonzero(v != 0))] = np.nan
+        assert (x[x != 0] @ a.columns(x != 0)).tobytes() == (a @ x).tobytes()
+        assert (y[y != 0] @ a[y != 0]).tobytes() == (y @ a).tobytes()
+    # lp_solve's certificate products, on LPs without mirrored rows (a is
+    # lp.a) solved with every column, from start sets of columns and of rows
+    certified, checked = numerics._certified, []
+
+    def spy(res, c, products, *args):
+        if res["status"].name == "kOptimal":
+            activity, reduced = products(res["x"], res["lambda"])
+            assert activity.tobytes() == (lp.a @ res["x"]).tobytes()
+            assert reduced.tobytes() == (res["lambda"] @ lp.a).tobytes()
+            checked.append((res["x"] < 0).any())
+        return certified(res, c, products, *args)
+
+    monkeypatch.setattr(numerics, "_certified", spy)
+    accept_rng = np.random.default_rng(10)  # acceptance 10's draws
+    for _ in range(40):
+        lp = random_feasible_lp(accept_rng)
+        lp_solve(lp), lp_solve(lp, [0]), lp_solve(lp, rows=[0])
+    assert len(checked) == 120 and sum(checked) >= 20
+    monkeypatch.undo()
+    behavior = behavior_from_quantum(_random_model(rng, Scenario(3, 3, 2, 2), 2, "complete"))
+    nu_lp, pi_lp, _ = _posed_lps(monkeypatch, behavior)
+    run = numerics._run
+
+    def spoiled(highs, strategy):
+        res = run(highs, strategy)
+        res["x"][np.argmax(np.abs(res["x"]))] = np.nan
+        return res
+
+    monkeypatch.setattr(numerics, "_run", spoiled)
+    assert lp_solve(nu_lp, rows=[0, 1]).status == "failed"
+    assert lp_solve(pi_lp, [0, 1, 2]).status == "failed"
 
 
 @pytest.mark.parametrize("highs_status, status", [
