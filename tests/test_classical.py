@@ -205,8 +205,11 @@ def test_enumeration_guard_messages_count_every_signed_assignment(monkeypatch):
 
 # na and nb >= 8 (the sum over y is then pairwise), parties swapped before
 # enumerating, one output on either side, three outputs (block counts that
-# do not divide the prefixes at a block size of 200)
-BATTERY_SHAPES = [(8, 9, 2, 2), (9, 8, 2, 2), (3, 9, 1, 2), (9, 3, 2, 1), (6, 7, 3, 3)]
+# do not divide the prefixes at a block size of 200), 16 and 17 responder
+# inputs (two rounds of 8 accumulators, then a remainder) and 130 (above
+# the 128 entries at which numpy's pairwise sum splits in halves)
+BATTERY_SHAPES = [(8, 9, 2, 2), (9, 8, 2, 2), (3, 9, 1, 2), (9, 3, 2, 1), (6, 7, 3, 3),
+                  (3, 16, 2, 2), (17, 3, 2, 2), (2, 130, 2, 2)]
 
 
 def _battery_coeffs(rng, shape, kind):
@@ -217,8 +220,9 @@ def _battery_coeffs(rng, shape, kind):
     return -np.abs(rng.standard_normal(shape)) - 0.25  # all negative
 
 
-def _classical_trio(f):
-    return np.array([*signed_extrema(f), classical_value_incomplete(f), banach_norm(f)])
+def _every_quantity(f):
+    return np.array([*signed_extrema(f), classical_value(f), classical_value_incomplete(f),
+                     banach_norm(f)])
 
 
 @pytest.mark.parametrize("chunk", [classical._CHUNK, 200])
@@ -229,11 +233,64 @@ def test_prefix_shared_enumeration_matches_the_gather_reference_bit_for_bit(
     rng = np.random.default_rng(sum(shape))
     for kind in ("normal", "dyadic", "negative"):
         f = BellFunctional(Scenario(*shape), _battery_coeffs(rng, shape, kind))
-        got = _classical_trio(f)
+        got = _every_quantity(f)
         with monkeypatch.context() as m:
             m.setattr(classical, "_enumerated_extrema", reference_enumerated_extrema)
-            want = _classical_trio(f)
+            want = _every_quantity(f)
         assert got.tobytes() == want.tobytes(), (kind, got - want)
+
+
+def test_row_sums_give_the_bits_of_numpys_sum_of_each_column_as_one_row():
+    rng = np.random.default_rng(5)
+    for n in [1, 2, 7, 8, 9, 15, 16, 17, 24, 127, 128, 129, 130, 136, 137, 255, 300, 1027]:
+        wide = rng.standard_normal((n, 64)) * 10.0 ** rng.integers(-8, 9, (n, 64))
+        for rows in (wide, np.where(rng.random((n, 64)) < 0.6, -0.0, wide), np.full((n, 3), -0.0)):
+            want = np.ascontiguousarray(rows.T).sum(axis=1)
+            assert classical._row_sums(rows.copy()).tobytes() == want.tobytes(), n
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 2, 2), (3, 9, 2, 2)], ids=lambda s: "x".join(map(str, s)))
+def test_totals_of_negative_zeros_read_positive_zero_as_numpy_sums_them(monkeypatch, shape):
+    # numpy's sum starts from +0.0, so a total of -0.0 terms reads +0.0
+    rng = np.random.default_rng(sum(shape))
+    zeros = np.full(shape, -0.0)
+    mixed = np.where(rng.random(shape) < 0.5, -0.0, rng.standard_normal(shape))
+    nonpositive = -(rng.integers(0, 3, shape) / 4.0)
+    nonpositive[..., 0] = -0.0  # Bob's output 0 adds -0.0 terms only: the max total is a zero
+    functionals = [BellFunctional(Scenario(*shape), c) for c in (zeros, mixed, nonpositive)]
+    for f in functionals:
+        got = _every_quantity(f)
+        with monkeypatch.context() as m:
+            m.setattr(classical, "_enumerated_extrema", reference_enumerated_extrema)
+            want = _every_quantity(f)
+        assert got.tobytes() == want.tobytes(), (f.coeffs, got, want)
+    zeros_read = [*_every_quantity(functionals[0]), signed_extrema(functionals[2])[0]]
+    assert [(v, math.copysign(1.0, v)) for v in zeros_read] == [(0.0, 1.0)] * 6
+
+
+@pytest.mark.parametrize("shape", [(3, 5, 2, 2), (5, 3, 2, 2), (2, 4, 3, 2), (4, 4, 1, 2)],
+                         ids=lambda s: "x".join(map(str, s)))
+def test_each_classical_quantity_enumerates_once_the_tensor_its_guard_counted(monkeypatch, shape):
+    # bench tracing counts coeffs.shape[2] ** coeffs.shape[0] assignments per call
+    calls = []
+    guard, enumerate_ = classical.check_guard, classical._enumerated_extrema
+
+    def spy_guard(count, *args):
+        calls.append(("guard", count))
+        return guard(count, *args)
+
+    def spy_enumerate(coeffs, reducer):
+        calls.append((reducer, coeffs.shape[2] ** coeffs.shape[0]))
+        return enumerate_(coeffs, reducer)
+
+    monkeypatch.setattr(classical, "check_guard", spy_guard)
+    monkeypatch.setattr(classical, "_enumerated_extrema", spy_enumerate)
+    f = BellFunctional(Scenario(*shape), np.random.default_rng(1).standard_normal(shape))
+    for quantity, reducer in ((classical_value, "signed"), (classical_value_incomplete, "signed"),
+                              (banach_norm, "abs")):
+        calls.clear()
+        quantity(f)
+        assert calls == [("guard", calls[0][1]), (reducer, calls[0][1])]
 
 
 def test_banach_norm_visits_one_sign_of_input_0_without_loss(rng):
