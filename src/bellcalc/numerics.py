@@ -23,10 +23,11 @@ miss the contract is downgraded to "failed" rather than reported optimal.
 Every LP matrix is a CsrMatrix, numpy arrays in compressed sparse row
 form; lp_solve hands HiGHS the folded rows, or their columns gathered a
 block per round, and multiplies them from either side, transposing none.
-scipy is loaded lazily and only in part: _session loads HiGHS's extension
-module on its own, so a process without LPs skips scipy, and one with LPs
-skips scipy.optimize and scipy.sparse, a third and a half of its start-up
-time.
+scipy is loaded lazily and only in part: _scipy_extension loads HiGHS's
+extension for _session and scipy.sparse's compiled loops for CsrMatrix
+on their own, so a process without LPs skips scipy, and one with LPs
+skips the scipy.optimize and scipy.sparse packages, a third and a half
+of its start-up time.
 
 povm_update solves  max sum_a tr(E_a R_a)  over POVMs {E_a}: the
 two-outcome case in closed form, any other number of outcomes through
@@ -85,8 +86,9 @@ _PRIMAL_SIMPLEX = {"simplex_strategy": 4, "simplex_dual_edge_weight_strategy": 1
 # HiGHS model status -> LpSolution.status; anything else is "failed": a
 # model HiGHS rejects, unbounded-or-infeasible and iteration limits among it.
 _HIGHS_STATUS = {"kOptimal": "optimal", "kInfeasible": "infeasible", "kUnbounded": "unbounded"}
-# HiGHS's extension, loaded by _highs_core under the name scipy.optimize gives it
+# scipy's extensions, loaded by _scipy_extension under the names scipy gives them
 _HIGHS_CORE = "scipy.optimize._highspy._core"
+_SPARSETOOLS = "scipy.sparse._sparsetools"
 
 LE, EQ, GE = "<=", "==", ">="
 
@@ -94,36 +96,36 @@ LE, EQ, GE = "<=", "==", ">="
 MAX_POVM_ITERS = 2000
 
 
-def _highs_core():
-    """scipy's HiGHS extension module, loaded without scipy.optimize: private
-    to scipy and tested on scipy 1.17.1 only, so a scipy release that moves
-    it breaks this function alone.
+def _scipy_extension(name):
+    """One of scipy's private extension modules, loaded without its package
+    (HiGHS's without scipy.optimize, the sparse loops without scipy.sparse):
+    private to scipy and tested on scipy 1.17.1 only, so a scipy release
+    that moves one breaks this function alone.
 
     The file is found beside scipy's own package and registered under
-    its dotted name before it runs, so a later ``import scipy.optimize``
+    its dotted name before it runs, so a later import of the package
     reuses it.  A module already in sys.modules, this function's or
-    scipy.optimize's, is returned without a search: pybind11 registers
-    ``_Highs`` once per process, and _session runs on every LP.
+    scipy's, is returned without a search: pybind11 registers ``_Highs``
+    once per process, and every LP and product comes here.
     """
-    module = sys.modules.get(_HIGHS_CORE)
+    module = sys.modules.get(name)
     if module is not None:
         return module
     # find_spec of a top-level name locates scipy without importing anything
-    path = [os.path.join(location, "optimize", "_highspy")
+    path = [os.path.join(location, *name.split(".")[1:-1])
             for location in importlib.util.find_spec("scipy").submodule_search_locations]
-    spec = importlib.machinery.PathFinder.find_spec(_HIGHS_CORE, path)
+    spec = importlib.machinery.PathFinder.find_spec(name, path)
     if spec is None:
-        raise ImportError(f"{_HIGHS_CORE} not found in {path}: the LP backend needs "
-                          "scipy >= 1.15")
+        raise ImportError(f"{name} not found in {path}: the LP backend needs scipy >= 1.15")
     module = importlib.util.module_from_spec(spec)
-    sys.modules[_HIGHS_CORE] = module
+    sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
 
 
 def _session():
     """A HiGHS session, with _HIGHS_OPTIONS set before it can log anything."""
-    highs = _highs_core()._Highs()
+    highs = _scipy_extension(_HIGHS_CORE)._Highs()
     for key, value in _HIGHS_OPTIONS.items():
         highs.setOptionValue(key, value)
     return highs
@@ -155,11 +157,11 @@ class CsrMatrix:
     ``data[indptr[r]:indptr[r + 1]]`` in the columns ``indices[...]`` of
     the same range, in ascending column order, and no zeros.
 
-    Only what the LP layer uses: ``a @ x`` and the transpose product
-    ``y @ a``, each one np.bincount summing the entries in stored order
-    (the order of scipy's CSR and CSC products, so the bits agree); the
-    rows a boolean mask selects, ``a[mask]`` (views for one run of rows);
-    the columns it selects as rows, ``a.columns(mask)``, and of them all,
+    Only what the LP layer uses, in scipy.sparse's compiled loops (int32
+    indices, float64 data) where not in numpy: ``a @ x`` and the transpose
+    product ``y @ a``, each sum taken in stored order from +0.0; the rows
+    a boolean mask selects, ``a[mask]`` (views for one run of rows); the
+    columns it selects as rows, ``a.columns(mask)``, and all of them,
     ``a.T``, cached; ``-a``; ``vstack`` and ``hstack``.  ``a != 0`` over
     the stored entries is not for the LP layer: the bench's tracer counts
     nonzeros with it, and ``--trace 1`` fails without it.
@@ -193,24 +195,26 @@ class CsrMatrix:
     @classmethod
     def hstack(cls, blocks) -> CsrMatrix:
         """The blocks, with one row count, side by side."""
-        counts = [np.diff(b.indptr) for b in blocks]
-        indptr = _indptr(sum(counts))
-        indices, data = np.empty(indptr[-1], np.int32), np.empty(indptr[-1])
-        ends, start = indptr[:-1].copy(), 0  # each row's next free slot, the block's first column
-        for b, count in zip(blocks, counts):
-            slots = np.repeat(ends - b.indptr[:-1], count) + np.arange(len(b.data))
-            indices[slots], data[slots] = b.indices + start, b.data
-            ends += count
-            start += b.shape[1]
-        return cls(indptr, indices, data, (blocks[0].shape[0], start))
+        m, widths = blocks[0].shape[0], np.array([b.shape[1] for b in blocks], np.int32)
+        if any(b.shape[0] != m for b in blocks):  # the loop reads m rows of every block
+            raise ValueError("hstack takes blocks of one row count")
+        arrays = [np.concatenate(v) for v in zip(*((b.indptr, b.indices, b.data) for b in blocks))]
+        return _compiled("csr_hstack", (m, int(widths.sum())), len(arrays[2]), len(blocks), m,
+                         widths, *arrays)
 
     def __matmul__(self, x):
-        rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
-        return np.bincount(rows, self.data * x[self.indices], self.shape[0])
+        return self._product("csr_matvec", self.shape, x)
 
-    def __rmatmul__(self, y):  # y repeated along each row: y[row] of every entry
-        return np.bincount(self.indices, self.data * np.repeat(y, np.diff(self.indptr)),
-                           self.shape[1])
+    def __rmatmul__(self, y):  # the same arrays hold a.T in compressed sparse column form
+        return self._product("csc_matvec", self.shape[::-1], y)
+
+    def _product(self, kernel, shape, v):  # sums in stored order from +0.0, reading v unchecked
+        if np.shape(v) != shape[1:]:
+            raise ValueError(f"a {self.shape} matrix cannot multiply shape {np.shape(v)}")
+        out = np.zeros(shape[0])  # the loop adds into it
+        getattr(_scipy_extension(_SPARSETOOLS), kernel)(*shape, self.indptr, self.indices,
+                                                        self.data, v, out)
+        return out
 
     def __neg__(self) -> CsrMatrix:
         return CsrMatrix(self.indptr, self.indices, -self.data, self.shape)
@@ -232,19 +236,27 @@ class CsrMatrix:
 
     def columns(self, mask) -> CsrMatrix:
         """The columns a boolean mask selects, as rows, each in row order."""
-        chosen = np.flatnonzero(mask[self.indices])  # the entries, in row order
-        keys = self.indices[chosen]
-        rows = np.repeat(np.arange(self.shape[0], dtype=np.int32),
-                         np.diff(np.searchsorted(chosen, self.indptr)))
-        # numpy sorts 16-bit keys stably by radix sort, 2-3 times as fast as int32
-        order = np.argsort(keys.astype(np.uint16) if self.shape[1] <= 1 << 16 else keys,
-                           kind="stable")
-        return CsrMatrix(_indptr(np.bincount(keys, minlength=self.shape[1])[mask]), rows[order],
-                         self.data[chosen[order]], (int(np.count_nonzero(mask)), self.shape[0]))
+        tools, (m, n) = _scipy_extension(_SPARSETOOLS), self.shape
+        chosen = np.arange(n, dtype=np.int32)[mask]  # IndexError unless mask has n entries
+        k, offsets, indptr = len(chosen), np.zeros(n, np.int32), np.empty(m + 1, np.int32)
+        tools.csr_column_index1(k, chosen, m, n, self.indptr, self.indices, offsets, indptr)
+        block = CsrMatrix(indptr, np.empty(indptr[-1], np.int32), np.empty(indptr[-1]), (m, k))
+        tools.csr_column_index2(np.arange(k, dtype=np.int32), offsets, len(self.indices),
+                                self.indices, self.data, block.indices, block.data)
+        return block.T
 
     @cached_property  # the cached vertex matrix is transposed once, not per LP
     def T(self) -> CsrMatrix:
-        return self.columns(np.ones(self.shape[1], bool))
+        return _compiled("csr_tocsc", self.shape[::-1], len(self.data), *self.shape, self.indptr,
+                         self.indices, self.data)
+
+
+def _compiled(kernel, shape, nnz, *args) -> CsrMatrix:
+    """The ``shape`` matrix of ``nnz`` entries that scipy.sparse's compiled loop
+    ``kernel`` writes from ``args``."""
+    out = CsrMatrix(np.empty(shape[0] + 1, np.int32), np.empty(nnz, np.int32), np.empty(nnz), shape)
+    getattr(_scipy_extension(_SPARSETOOLS), kernel)(*args, out.indptr, out.indices, out.data)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -390,9 +402,8 @@ def lp_solve(lp: LinearProgram, columns=None, rows=None) -> LpSolution:
         x, y = sol.x, np.zeros(len(lo))
         y[order] = 0.0 if sol.row_duals is None else sol.row_duals
 
-    def products(x, y):  # a x, y a: the one last priced, the other over x's or y's nonzeros
-        return (last[1] if last[0] is x else x[x != 0] @ a.columns(x != 0),
-                last[1] if last[0] is y else y[y != 0] @ a[y != 0])
+    def products(x, y):  # a x, y a: the one last priced and the other
+        return last[1] if last[0] is x else a @ x, last[1] if last[0] is y else y @ a
 
     sol = _certified({**master.res, "x": x, "lambda": y, "simplex_nit": sol.iterations}, c,
                      products, lo, hi, lp.lower, lp.upper)
@@ -506,8 +517,9 @@ class RestrictedMaster:
                       and np.all(self.upper >= 0))
         else:
             primal = primal and self.res["status"].name == "kOptimal"
+        model_error = _scipy_extension(_HIGHS_CORE).HighsModelStatus.kModelError
         self.res = (_run(self.highs, _PRIMAL_SIMPLEX if primal else _DUAL_SIMPLEX) if self.loaded
-                    else {"status": _highs_core().HighsModelStatus.kModelError, "simplex_nit": 0})
+                    else {"status": model_error, "simplex_nit": 0})
         return _answer(self.res, self.c)
 
     def generate(self, sol, ids, block, price, total=None, rows=False):

@@ -657,12 +657,14 @@ def test_commands_without_an_lp_never_import_scipy(tmp_path, cli_inputs, argv):
 
 
 def test_lp_command_loads_highs_without_scipy_optimize(tmp_path, chsh_optimal_file):
-    # HiGHS's extension module and its submodules, no other scipy module:
-    # neither the scipy.optimize package nor scipy.sparse
-    core = "scipy.optimize._highspy._core"
+    # HiGHS's extension module and its submodules, and scipy.sparse's compiled
+    # loops, no other scipy module: neither the scipy.optimize package nor
+    # the scipy.sparse package
+    core, tools = "scipy.optimize._highspy._core", "scipy.sparse._sparsetools"
     modules = scipy_modules_after(tmp_path, ["behavior", "nu", chsh_optimal_file])
-    assert core in modules
-    assert {m for m in modules if m != core and not m.startswith(core + ".")} == set()
+    assert {core, tools} <= modules
+    assert {m for m in modules if m != tools and m != core and not m.startswith(core + ".")} \
+        == set()
 
 
 @settings(max_examples=25, deadline=None)

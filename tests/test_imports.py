@@ -216,7 +216,7 @@ def test_private_numpy_linalg_module_is_used_only_in_numerics():
 
 def test_private_scipy_highs_module_is_used_only_in_numerics():
     # numerics._session is the one entry into HiGHS, a session of the pybind
-    # class _core._Highs of scipy's private _highspy that numerics._highs_core
+    # class _core._Highs of scipy's private _highspy that numerics._scipy_extension
     # loads; every LP is solved on one, given its rows and then its columns,
     # rather than through linprog, scipy's _highs_wrapper or a one-shot
     # passModel
@@ -227,8 +227,16 @@ def test_private_scipy_highs_module_is_used_only_in_numerics():
         assert [p.name for p in sources if entry in p.read_text(encoding="utf-8")] == []
 
 
+def test_private_scipy_sparsetools_module_is_used_only_in_numerics():
+    # CsrMatrix's products, gathers and stacks run scipy.sparse's compiled
+    # loops, loaded by numerics._scipy_extension without scipy.sparse
+    sources = sorted(Path(bellcalc.__file__).parent.rglob("*.py"))
+    assert [p.name for p in sources if "_sparsetools" in p.read_text(encoding="utf-8")] \
+        == ["numerics.py"]
+
+
 def test_no_module_imports_the_scipy_optimize_package():
-    # _highs_core loads HiGHS's extension for _session on its own; the scipy.optimize
+    # _scipy_extension loads HiGHS's extension for _session on its own; the scipy.optimize
     # package is a third of an LP command's start-up time and unused
     sources = sorted(Path(bellcalc.__file__).parent.rglob("*.py"))
     assert {p.name: _package_imports(p.read_text(encoding="utf-8"), "scipy.optimize")
@@ -236,8 +244,8 @@ def test_no_module_imports_the_scipy_optimize_package():
 
 
 def test_no_module_imports_scipy_sparse():
-    # LP matrices are numerics.CsrMatrix arrays; scipy.sparse took half of
-    # an LP command's start-up time
+    # LP matrices are numerics.CsrMatrix arrays, multiplied by scipy.sparse's
+    # compiled loops alone; the package took half of an LP command's start-up time
     sources = sorted(Path(bellcalc.__file__).parent.rglob("*.py"))
     assert {p.name: _package_imports(p.read_text(encoding="utf-8"), "scipy.sparse")
             for p in sources} == {p.name: [] for p in sources}

@@ -4,8 +4,9 @@ The LP layer is checked against scipy's linprog dual simplex, a second
 front end to HiGHS that takes >= rows negated into <= form and never
 folds a mirrored pair, and its HiGHS session, given every column in one
 block, bit for bit against scipy's _highs_wrapper on the same model; its
-certificates must reject HiGHS answers spoiled on purpose.  CsrMatrix, the package's sparse matrix, is
-checked bit for bit against scipy.sparse.
+certificates must reject HiGHS answers spoiled on purpose.  CsrMatrix, the
+package's sparse matrix, is checked bit for bit against scipy.sparse and
+against the numpy formulas it ran before it ran scipy's compiled loops.
 
 The POVM solver is checked against an independent semidefinite
 formulation (cvxpy, when installed) on small instances, against its own
@@ -221,8 +222,9 @@ def _csr_pairs():
         m, n = (int(k) for k in rng.integers(1, 30, size=2))
         dense = rng.standard_normal((m, n)) * (rng.random((m, n)) < rng.random())
         pairs.append((CsrMatrix.from_dense(dense), sp.csr_matrix(dense)))
-    # the widest matrix whose transpose sorts 16-bit keys, and one column
-    # wider, whose last column would share the first one's 16-bit key
+    # the widest matrix whose reference gather (_numpy_columns) sorts 16-bit
+    # keys, and one column wider, whose last column would share the first
+    # one's 16-bit key
     for n in (1 << 16, (1 << 16) + 1):
         dense = rng.standard_normal((5, n)) * (rng.random((5, n)) < 1e-3)
         dense[:, [0, n - 1]] = 1.0
@@ -277,6 +279,92 @@ def test_csr_matrix_column_gather_transpose_and_row_views_match_scipy():
         view = a[run]
         assert _same_arrays(view, ref[run])
         assert np.shares_memory(view.data, a.data) and np.shares_memory(view.indices, a.indices)
+
+
+# CsrMatrix's numpy formulas before it ran scipy's compiled loops: the
+# reference its kernels must match bit for bit
+def _counts_indptr(counts):
+    return np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+
+
+def _numpy_matmul(a, x):  # np.bincount adds each row's terms in stored order from +0.0
+    rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+    return np.bincount(rows, a.data * x[a.indices], a.shape[0])
+
+
+def _numpy_rmatmul(a, y):
+    return np.bincount(a.indices, a.data * np.repeat(y, np.diff(a.indptr)), a.shape[1])
+
+
+def _numpy_columns(a, mask):  # the chosen entries, stably sorted by column
+    chosen = np.flatnonzero(mask[a.indices])
+    keys = a.indices[chosen]
+    rows = np.repeat(np.arange(a.shape[0], dtype=np.int32),
+                     np.diff(np.searchsorted(chosen, a.indptr)))
+    order = np.argsort(keys.astype(np.uint16) if a.shape[1] <= 1 << 16 else keys, kind="stable")
+    return CsrMatrix(_counts_indptr(np.bincount(keys, minlength=a.shape[1])[mask]), rows[order],
+                     a.data[chosen[order]], (int(np.count_nonzero(mask)), a.shape[0]))
+
+
+def _numpy_hstack(blocks):  # each block's entries scattered to their rows' slots
+    counts = [np.diff(b.indptr) for b in blocks]
+    indptr = _counts_indptr(sum(counts))
+    indices, data = np.empty(indptr[-1], np.int32), np.empty(indptr[-1])
+    ends, start = indptr[:-1].copy(), 0
+    for b, count in zip(blocks, counts):
+        slots = np.repeat(ends - b.indptr[:-1], count) + np.arange(len(b.data))
+        indices[slots], data[slots] = b.indices + start, b.data
+        ends += count
+        start += b.shape[1]
+    return CsrMatrix(indptr, indices, data, (blocks[0].shape[0], start))
+
+
+def _same_matrix(a: CsrMatrix, b: CsrMatrix) -> bool:
+    return a.shape == b.shape and all(
+        u.dtype == v.dtype and u.tobytes() == v.tobytes()
+        for u, v in zip((a.indptr, a.indices, a.data), (b.indptr, b.indices, b.data)))
+
+
+def test_csr_matrix_kernels_give_the_numpy_formulas_bits():
+    # products from vectors of signed zeros, cancelling terms and NaN, given
+    # as strided views and as integers; gathers by empty, full, random and
+    # single-column masks; stacks with a block of no entries; on matrices
+    # with empty rows and columns, no entries at all and no rows or columns
+    rng = np.random.default_rng(68)
+    matrices = [a for a, _ in _csr_pairs()] + [
+        CsrMatrix.from_dense(np.zeros(shape)) for shape in ((3, 4), (0, 3), (3, 0), (0, 0))]
+    values = np.array([1.5, -1.5, 0.0, -0.0, 0.25, 1e16, -1e16, 1.0, np.nan])
+    for a in matrices:
+        m, n = a.shape
+        for k, product, reference in ((n, a.__matmul__, _numpy_matmul),
+                                      (m, a.__rmatmul__, _numpy_rmatmul)):
+            wide = rng.choice(values[:-1], 2 * k)
+            if k and rng.random() < 0.3:
+                wide[rng.integers(2 * k)] = np.nan
+            for v in (wide[::2], wide[1::2], wide[:k], rng.integers(-3, 4, k)):
+                assert product(v).tobytes() == reference(a, v).tobytes()
+        for mask in (np.zeros(n, bool), np.ones(n, bool), rng.random(n) < 0.3,
+                     np.arange(n) == rng.integers(max(n, 1))):
+            assert _same_matrix(a.columns(mask), _numpy_columns(a, mask))
+        assert _same_matrix(a.T, _numpy_columns(a, np.ones(n, bool)))
+        empty = CsrMatrix.from_dense(np.zeros((m, 2)))
+        for blocks in ([a], [a, -a, a], [empty, a, empty]):
+            assert _same_matrix(CsrMatrix.hstack(blocks), _numpy_hstack(blocks))
+
+
+def test_csr_matrix_kernels_refuse_inputs_of_another_size():
+    # the compiled loops read their inputs without a bounds check
+    a = CsrMatrix.from_dense(np.ones((2, 3)))
+    for v in (np.ones(2), np.ones(4), np.ones((3, 1))):
+        with pytest.raises(ValueError, match="cannot multiply"):
+            a @ v
+    with pytest.raises(ValueError, match="cannot multiply"):
+        np.ones(3) @ a
+    with pytest.raises(ValueError, match="one row count"):
+        CsrMatrix.hstack([a, CsrMatrix.from_dense(np.ones((3, 1)))])
+    for mask in (np.ones(2, bool), np.ones(4, bool)):
+        with pytest.raises(IndexError):
+            a.columns(mask)
 
 
 def _few_vertex_behavior(rng, scenario):
@@ -516,18 +604,20 @@ def test_a_master_holding_every_column_is_not_priced(monkeypatch):
 
 
 def test_behavior_lps_transpose_nothing_and_multiply_once_per_priced_answer(monkeypatch):
-    # nu, pi and membership gather every column of no matrix but the vertex
-    # matrix, for its cached transpose; the nu LP multiplies its folded rows
-    # by x (a @ x) and the pi LP by y (y @ a) once per priced answer, and
-    # their certificates reuse the last of those products
-    gathered, full, priced = [], [], []
-    columns, matmul, rmatmul = CsrMatrix.columns, CsrMatrix.__matmul__, CsrMatrix.__rmatmul__
+    # nu, pi and membership transpose no matrix but the vertex matrix, once,
+    # for its cached transpose: the transpose kernel otherwise sees only the
+    # column blocks pi's rounds gather, each narrower than pi's rows.  The nu
+    # LP multiplies its folded rows by x (a @ x) and the pi LP by y (y @ a)
+    # once per priced answer; their certificates reuse the last of those and
+    # take the full product from the other side
+    tools = numerics._scipy_extension(numerics._SPARSETOOLS)
+    transposed, full, priced = [], [], []
+    tocsc, matmul, rmatmul = tools.csr_tocsc, CsrMatrix.__matmul__, CsrMatrix.__rmatmul__
     best = numerics.best_columns
 
-    def gather(a, mask):
-        if mask.all():
-            gathered.append(a)
-        return columns(a, mask)
+    def transpose(n_row, n_col, indptr, *args):
+        transposed.append((n_row, n_col, indptr))
+        return tocsc(n_row, n_col, indptr, *args)
 
     def spy(product):
         def counted(a, v):
@@ -539,7 +629,7 @@ def test_behavior_lps_transpose_nothing_and_multiply_once_per_priced_answer(monk
         priced.append(args)
         return best(*args)
 
-    monkeypatch.setattr(CsrMatrix, "columns", gather)
+    monkeypatch.setattr(tools, "csr_tocsc", transpose)
     monkeypatch.setattr(CsrMatrix, "__matmul__", spy(matmul))
     monkeypatch.setattr(CsrMatrix, "__rmatmul__", spy(rmatmul))
     monkeypatch.setattr(numerics, "best_columns", counted_pricing)
@@ -549,25 +639,27 @@ def test_behavior_lps_transpose_nothing_and_multiply_once_per_priced_answer(monk
         vertices = vertex_matrix(scenario)
         vars(vertices).pop("T", None)  # transposed again, under the spy
         n_vertices, n_entries = vertices.shape
+        pi_rows = (n_entries + 2, 1 + 2 * n_vertices)
         behavior = behavior_from_quantum(_random_model(rng, scenario, 2, "complete"))
-        for run, shape in ((max_violation, (n_vertices, n_entries)),
-                           (noise_robustness, (n_entries + 2, 1 + 2 * n_vertices))):
+        for run, shape in ((max_violation, (n_vertices, n_entries)), (noise_robustness, pi_rows)):
             full.clear()
             priced.clear()
             run(behavior)
-            assert full.count(shape) == len(priced) >= 1
+            assert full.count(shape) == len(priced) + 1 >= 2
             rounds.append(len(priced))
         is_local(behavior)
-        assert gathered == [vertices]
-        gathered.clear()
+        assert [t[:2] for t in transposed if t[2] is vertices.indptr] == [vertices.shape]
+        blocks = [t[:2] for t in transposed if t[2] is not vertices.indptr]
+        assert blocks and all(m == pi_rows[0] and n < pi_rows[1] for m, n in blocks)
+        transposed.clear()
     assert max(rounds) >= 2
 
 
 def test_working_set_products_give_the_full_products_bits(monkeypatch):
-    # the certificate sums a @ x over the columns where x != 0 and y @ a over
-    # the rows where y != 0: the terms left out are exact zeros of either
-    # sign, so the bytes are the full product's, with cancelling terms and
-    # a NaN too, and a NaN in x still fails the LP
+    # the certificate takes the full products a @ x and y @ a, whose bytes
+    # are those of the sums over x's columns and y's rows that are not zero
+    # alone: the terms left out are exact zeros of either sign, with
+    # cancelling terms and a NaN too.  A NaN in x or in y still fails the LP
     rng = np.random.default_rng(67)
     for a, _ in _csr_pairs():
         x, y = (rng.choice([1.5, -1.5, 0.0, -0.0, 0.25], k) for k in (a.shape[1], a.shape[0]))
@@ -599,14 +691,15 @@ def test_working_set_products_give_the_full_products_bits(monkeypatch):
     nu_lp, pi_lp, _ = _posed_lps(monkeypatch, behavior)
     run = numerics._run
 
-    def spoiled(highs, strategy):
-        res = run(highs, strategy)
-        res["x"][np.argmax(np.abs(res["x"]))] = np.nan
-        return res
+    for key in ("x", "lambda"):
+        def spoiled(highs, strategy, key=key):
+            res = run(highs, strategy)
+            res[key][np.argmax(np.abs(res[key]))] = np.nan
+            return res
 
-    monkeypatch.setattr(numerics, "_run", spoiled)
-    assert lp_solve(nu_lp, rows=[0, 1]).status == "failed"
-    assert lp_solve(pi_lp, [0, 1, 2]).status == "failed"
+        monkeypatch.setattr(numerics, "_run", spoiled)
+        assert lp_solve(nu_lp, rows=[0, 1]).status == "failed"
+        assert lp_solve(pi_lp, [0, 1, 2]).status == "failed"
 
 
 @pytest.mark.parametrize("highs_status, status", [
@@ -923,7 +1016,8 @@ def test_scipy_optimize_reuses_the_highs_module_the_session_loaded():
         "from scipy.optimize import linprog\n"
         "res = linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-3.0], method='highs-ds')\n"
         "print(res.status, res.fun, res.x.tolist() == [3.0, 0.0])\n"
-        "print(sys.modules['scipy.optimize._highspy._core'] is core, numerics._highs_core() is core)\n")
+        "print(sys.modules['scipy.optimize._highspy._core'] is core,\n"
+        "      numerics._scipy_extension(numerics._HIGHS_CORE) is core)\n")
     assert out == ["False", "0", "3.0", "True", "True", "True"]
 
 
@@ -942,17 +1036,64 @@ def test_session_reuses_the_highs_module_scipy_optimize_loaded():
         "    rhs=np.array([3.0]), senses=['>='], lower=np.zeros(2), upper=np.full(2, np.inf),\n"
         "    maximize=False)\n"
         "sol = numerics.lp_solve(lp)\n"
-        "print(sol.status, sol.objective, numerics._highs_core() is core)\n")
+        "print(sol.status, sol.objective, numerics._scipy_extension(numerics._HIGHS_CORE) is core)\n")
     assert out == ["optimal", "3.0", "True"]
 
 
-def test_missing_highs_extension_names_the_scipy_floor(monkeypatch, tmp_path):
-    numerics._session()
-    monkeypatch.delitem(sys.modules, numerics._HIGHS_CORE)
+def test_csr_products_reuse_the_sparsetools_module_scipy_sparse_loaded():
+    # the traced bench imports scipy.sparse before any product: CsrMatrix
+    # runs on that package's compiled loops, loaded once, without a search
+    out = run_fresh(
+        "import sys\n"
+        "import numpy as np\n"
+        "import scipy.sparse\n"
+        "tools = sys.modules['scipy.sparse._sparsetools']\n"
+        "import importlib.machinery\n"
+        "from bellcalc import numerics\n"
+        "def no_search(*args):\n"
+        "    raise AssertionError('searched for a loaded module')\n"
+        "importlib.machinery.PathFinder.find_spec = no_search\n"
+        "a = numerics.CsrMatrix.from_dense([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0]])\n"
+        "print(a @ np.ones(3), np.ones(2) @ a, a.T.shape, a.columns(np.array([1, 0, 1], bool)).shape)\n"
+        "print(numerics._scipy_extension(numerics._SPARSETOOLS) is tools)\n")
+    assert out == ["[3.", "3.]", "[1.", "3.", "2.]", "(3,", "2)", "(2,", "2)", "True"]
+
+
+def test_csr_products_load_sparsetools_without_scipy_sparse():
+    # loaded at the first product, not at import, and registered under its
+    # name, so a later import of scipy.sparse reuses it
+    out = run_fresh(
+        "import sys\n"
+        "import numpy as np\n"
+        "from bellcalc import numerics\n"
+        "a = numerics.CsrMatrix.from_dense([[1.0, 2.0]])\n"
+        "print('scipy.sparse._sparsetools' in sys.modules)\n"
+        "a @ np.ones(2)\n"
+        "tools = sys.modules['scipy.sparse._sparsetools']\n"
+        "print('scipy.sparse' in sys.modules)\n"
+        "import scipy.sparse\n"
+        "print(sys.modules['scipy.sparse._sparsetools'] is tools)\n")
+    assert out == ["False", "False", "True"]
+
+
+def _without_scipy_extension(monkeypatch, tmp_path, name):
+    """Unload the extension ``name`` and point the search for it at an empty directory."""
+    numerics._scipy_extension(name)
+    monkeypatch.delitem(sys.modules, name)
     monkeypatch.setattr(importlib.util, "find_spec",
                         lambda name: SimpleNamespace(submodule_search_locations=[str(tmp_path)]))
+
+
+def test_missing_highs_extension_names_the_scipy_floor(monkeypatch, tmp_path):
+    _without_scipy_extension(monkeypatch, tmp_path, numerics._HIGHS_CORE)
     with pytest.raises(ImportError, match=r"scipy >= 1\.15"):
         numerics._session()
+
+
+def test_missing_sparsetools_extension_names_the_scipy_floor(monkeypatch, tmp_path):
+    _without_scipy_extension(monkeypatch, tmp_path, numerics._SPARSETOOLS)
+    with pytest.raises(ImportError, match=r"scipy >= 1\.15"):
+        CsrMatrix.from_dense([[1.0]]) @ np.ones(1)
 
 
 def test_eigh_contract_on_random_hermitian():
