@@ -10,9 +10,9 @@ with the responding party maximizing an absolute value.
 Assignments sharing a prefix of inputs share its partial sum, about one add
 of an (nb, mb) block each: O(ma**na nb mb) in all.  The norm visits one sign
 of input 0 (flipping every sign keeps |value|); its guard counts all signs.
-Each block is reduced in place: Bob's best response per input (to |...| for
-the norm), then one vectorized add per Bob input, in the order numpy's sum
-adds one assignment's responses, so every total keeps a plain sum's bits.
+Each block is reduced by numpy alone: Bob's best response per input (to
+|...| for the norm), then numpy's sum over his inputs, the one reduction the
+membership oracle takes too, so both give an assignment the same value.
 
 Membership in the local polytope is a Chebyshev LP over the vertices, solved
 by column generation: the same enumeration, best-responding to every assignment
@@ -80,27 +80,6 @@ def _prefix_blocks(tt: np.ndarray, first: int):
         yield extend(head[:, :, start:start + step], range(na - tail, na))
 
 
-def _row_sums(rows: np.ndarray) -> np.ndarray:
-    """rows.sum(axis=0) with the bits numpy's sum gives each column as one
-    contiguous row: pairwise with 8 accumulators, in halves (multiples of 8)
-    above 128 rows, then +0.0.  Adds whole rows, in place in ``rows``."""
-    n = len(rows)
-    if n > 128:  # adding +0.0 to each half cannot change the final bits
-        half = n // 2 - n // 2 % 8
-        total = _row_sums(rows[:half])
-        total += _row_sums(rows[half:])
-        return total
-    whole = n - n % 8
-    for start in range(8, whole, 8):
-        rows[:8] += rows[start:start + 8]
-    for step in (1, 2, 4) if whole else ():
-        rows[:8:2 * step] += rows[step:8:2 * step]
-    for row in rows[max(whole, 1):]:
-        rows[0] += row
-    rows[0] += 0.0  # numpy's sum starts from +0.0: a total of -0.0 reads +0.0
-    return rows[0]
-
-
 def _enumerated_extrema(coeffs: np.ndarray, reducer: str) -> tuple[float, float]:
     """Enumerate Alice assignments; Bob best-responds per input.
 
@@ -109,10 +88,8 @@ def _enumerated_extrema(coeffs: np.ndarray, reducer: str) -> tuple[float, float]
     max_b |...| and returns (largest, largest), visiting only the first
     half of input 0's outputs, whose second half must negate the first.
 
-    Each (B, Y, k) block of k assignments is reduced in place: abs for the
-    norm, the best response over b, then one add of (k,) slabs per y, in the
-    order numpy's sum adds one assignment's nb responses (_row_sums), so every
-    total, and the output printed from it, keeps the bits of that sum.
+    Each (B, Y, k) block of k assignments is reduced as the oracle reduces
+    it: abs for the norm, the best response over b, then sum over y.
     """
     ma = coeffs.shape[2]
     tt = coeffs.transpose(0, 3, 1, 2).copy()[..., None]  # (x, b, y, a, 1), ours to overwrite
@@ -120,10 +97,10 @@ def _enumerated_extrema(coeffs: np.ndarray, reducer: str) -> tuple[float, float]
     for vals in _prefix_blocks(tt, ma // 2 if reducer == "abs" else ma):
         if reducer == "abs":
             np.abs(vals, out=vals)
-            best_hi = best_lo = max(best_hi, float(_row_sums(vals.max(axis=0)).max()))
+            best_hi = best_lo = max(best_hi, float(vals.max(axis=0).sum(axis=0).max()))
         else:
-            best_hi = max(best_hi, float(_row_sums(vals.max(axis=0)).max()))
-            best_lo = min(best_lo, float(_row_sums(vals.min(axis=0)).min()))
+            best_hi = max(best_hi, float(vals.max(axis=0).sum(axis=0).max()))
+            best_lo = min(best_lo, float(vals.min(axis=0).sum(axis=0).min()))
     return best_hi, best_lo
 
 
@@ -142,7 +119,7 @@ def best_response_vertices(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         for id_block, vals in zip(_prefix_blocks(ids, ma), _prefix_blocks(tt, ma)):
             best = vals.argmax(axis=0)  # (y, k)
             response[id_block.ravel()] = mb ** np.arange(nb - 1, -1, -1) @ best
-            total[id_block.ravel()] = np.take_along_axis(vals, best[None], axis=0)[0].sum(axis=0)
+            total[id_block.ravel()] = vals.max(axis=0).sum(axis=0)
         vertices.append(np.arange(ma ** na) * own + response * other)
         values.append(total)
     return np.concatenate(vertices), np.concatenate(values)

@@ -61,11 +61,11 @@ EXIT_CODES = (
 EQ4_SLACK = 1e-6
 
 
-def _input_name(doc: dict, fallback: str = "input") -> str:
+def _input_name(doc: dict) -> str:
     meta = doc.get("metadata")
     if isinstance(meta, dict) and isinstance(meta.get("name"), str):
         return meta["name"]
-    return fallback
+    return "input"
 
 
 def _load_functional(path: str):

@@ -39,12 +39,11 @@ from .errors import DocumentError
 FORMAT_VERSION = "1"
 
 
-def document(kind: str, scenario: Scenario | None, payload: dict,
-             name: str, provenance: str) -> dict:
+def document(kind: str, scenario: Scenario, payload: dict, name: str, provenance: str) -> dict:
     return {
         "format_version": FORMAT_VERSION,
         "kind": kind,
-        "scenario": None if scenario is None else {
+        "scenario": {
             "na": scenario.n_inputs_a,
             "nb": scenario.n_inputs_b,
             "ma": scenario.n_outputs_a,

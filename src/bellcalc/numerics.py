@@ -397,8 +397,7 @@ def lp_solve(lp: LinearProgram, columns=None, rows=None) -> LpSolution:
             last[:] = sol.x, a @ sol.x
             return np.arange(len(lo)), np.maximum(lo - last[1], last[1] - hi)
 
-        order, sol = master.generate(master.solve_rows(*take(start)), start, take, price,
-                                     len(lo), rows=True)
+        order, sol = master.generate(master.solve_rows(*take(start)), start, take, price, len(lo))
         x, y = sol.x, np.zeros(len(lo))
         y[order] = 0.0 if sol.row_duals is None else sol.row_duals
 
@@ -473,6 +472,8 @@ class RestrictedMaster:
     which it may crash on if run, every answer is kModelError.  ``certified``
     checks the last answer of a master grown by columns."""
 
+    _by_rows = False  # a master of_columns makes grows by rows
+
     def __init__(self, lo, hi):
         self.lo, self.hi, self.highs = lo, hi, _session()
         self.loaded = self.highs.addRows(len(lo), lo, hi, 0, _NO_ENTRIES, _NO_ENTRIES,
@@ -484,6 +485,7 @@ class RestrictedMaster:
         """A master of no rows and the columns c, lower <= x <= upper, without
         entries: it grows by solve_rows."""
         master = cls(np.zeros(0), np.zeros(0))
+        master._by_rows = True
         master.loaded = master.loaded and master.highs.addCols(
             len(c), c, lower, upper, 0, _NO_ENTRIES, _NO_ENTRIES, np.zeros(0)).name != "kError"
         master.c, master.lower, master.upper = c, lower, upper
@@ -522,18 +524,18 @@ class RestrictedMaster:
                     else {"status": model_error, "simplex_nit": 0})
         return _answer(self.res, self.c)
 
-    def generate(self, sol, ids, block, price, total=None, rows=False):
-        """Column generation, or with ``rows`` row generation, from the answer
-        ``sol`` over the ids ``ids``: after each optimum, the ids not yet in that
-        ``price(sol)`` scores, as (ids, scores), above LP_DUAL_TOL (LP_PRIMAL_TOL
-        for rows) join by ``self.solve(*block(new))`` (``solve_rows``), best
-        first, as many as a basis holds (one per row, or per column), until
-        none does.  Of ``total`` ids none is priced once all are in, and a
-        working set whose answer proves nothing of the whole LP gets the rest:
-        of columns an infeasible one, of rows any answer but an optimum.
-        Returns the ids in order of entry and the last answer, unchecked, with
-        its iterations summed over the rounds."""
-        iterations = sol.iterations
+    def generate(self, sol, ids, block, price, total=None):
+        """Column generation, or row generation on a master of_columns made,
+        from the answer ``sol`` over the ids ``ids``: after each optimum, the
+        ids not yet in that ``price(sol)`` scores, as (ids, scores), above
+        LP_DUAL_TOL (LP_PRIMAL_TOL for rows) join by ``self.solve(*block(new))``
+        (``solve_rows``), best first, as many as a basis holds (one per row, or
+        per column), until none does.  Of ``total`` ids none is priced once all
+        are in, and a working set whose answer proves nothing of the whole LP
+        gets the rest: of columns an infeasible one, of rows any answer but an
+        optimum.  Returns the ids in order of entry and the last answer,
+        unchecked, with its iterations summed over the rounds."""
+        iterations, rows = sol.iterations, self._by_rows
         tol, limit = (LP_PRIMAL_TOL, len(self.c)) if rows else (LP_DUAL_TOL, len(self.lo))
         while True:
             inconclusive = sol.status != "optimal" if rows else sol.status == "infeasible"

@@ -138,7 +138,8 @@ def random_feasible_lp(rng: np.random.Generator) -> LinearProgram:
 def reference_enumerated_extrema(coeffs: np.ndarray, reducer: str) -> tuple[float, float]:
     """classical._enumerated_extrema by gathering: every Alice assignment
     gathers its na (y, b) slices and sums them, in blocks of 2**14
-    assignments, visiting every signed assignment for reducer "abs"."""
+    assignments, visiting every signed assignment for reducer "abs"; the
+    best responses of a block, laid out (y, block), are summed over y."""
     na, nb, ma, mb = coeffs.shape
     count = ma ** na
     tt = coeffs.transpose(0, 2, 1, 3)  # (x, a, y, b)
@@ -146,13 +147,14 @@ def reference_enumerated_extrema(coeffs: np.ndarray, reducer: str) -> tuple[floa
     best_hi, best_lo = -np.inf, np.inf
     for start in range(0, count, 1 << 14):
         assign = assignment_table(np.arange(start, min(start + (1 << 14), count)), na, ma)
-        vals = tt[x_idx[None, :], assign].sum(axis=1)  # (block, y, b)
+        # (y, block, b), contiguous: numpy sums over y in the package's order
+        vals = np.ascontiguousarray(tt[x_idx[None, :], assign].sum(axis=1).transpose(1, 0, 2))
         if reducer == "abs":
-            best_hi = max(best_hi, float(np.abs(vals).max(axis=2).sum(axis=1).max()))
+            best_hi = max(best_hi, float(np.abs(vals).max(axis=2).sum(axis=0).max()))
             best_lo = best_hi
         else:
-            best_hi = max(best_hi, float(vals.max(axis=2).sum(axis=1).max()))
-            best_lo = min(best_lo, float(vals.min(axis=2).sum(axis=1).min()))
+            best_hi = max(best_hi, float(vals.max(axis=2).sum(axis=0).max()))
+            best_lo = min(best_lo, float(vals.min(axis=2).sum(axis=0).min()))
     return best_hi, best_lo
 
 

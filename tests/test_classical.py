@@ -203,13 +203,13 @@ def test_enumeration_guard_messages_count_every_signed_assignment(monkeypatch):
     assert banach_norm(f) == 2.0
 
 
-# na and nb >= 8 (the sum over y is then pairwise), parties swapped before
-# enumerating, one output on either side, three outputs (block counts that
-# do not divide the prefixes at a block size of 200), 16 and 17 responder
-# inputs (two rounds of 8 accumulators, then a remainder) and 130 (above
-# the 128 entries at which numpy's pairwise sum splits in halves)
+# na and nb >= 8, parties swapped before enumerating, one output on either
+# side, three outputs (block counts that do not divide the prefixes at a
+# block size of 200), 16, 17 and 130 responder inputs, and a party of one
+# assignment against 9 and 130 responder inputs: numpy sums such a one-column
+# block pairwise (8 accumulators, halves above 128), any other one row by row
 BATTERY_SHAPES = [(8, 9, 2, 2), (9, 8, 2, 2), (3, 9, 1, 2), (9, 3, 2, 1), (6, 7, 3, 3),
-                  (3, 16, 2, 2), (17, 3, 2, 2), (2, 130, 2, 2)]
+                  (3, 16, 2, 2), (17, 3, 2, 2), (2, 130, 2, 2), (2, 9, 1, 2), (2, 130, 1, 2)]
 
 
 def _battery_coeffs(rng, shape, kind):
@@ -238,15 +238,6 @@ def test_prefix_shared_enumeration_matches_the_gather_reference_bit_for_bit(
             m.setattr(classical, "_enumerated_extrema", reference_enumerated_extrema)
             want = _every_quantity(f)
         assert got.tobytes() == want.tobytes(), (kind, got - want)
-
-
-def test_row_sums_give_the_bits_of_numpys_sum_of_each_column_as_one_row():
-    rng = np.random.default_rng(5)
-    for n in [1, 2, 7, 8, 9, 15, 16, 17, 24, 127, 128, 129, 130, 136, 137, 255, 300, 1027]:
-        wide = rng.standard_normal((n, 64)) * 10.0 ** rng.integers(-8, 9, (n, 64))
-        for rows in (wide, np.where(rng.random((n, 64)) < 0.6, -0.0, wide), np.full((n, 3), -0.0)):
-            want = np.ascontiguousarray(rows.T).sum(axis=1)
-            assert classical._row_sums(rows.copy()).tobytes() == want.tobytes(), n
 
 
 @pytest.mark.parametrize("shape", [(2, 3, 2, 2), (3, 9, 2, 2)], ids=lambda s: "x".join(map(str, s)))
@@ -472,6 +463,17 @@ def test_best_responses_are_the_lowest_best_vertices(rng, shape):
         near_best = lambda t, axis: t >= t.max(axis=axis, keepdims=True) - 1e-12  # noqa: E731
         assert np.array_equal(bob_cols[:n_alice], near_best(table, 1).argmax(axis=1))
         assert np.array_equal(alice_rows[n_alice:], near_best(table, 0).argmax(axis=0))
+
+
+def test_oracle_values_of_the_enumerated_party_are_the_enumerations_totals():
+    # both reduce a block of best responses with one numpy sum over the
+    # responder's 9 inputs, so the best value is signed_extrema's maximum
+    for seed in range(200):
+        coeffs = np.random.default_rng(seed).standard_normal((3, 9, 2, 2))
+        _, values = classical.best_response_vertices(coeffs)
+        best = values[:2 ** 3].max()  # Alice's assignments, Bob responding
+        assert best.tobytes() == np.float64(signed_extrema(BellFunctional(
+            Scenario(3, 9, 2, 2), coeffs))[0]).tobytes(), seed
 
 
 def _membership_battery():

@@ -687,11 +687,16 @@ def test_numpy_values_are_written_as_plain_json():
     # complex entry as [re, im]: the bytes the writer has always produced
     payload = {"float": np.float64(2 / 3), "int": np.int64(-7), "bool": np.bool_(True),
                "real": np.array([0.1, -2.5e-17]), "complex": np.array([[1 + 0.5j], [-0.25j]])}
-    text = bio.dump_document(bio.document("report", None, payload, "numpy", "test"))
+    text = bio.dump_document(bio.document("report", Scenario(1, 1, 1, 1), payload, "numpy", "test"))
     assert text == """{
   "format_version": "1",
   "kind": "report",
-  "scenario": null,
+  "scenario": {
+    "na": 1,
+    "nb": 1,
+    "ma": 1,
+    "mb": 1
+  },
   "payload": {
     "float": 0.6666666666666666,
     "int": -7,
