@@ -153,15 +153,8 @@ def _cmd_behavior(args) -> dict:
         payload = {"comm_bound_bits": comm_bits(nu), "nu": nu}
     else:  # nu: the full report, whose identity check needs both LPs
         report = violation_report(behavior)
-        payload = {
-            "nu": report.nu,
-            "pi": report.pi,
-            "identity_residual": report.identity_residual,
-            "comm_bound_bits": report.comm_bound_bits,
-            "boundary": report.boundary,
-            "witness": bio.functional_document(
-                report.witness, f"{name}-witness", provenance),
-        }
+        payload = dict(vars(report), witness=bio.functional_document(
+            report.witness, f"{name}-witness", provenance))
     return bio.document("report", scenario, payload, f"{name}-{args.quantity}", provenance)
 
 
@@ -169,15 +162,7 @@ def _cmd_witness(args) -> dict:
     functional, name = _load_functional(args.file)
     cfg = SeesawConfig(dim=1, seeds=args.seeds, rng_seed=args.rng_seed)
     report = dimension_witness_report(functional, args.observed, args.max_dim, cfg)
-    payload = {
-        "observed": report.observed,
-        "label": report.label,
-        "entries": [
-            {"dim": e.dim, "best_value": e.best_value, "exceeded": e.exceeded}
-            for e in report.entries
-        ],
-        "warning": report.warning,
-    }
+    payload = dict(vars(report), entries=[vars(e) for e in report.entries])
     provenance = (
         f"bell witness {name} --observed {args.observed!r} --max-dim {args.max_dim} "
         f"--seeds {args.seeds} --rng-seed {args.rng_seed}"

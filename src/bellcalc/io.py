@@ -105,13 +105,15 @@ def write_text(path: str, text: str) -> None:
 
 
 def parse_json(text: str):
-    """Parsed JSON value; a syntax error raises DocumentError naming where."""
+    """Parsed JSON value; what the parser refuses raises DocumentError (syntax: naming where)."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise DocumentError(
             f"JSON parse error at byte {e.pos} (line {e.lineno}, column {e.colno}): {e.msg}"
         ) from e
+    except (RecursionError, ValueError) as e:  # nesting too deep, an integer past the digit limit
+        raise DocumentError(f"JSON parse error: {e}") from e
 
 
 def parse_document(text: str, expect_kind: str) -> dict:
@@ -225,11 +227,4 @@ def quantum_model_document(model: QuantumModel, name: str, provenance: str) -> d
 # -- local models (embedded in membership reports) ----------------------
 
 def local_model_payload(model: LocalModel) -> list:
-    return [
-        {
-            "weight": float(w),
-            "alice_outputs": list(strategy.alice_outputs),
-            "bob_outputs": list(strategy.bob_outputs),
-        }
-        for w, strategy in model.weights
-    ]
+    return [dict(weight=w, **vars(strategy)) for w, strategy in model.weights]

@@ -59,14 +59,14 @@ HEURISTIC_LABEL = "HEURISTIC"
 @dataclass(frozen=True, eq=False)
 class ViolationReport:
     """nu and pi for one behavior, with the witness functional that
-    attains nu (normalized to classical value 1) and derived bounds."""
+    attains nu (normalized to classical value 1) and derived bounds, in report key order."""
 
     nu: float
-    witness: BellFunctional
     pi: float
     identity_residual: float
     comm_bound_bits: float
     boundary: bool
+    witness: BellFunctional
 
 
 @dataclass(frozen=True)
@@ -83,12 +83,12 @@ class DimensionWitnessReport:
     ``exceeded`` rows are evidence, not proof: the search lower-bounds
     the best quantum value at each dimension, so a missed optimum can
     flag a dimension that actually suffices.  ``label`` says so and is
-    part of the output contract.
+    part of the output contract, and the field order is the report's key order.
     """
 
     observed: float
-    entries: tuple[DimensionEntry, ...]
     label: str
+    entries: tuple[DimensionEntry, ...]
     warning: str | None
 
 
@@ -221,11 +221,11 @@ def violation_report(behavior: Behavior) -> ViolationReport:
     pi = noise_robustness(behavior)
     return ViolationReport(
         nu=nu,
-        witness=witness,
         pi=pi,
         identity_residual=abs(nu - (2.0 / pi - 1.0)),
         comm_bound_bits=comm_bits(nu),
         boundary=nu == 1.0,
+        witness=witness,
     )
 
 
@@ -353,7 +353,7 @@ def dimension_witness_report(
         )
     return DimensionWitnessReport(
         observed=observed,
-        entries=tuple(entries),
         label=HEURISTIC_LABEL,
+        entries=tuple(entries),
         warning=warning,
     )

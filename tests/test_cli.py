@@ -316,6 +316,18 @@ def test_non_utf8_input_exits_2(tmp_path, capsys, command):
     assert err == f"error: cannot read {path}: not UTF-8 (invalid start byte at byte 0)\n"
 
 
+@pytest.mark.parametrize("text", ["[" * 200_000, "1" * 5_000],
+                         ids=["nesting-past-the-recursion-limit", "integer-past-the-digit-limit"])
+@pytest.mark.parametrize("command", [("classical",), ("gen", "game", "--table")],
+                         ids=["classical", "gen-game-table"])
+def test_json_the_parser_refuses_exits_2(tmp_path, capsys, command, text):
+    path = tmp_path / "refused.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, *command, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: JSON parse error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", [
     ("gen", "chsh", "-o"),
     ("quantum", "CHSH", "--dim", "2", "--seeds", "1", "--emit-model"),
@@ -780,3 +792,37 @@ def test_stdout_is_a_single_terminated_document(capsys, chsh_file):
     assert out.count('"format_version"') == 1
     # canonical: re-serializing the parsed document reproduces the bytes
     assert bio.dump_document(json.loads(out)) == out
+
+
+def test_report_payload_keys_keep_their_order(tmp_path, capsys, chsh_file, chsh_optimal_file,
+                                                local_behavior_2222):
+    local_path = tmp_path / "local.json"
+    local_path.write_text(bio.dump_document(
+        bio.behavior_document(local_behavior_2222, "local-mix", "test fixture")), encoding="utf-8")
+    membership = ["verdict", "model", "reconstruction_error", "separating", "value_on_behavior",
+                  "max_vertex_value", "margin", "warning"]
+    expected = [
+        (("classical", chsh_file),
+         ["classical_value", "classical_value_incomplete", "banach_norm", "sandwich_ratio"]),
+        (("quantum", chsh_file, "--dim", "2", "--seeds", "2"),
+         ["value", "ratio", "converged", "sweeps_used", "per_seed_values", "model_path"]),
+        (("eq4", chsh_file, "--dim", "2", "--seeds", "2"), ["lhs_lower", "rhs", "gap", "holds"]),
+        (("behavior", "nu", chsh_optimal_file),
+         ["nu", "pi", "identity_residual", "comm_bound_bits", "boundary", "witness"]),
+        (("behavior", "robustness", chsh_optimal_file), ["pi"]),
+        (("behavior", "commbits", chsh_optimal_file), ["comm_bound_bits", "nu"]),
+        (("behavior", "membership", chsh_optimal_file), membership),
+        (("behavior", "membership", str(local_path)), membership),
+        (("witness", chsh_file, "--observed", "2.5", "--max-dim", "2", "--seeds", "2"),
+         ["observed", "label", "entries", "warning"]),
+    ]
+    payloads = []
+    for argv, keys in expected:
+        doc = run_json(capsys, *argv)
+        assert list(doc) == ["format_version", "kind", "scenario", "payload", "metadata"]
+        assert list(doc["payload"]) == keys, argv
+        payloads.append(doc["payload"])
+    nonlocal_, local, witness = payloads[-3:]
+    assert (nonlocal_["verdict"], local["verdict"]) == ("nonlocal", "local")
+    assert list(local["model"][0]) == ["weight", "alice_outputs", "bob_outputs"]
+    assert list(witness["entries"][0]) == ["dim", "best_value", "exceeded"]
