@@ -6,13 +6,16 @@ of the command line and input files, so identical invocations produce
 identical bytes.  Exit codes: 0 success, 2 parse or validation
 problem, 3 resource guard exceeded or memory exhausted, 4 the requested
 quantity is undefined for the input (for example nu of a signaling
-behavior), 5 a solver failed with no input at fault.
+behavior), 5 a solver failed with no input at fault or an
+eigendecomposition did not finish.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+
+import numpy as np
 
 from . import io as bio
 from .classical import banach_norm, classical_value, classical_value_incomplete, is_local
@@ -48,12 +51,13 @@ UNDEFINED_EXIT = 4
 SOLVER_EXIT = 5
 
 # Exit code of each error class, most specific first; any other
-# BellError exits PARSE_EXIT.
+# BellError exits PARSE_EXIT.  An eigendecomposition that LAPACK cannot
+# finish, as on a functional whose Bell operator overflows, is a solver failure.
 EXIT_CODES = (
     ((DocumentError, ValidationError, ScenarioMismatchError), PARSE_EXIT),
     (GuardExceededError, GUARD_EXIT),
     (UndefinedQuantityError, UNDEFINED_EXIT),
-    (SolverError, SOLVER_EXIT),
+    ((SolverError, np.linalg.LinAlgError), SOLVER_EXIT),
 )
 
 # eq4 "holds" when lhs >= rhs up to this slack, which absorbs the LP and
@@ -66,6 +70,13 @@ def _input_name(doc: dict) -> str:
     if isinstance(meta, dict) and isinstance(meta.get("name"), str):
         return meta["name"]
     return "input"
+
+
+def _flags(args, *names: str) -> str:
+    """`--name value!r` for each named option at its parsed value; a switch
+    as `--name` when set and not at all when unset."""
+    values = ((n, getattr(args, n.replace("-", "_"))) for n in names)
+    return " ".join(f"--{n}" if v is True else f"--{n} {v!r}" for n, v in values if v is not False)
 
 
 def _load_functional(path: str):
@@ -101,19 +112,12 @@ def _cmd_quantum(args) -> dict:
         if cfg.mode == "incomplete"
         else classical_value(functional)
     )
-    flags = (
-        f"--dim {cfg.dim} --seeds {cfg.seeds} --sweeps {cfg.max_sweeps} "
-        f"--tol {cfg.tol!r} --rng-seed {cfg.rng_seed}"
-    )
-    if cfg.mode == "incomplete":
-        flags += " --incomplete"
+    provenance = f"bell quantum {name} " + _flags(args, "dim", "seeds", "sweeps", "tol",
+                                                  "rng-seed", "incomplete")
     model_path = None
     if args.emit_model is not None:
-        model_doc = bio.quantum_model_document(
-            result.model,
-            f"{name}-seesaw-d{cfg.dim}",
-            f"bell quantum {name} {flags}",
-        )
+        model_doc = bio.quantum_model_document(result.model, f"{name}-seesaw-d{cfg.dim}",
+                                               provenance)
         bio.write_text(args.emit_model, bio.dump_document(model_doc))
         model_path = args.emit_model
     payload = {
@@ -125,7 +129,7 @@ def _cmd_quantum(args) -> dict:
         "model_path": model_path,
     }
     return bio.document("report", functional.scenario, payload,
-                        f"{name}-quantum-d{cfg.dim}", f"bell quantum {name} {flags}")
+                        f"{name}-quantum-d{cfg.dim}", provenance)
 
 
 def _cmd_behavior(args) -> dict:
@@ -163,12 +167,9 @@ def _cmd_witness(args) -> dict:
     cfg = SeesawConfig(dim=1, seeds=args.seeds, rng_seed=args.rng_seed)
     report = dimension_witness_report(functional, args.observed, args.max_dim, cfg)
     payload = dict(vars(report), entries=[vars(e) for e in report.entries])
-    provenance = (
-        f"bell witness {name} --observed {args.observed!r} --max-dim {args.max_dim} "
-        f"--seeds {args.seeds} --rng-seed {args.rng_seed}"
-    )
     return bio.document("report", functional.scenario, payload, f"{name}-witness-report",
-                        provenance)
+                        f"bell witness {name} "
+                        + _flags(args, "observed", "max-dim", "seeds", "rng-seed"))
 
 
 def _cmd_eq4(args) -> dict:
@@ -181,19 +182,16 @@ def _cmd_eq4(args) -> dict:
         "gap": lhs - rhs,
         "holds": lhs >= rhs - EQ4_SLACK,
     }
-    provenance = (
-        f"bell eq4 {name} --dim {args.dim} --seeds {args.seeds} "
-        f"--rng-seed {args.rng_seed}"
-    )
     return bio.document("report", functional.scenario, payload, f"{name}-eq4-d{args.dim}",
-                        provenance)
+                        f"bell eq4 {name} " + _flags(args, "dim", "seeds", "rng-seed"))
 
 
 def _game_table(path: str):
     raw = bio.parse_json(bio.read_text(path))
     if not isinstance(raw, dict) or "weights" not in raw or "win" not in raw:
         raise DocumentError("game table must be an object with 'weights' and 'win'")
-    return raw["weights"], raw["win"]
+    where = "game table 'weights' and 'win' each"
+    return bio.float_array(raw["weights"], where), bio.float_array(raw["win"], where)
 
 
 def _cmd_gen(args) -> dict:
@@ -206,10 +204,7 @@ def _cmd_gen(args) -> dict:
     elif args.name == "random":
         functional = random_functional(args.na, args.nb, args.ma, args.mb, args.seed)
         doc_name = f"random-{args.na}x{args.nb}x{args.ma}x{args.mb}-seed{args.seed}"
-        provenance = (
-            f"bell gen random --na {args.na} --nb {args.nb} --ma {args.ma} "
-            f"--mb {args.mb} --seed {args.seed}"
-        )
+        provenance = "bell gen random " + _flags(args, "na", "nb", "ma", "mb", "seed")
     else:  # game
         if args.table is None:
             raise DocumentError("gen game requires --table FILE")
@@ -283,8 +278,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        text = bio.dump_document(args.run(args))
-    except BellError as e:
+        with np.errstate(all="ignore"):  # stderr holds one error line at most, no warnings
+            text = bio.dump_document(args.run(args))
+    except (BellError, np.linalg.LinAlgError) as e:
         print(f"error: {e}", file=sys.stderr)
         return next((code for cls, code in EXIT_CODES if isinstance(e, cls)), PARSE_EXIT)
     except MemoryError as e:

@@ -137,7 +137,24 @@ def load_document(path: str, expect_kind: str) -> dict:
     return parse_document(read_text(path), expect_kind)
 
 
-def _scenario_from_doc(doc: dict) -> Scenario:
+def float_array(value, where: str) -> np.ndarray:
+    """value as a float64 array: a rectangular nest of JSON numbers (int or
+    float, never bool), each finite as a float64; else DocumentError."""
+    cells = np.array(value, dtype=object)  # a ragged nest keeps its lists as cells
+    try:
+        if all(type(v) in (int, float) for v in cells.reshape(-1)):  # bool subclasses int
+            arr = cells.astype(np.float64)
+            if np.isfinite(arr).all():
+                return arr
+    except OverflowError:  # an integer past the float64 range
+        pass
+    raise DocumentError(f"{where} must be a rectangular array of finite JSON numbers")
+
+
+def _read_tensor(doc, key: str) -> tuple[Scenario, np.ndarray, dict]:
+    """(scenario, payload[key] as a float array of the scenario's shape, payload)."""
+    if not isinstance(doc, dict) or not isinstance(doc.get("payload"), dict):
+        raise DocumentError("document payload must be an object")
     raw = doc.get("scenario")
     if not isinstance(raw, dict):
         raise DocumentError("document is missing its scenario object")
@@ -146,24 +163,15 @@ def _scenario_from_doc(doc: dict) -> Scenario:
     except KeyError as e:
         raise DocumentError(f"scenario is missing key {e.args[0]!r}") from e
     for k, value in fields.items():
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        if type(value) is not int or value < 1:  # bool subclasses int
             raise DocumentError(f"scenario.{k} must be a positive integer")
-    return Scenario(*fields.values())
-
-
-def _tensor_from_payload(payload: dict, key: str, scenario: Scenario) -> np.ndarray:
-    """payload[key] as a float array of the scenario's shape, all entries finite."""
+    scenario, payload = Scenario(*fields.values()), doc["payload"]
     if key not in payload:
         raise DocumentError(f"payload is missing {key!r}")
-    try:
-        arr = np.asarray(payload[key], dtype=np.float64)
-    except (TypeError, ValueError) as e:
-        raise DocumentError(f"payload.{key} is not a numeric array: {e}") from e
+    arr = float_array(payload[key], f"payload.{key}")
     if arr.shape != scenario.shape:
         raise DocumentError(f"payload.{key} has shape {arr.shape}, expected {scenario.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise DocumentError(f"payload.{key} contains non-finite entries")
-    return arr
+    return scenario, arr, payload
 
 
 # -- functionals --------------------------------------------------------
@@ -175,16 +183,8 @@ def functional_document(functional: BellFunctional, name: str, provenance: str) 
     )
 
 
-def _payload_of(doc) -> dict:
-    if not isinstance(doc, dict) or not isinstance(doc.get("payload"), dict):
-        raise DocumentError("document payload must be an object")
-    return doc["payload"]
-
-
 def functional_from_document(doc: dict) -> BellFunctional:
-    payload = _payload_of(doc)
-    scenario = _scenario_from_doc(doc)
-    coeffs = _tensor_from_payload(payload, "coeffs", scenario)
+    scenario, coeffs, _ = _read_tensor(doc, "coeffs")
     return BellFunctional(scenario, coeffs)
 
 
@@ -199,9 +199,7 @@ def behavior_document(behavior: Behavior, name: str, provenance: str) -> dict:
 
 
 def behavior_from_document(doc: dict) -> Behavior:
-    payload = _payload_of(doc)
-    scenario = _scenario_from_doc(doc)
-    probs = _tensor_from_payload(payload, "probs", scenario)
+    scenario, probs, payload = _read_tensor(doc, "probs")
     flag = payload.get("completeness")
     if flag not in (COMPLETE, INCOMPLETE):
         raise DocumentError(

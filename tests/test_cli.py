@@ -11,12 +11,13 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import bellcalc
@@ -826,3 +827,179 @@ def test_report_payload_keys_keep_their_order(tmp_path, capsys, chsh_file, chsh_
     assert (nonlocal_["verdict"], local["verdict"]) == ("nonlocal", "local")
     assert list(local["model"][0]) == ["weight", "alice_outputs", "bob_outputs"]
     assert list(witness["entries"][0]) == ["dim", "best_value", "exceeded"]
+
+
+@pytest.mark.parametrize("argv, provenance", [
+    (("quantum", "CHSH", "--dim", "2", "--seeds", "2"),
+     "bell quantum chsh --dim 2 --seeds 2 --sweeps 2000 --tol 1e-09 --rng-seed 0"),
+    (("quantum", "CHSH", "--dim", "2", "--seeds", "2", "--incomplete", "--tol", "1e-7",
+      "--sweeps", "50", "--rng-seed", "3", "--emit-model", "MODEL"),
+     "bell quantum chsh --dim 2 --seeds 2 --sweeps 50 --tol 1e-07 --rng-seed 3 --incomplete"),
+    (("witness", "CHSH", "--observed", "2", "--max-dim", "2", "--seeds", "2"),
+     "bell witness chsh --observed 2.0 --max-dim 2 --seeds 2 --rng-seed 0"),
+    (("eq4", "CHSH", "--dim", "2", "--seeds", "3", "--rng-seed", "4"),
+     "bell eq4 chsh --dim 2 --seeds 3 --rng-seed 4"),
+    (("gen", "random", "--na", "3", "--nb", "1", "--ma", "2", "--mb", "3", "--seed", "7"),
+     "bell gen random --na 3 --nb 1 --ma 2 --mb 3 --seed 7"),
+    (("gen", "game", "--table", "TABLE"), "bell gen game --table TABLE"),
+], ids=["quantum", "quantum-incomplete", "witness", "eq4", "gen-random", "gen-game"])
+def test_provenance_records_each_option_at_its_parsed_value(tmp_path, capsys, chsh_file, argv,
+                                                            provenance):
+    table, model = tmp_path / "table.json", tmp_path / "model.json"
+    table.write_text(json.dumps({"weights": [[0.25, 0.25], [0.25, 0.25]], "win": CHSH_WIN}),
+                     encoding="utf-8")
+    paths = {"CHSH": chsh_file, "TABLE": str(table), "MODEL": str(model)}
+    doc = run_json(capsys, *(paths.get(a, a) for a in argv))
+    provenance = provenance.replace("TABLE", str(table))
+    assert doc["metadata"]["provenance"] == provenance
+    if model.exists():  # the emitted model records the same command line
+        assert json.loads(model.read_text(encoding="utf-8"))["metadata"]["provenance"] == provenance
+
+
+@pytest.mark.parametrize("value", ["1", True, 10**400],
+                         ids=["string", "boolean", "400-digit-integer"])
+@pytest.mark.parametrize("document", ["functional", "behavior", "game-table"])
+def test_an_entry_that_is_no_finite_json_number_exits_2(tmp_path, capsys, chsh, document, value):
+    # each value replaces an entry of 1, which a string or a boolean was once read as;
+    # the integer once overflowed the float conversion with a traceback
+    if document == "functional":
+        doc = json.loads(bio.dump_document(bio.functional_document(chsh, "chsh", "test")))
+        cells, argv, where = doc["payload"]["coeffs"], ("classical",), "payload.coeffs"
+    elif document == "behavior":
+        probs = np.zeros((2, 2, 2, 2))
+        probs[:, :, 0, 0] = 1.0  # deterministic, hence local: nu is 1
+        deterministic = Behavior(Scenario(2, 2, 2, 2), probs)
+        doc = json.loads(bio.dump_document(bio.behavior_document(deterministic, "det", "test")))
+        cells, argv, where = doc["payload"]["probs"], ("behavior", "nu"), "payload.probs"
+    else:
+        doc = {"weights": [[0.25, 0.25], [0.25, 0.25]], "win": json.loads(json.dumps(CHSH_WIN))}
+        cells, argv = doc["win"], ("gen", "game", "--table")
+        where = "game table 'weights' and 'win' each"
+    assert cells[0][0][0][0] == 1
+    cells[0][0][0][0] = value
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_cli(capsys, *argv, str(path)) == (
+        2, "", f"error: {where} must be a rectangular array of finite JSON numbers\n")
+
+
+@pytest.mark.parametrize("options", [
+    ("quantum", "--dim", "2", "--seeds", "1"),
+    ("witness", "--observed", "1", "--max-dim", "3", "--seeds", "2"),
+    ("eq4", "--dim", "2", "--seeds", "1"),
+], ids=["quantum", "witness", "eq4"])
+def test_an_eigendecomposition_lapack_cannot_finish_exits_5(tmp_path, capsys, options):
+    # finite coefficients of +-1e308 pass the reader, but the Bell operator they
+    # build overflows, and LAPACK gives up on it
+    x, y, a, b = np.ogrid[0:2, 0:2, 0:2, 0:2]
+    huge = BellFunctional(Scenario(2, 2, 2, 2), np.where((x + y + a + b) % 2, 1e308, -1e308))
+    path = tmp_path / "huge.json"
+    path.write_text(bio.dump_document(bio.functional_document(huge, "huge", "test")),
+                    encoding="utf-8")
+    assert run_cli(capsys, *options, str(path)) == (
+        5, "", "error: Eigenvalues did not converge\n")
+
+
+# -- the process contract on mutated documents --------------------------
+
+# Every command, its file argument last, per kind of input; see-saws kept short
+FUZZ_COMMANDS = {
+    "functional": [("classical",), ("quantum", "--dim", "2", "--seeds", "1", "--sweeps", "20"),
+                   ("witness", "--observed", "2", "--max-dim", "1", "--seeds", "1"),
+                   ("eq4", "--dim", "2", "--seeds", "1")],
+    "behavior": [("behavior", q) for q in ("nu", "robustness", "commbits", "membership",
+                                           "complete")],
+    "game table": [("gen", "game", "--table")],
+}
+# Numbers at the float edges and past them, and what JSON has besides numbers
+EDGE_VALUES = [0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1e308,
+               2**53 + 1, 2**1024, -10**400, float("nan"), float("-inf"),
+               "1", "", True, False, None, [], {}]
+HUGE_SIZES = [2**31, 2**63 + 1, 10**400]
+SCALES = [-1, 1e-308, 1e154, 1e300, 1.7976931348623157e308]
+
+
+def _nodes(node, path=()):
+    """(path, value) of every node of a JSON tree, the root first."""
+    yield path, node
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _nodes(child, path + (key,))
+
+
+def _mutate(doc, draw):
+    """doc after one drawn mutation: a value swapped for an edge number, a
+    huge integer, a float or a non-number; every number scaled towards the
+    float edges; an array nested one level deeper or shallower, or made
+    ragged; a key deleted or added; or a scenario size far beyond its
+    payload."""
+    kind = draw(st.sampled_from(["value", "number", "scale", "nesting", "keys", "scenario size"]))
+    if kind == "scenario size" and isinstance(doc, dict) and isinstance(doc.get("scenario"), dict):
+        doc["scenario"][draw(st.sampled_from(sorted(doc["scenario"])))] = draw(
+            st.sampled_from(HUGE_SIZES))
+        return doc
+    numbers = [(path, v) for path, v in _nodes(doc) if type(v) is float]
+    if kind == "scale" and numbers:
+        factor = draw(st.sampled_from(SCALES))
+        for path, v in numbers:
+            doc = _replace(doc, path, v * factor)
+        return doc
+    # a number keeps the document's structure, so it reaches the solvers
+    path, node = draw(st.sampled_from(numbers if kind == "number" and numbers else
+                                      list(_nodes(doc))))
+    if kind == "keys":
+        if isinstance(node, dict):
+            node["extra"] = draw(st.sampled_from(EDGE_VALUES))
+        elif path:
+            del _at(doc, path[:-1])[path[-1]]
+        return doc
+    if kind == "nesting":
+        rows = node if isinstance(node, list) and node else [node]
+        new = draw(st.sampled_from([[node], rows[0], rows[:-1], rows + rows[:1]]))
+    else:
+        new = draw(st.one_of(st.sampled_from(EDGE_VALUES), st.floats(),
+                             st.integers(min_value=-10**600, max_value=10**600)))
+    return _replace(doc, path, new)
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _replace(doc, path, new):
+    """doc with its node at path replaced by new."""
+    if not path:
+        return new
+    _at(doc, path[:-1])[path[-1]] = new
+    return doc
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(kind=st.sampled_from(sorted(FUZZ_COMMANDS)), data=st.data())
+def test_every_command_keeps_the_exit_contract_on_mutated_documents(tmp_path, capsys, chsh,
+                                                                    chsh_optimal_behavior,
+                                                                    kind, data):
+    doc = json.loads(bio.dump_document({
+        "functional": bio.functional_document(chsh, "chsh", "fuzz"),
+        "behavior": bio.behavior_document(chsh_optimal_behavior, "chsh-optimal", "fuzz"),
+        "game table": {"weights": [[0.25, 0.25], [0.25, 0.25]], "win": CHSH_WIN},
+    }[kind]))
+    for _ in range(data.draw(st.integers(1, 3))):
+        doc = _mutate(doc, data.draw)
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for command in FUZZ_COMMANDS[kind]:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, *command, str(path))
+        # a warning would reach a process's stderr as lines besides the error line
+        assert caught == [], (command, [str(w.message) for w in caught])
+        assert code in (0, 2, 3, 4, 5), (command, err)
+        if code == 0:
+            assert err == ""
+        else:
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
