@@ -34,7 +34,7 @@ from .core import (
     Scenario,
     behavior_from_local,
     no_signaling_check,
-    validate,
+    require_valid,
 )
 from .errors import SolverError, ValidationError
 from .numerics import CsrMatrix, RestrictedMaster, best_columns
@@ -210,9 +210,7 @@ def seed_vertices(probs: np.ndarray) -> np.ndarray:
 def checked_complete(behavior: Behavior, what: str) -> NoSignalingResult:
     """The no-signaling check of a valid, complete behavior; ValidationError
     naming ``what`` for any other."""
-    report = validate(behavior)
-    if report:
-        raise ValidationError(f"{what} requires a valid behavior", report)
+    require_valid(behavior, f"{what} requires a valid behavior")
     if not behavior.is_complete:
         raise ValidationError(f"{what} is defined for complete behaviors only")
     return no_signaling_check(behavior)

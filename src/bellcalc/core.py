@@ -61,7 +61,7 @@ class Scenario:
     def __post_init__(self):
         for name in ("n_inputs_a", "n_inputs_b", "n_outputs_a", "n_outputs_b"):
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 1:
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
                 raise ValidationError(f"scenario field {name} must be an integer >= 1, got {v!r}")
             object.__setattr__(self, name, int(v))
 
@@ -272,9 +272,7 @@ def behavior_from_local(model: LocalModel, scenario: Scenario) -> Behavior:
     Raises ValidationError for negative weights, total weight above one,
     or strategies that do not fit the scenario.
     """
-    report = validate(model)
-    if report:
-        raise ValidationError("local model violates invariants", report)
+    require_valid(model, "local model violates invariants")
     probs = np.zeros(scenario.shape)
     x, y = np.ix_(range(scenario.n_inputs_a), range(scenario.n_inputs_b))
     for w, strat in model.weights:
@@ -290,9 +288,7 @@ def behavior_from_quantum(model: QuantumModel) -> Behavior:
     The model is validated first; imaginary residues above IMAG_TOL are
     rejected rather than silently discarded.
     """
-    report = validate(model)
-    if report:
-        raise ValidationError("quantum model violates invariants", report)
+    require_valid(model, "quantum model violates invariants")
     da, db = model.dim_a, model.dim_b
     rho4 = model.state.reshape(da, db, da, db)
     # tr(rho (E tensor F)) = sum E[i,j] F[k,l] rho4[j,l,i,k]
@@ -388,6 +384,13 @@ def validate(obj) -> tuple[InvariantViolation, ...]:
     else:
         raise TypeError(f"validate() does not handle {type(obj).__name__}")
     return tuple(out)
+
+
+def require_valid(obj, message: str) -> None:
+    """Raise ValidationError(message, report) when validate(obj) reports anything."""
+    report = validate(obj)
+    if report:
+        raise ValidationError(message, report)
 
 
 def no_signaling_check(behavior: Behavior) -> NoSignalingResult:

@@ -61,7 +61,7 @@ import numpy as np
 # np.linalg.eigh's LAPACK gufunc without its Python wrapper: the same bits
 from numpy.linalg._umath_linalg import eigh_lo as _eigh_unchecked
 
-from .core import COMPLETE, INCOMPLETE, hermitian_part
+from .core import COMPLETE, EPS_FEAS, INCOMPLETE, hermitian_part
 from .errors import ValidationError
 
 # Contract tolerances quoted by LpSolution consumers.
@@ -559,9 +559,10 @@ class RestrictedMaster:
                           self.hi, self.lower, self.upper)
 
 
-def _squared_frobenius(m: np.ndarray) -> np.ndarray:
-    """Squared Frobenius norm of every (d, d) slice."""
-    return (m * m.conj()).real.sum(axis=(-2, -1))
+def _hermitian_defect(m: np.ndarray) -> np.ndarray:
+    """Largest |M - M^dagger| entry of every (d, d) slice over max(1, its largest |M| entry)."""
+    defect = np.max(np.abs(m - m.conj().swapaxes(-1, -2)), axis=(-2, -1), initial=0.0)
+    return defect / np.maximum(np.max(np.abs(m), axis=(-2, -1), initial=0.0), 1.0)
 
 
 def eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -569,19 +570,17 @@ def eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     contract, broadcast over leading axes: eigenvalues ascending,
     eigenvectors as the columns of v, as from np.linalg.eigh.
 
-    Rejects inputs where any (d, d) slice has a Hermitian defect above
-    1e-9 relative to that slice's Frobenius norm, symmetrizes the rest,
-    and guarantees ||H - V diag(w) V^dagger||_F <= 1e-10 ||H||_F with
-    orthonormal V for every slice.
+    Rejects inputs where any (d, d) slice has a _hermitian_defect above
+    EPS_FEAS, symmetrizes the rest, and guarantees ||H - V diag(w) V^dagger||_F
+    <= 1e-10 ||H||_F with orthonormal V for every slice.
     """
     h = np.asarray(matrix)
     if h.ndim < 2 or h.shape[-2] != h.shape[-1]:
         raise ValidationError(f"eigh expects square matrices, got shape {h.shape}")
-    defect = _squared_frobenius(h - np.conj(np.swapaxes(h, -1, -2)))
-    bad = defect > 1e-18 * np.maximum(_squared_frobenius(h), 1.0)
+    defect = _hermitian_defect(h)
+    bad = defect > EPS_FEAS
     if bad.any():
-        worst = float(np.sqrt(defect[bad].max()))
-        raise ValidationError(f"matrix is not Hermitian: defect {worst:.3g}")
+        raise ValidationError(f"matrix is not Hermitian: defect {float(defect[bad].max()):.3g}")
     return np.linalg.eigh(hermitian_part(h))
 
 
@@ -644,8 +643,8 @@ def _check_reduced_ops(reduced: Sequence[np.ndarray]) -> np.ndarray:
         raise ValidationError("reduced operators must all have one square shape (d, d)") from None
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
         raise ValidationError(f"reduced operators must stack to (n_out, d, d), got shape {mats.shape}")
-    defect = np.max(np.abs(mats - np.conj(np.swapaxes(mats, -1, -2))), axis=(-2, -1))
-    bad = np.flatnonzero(defect > 1e-9 * np.maximum(np.max(np.abs(mats), axis=(-2, -1)), 1.0))
+    defect = _hermitian_defect(mats)
+    bad = np.flatnonzero(defect > EPS_FEAS)
     if bad.size:
         i = int(bad[0])
         raise ValidationError(f"reduced operator {i} is not Hermitian: defect {defect[i]:.3g}")
@@ -702,13 +701,19 @@ def _inv_sqrt_psd(mat: np.ndarray) -> np.ndarray:
     return (v * inv[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
-@_lapack_errors
 def random_povms(rng: np.random.Generator, n_in: int, n_out: int, dim: int) -> np.ndarray:
-    """Random POVMs as an (n_in, n_out, dim, dim) stack: PSD parts of complex
-    Gaussians (one draw; per element the real part, then the imaginary part),
-    conjugated per input by the inverse square root of their sum."""
+    """Random POVMs as an (n_in, n_out, dim, dim) stack: complete_povms of the
+    PSD parts of complex Gaussians (one draw; per element the real part, then
+    the imaginary part)."""
     g = rng.standard_normal((n_in, n_out, 2, dim, dim))
-    blocks = psd_project(hermitian_part(g[:, :, 0] + 1j * g[:, :, 1]))
+    return complete_povms(psd_project(hermitian_part(g[:, :, 0] + 1j * g[:, :, 1])))
+
+
+@_lapack_errors
+def complete_povms(blocks: np.ndarray) -> np.ndarray:
+    """POVMs from an (n_in, n_out, d, d) stack of PSD hermitian_part outputs:
+    each input's blocks conjugated by the inverse square root of their sum."""
+    n_out, dim = blocks.shape[1], blocks.shape[-1]
     inv_sqrt = _inv_sqrt_psd(hermitian_part(sum(blocks.swapaxes(0, 1))))[:, None]
     els = hermitian_part(inv_sqrt @ blocks @ inv_sqrt)
     # the conjugation leaves the discarded subspace empty; spread it evenly
@@ -746,7 +751,7 @@ def povm_update(
         raise ValidationError(f"mode must be {COMPLETE!r} or {INCOMPLETE!r}")
     kept, d = mats.shape[0], mats.shape[-1]
     identity = np.eye(d, dtype=np.complex128)
-    ws = None if warm_start is None else np.asarray(warm_start, dtype=np.complex128)
+    ws = None if warm_start is None else hermitian_part(np.asarray(warm_start, dtype=np.complex128))
     if mode == INCOMPLETE:  # the dummy outcome, dropped from the result
         mats = np.concatenate([mats, np.zeros((1, d, d), dtype=np.complex128)])
         if ws is not None:
@@ -758,7 +763,7 @@ def povm_update(
         if ws is not None:
             warm_obj = _povm_objective(ws, mats)
             if warm_obj > best_obj:  # possible only through rounding; keep the better POVM
-                current, best_obj = hermitian_part(ws), warm_obj
+                current, best_obj = ws, warm_obj
         log, iterations, converged, bound = [best_obj], 0, True, float(np.trace(y).real)
     else:
         # Shift to strictly positive operators; the objective moves by the
@@ -767,10 +772,7 @@ def povm_update(
         c = max(0.0, -min_eig) + 1e-9
         shifted = mats + c * identity
 
-        if ws is not None:
-            current = hermitian_part(ws)
-        else:
-            current = np.repeat((identity / n_out)[None], n_out, axis=0)
+        current = np.repeat((identity / n_out)[None], n_out, axis=0) if ws is None else ws
         best_obj = _povm_objective(current, mats)
         log, iterations, converged = [best_obj], 0, True
         # Matmul chains stay left to right and outcome sums use the builtin

@@ -27,14 +27,22 @@ from .core import (
     behavior_from_quantum,
     hermitian_part,
     pair,
+    require_valid,
     validate,
 )
 from .errors import GuardExceededError, SolverError, ValidationError
-from .numerics import eigh, povm_update, random_povms
+from .numerics import complete_povms, eigh, povm_update, psd_project, random_povms
 
 # Joint-space dimension cap, checked where a config is made; the Bell
 # operator is dense (da*db)^2.
 MAX_JOINT_DIM = 4096
+
+# Largest sum of |T| the see-saw takes, checked before any sweep.  POVM
+# elements and partial traces of a state have norm at most 1, so every
+# entry of the Bell and reduced operators is at most sum |T|; povm_update
+# squares reduced operators shifted to norm at most 2 sum |T| and adds them
+# over outcomes, which stays below 4e300 times the outcome count: finite.
+MAX_COEFF_SUM = 1e150
 
 
 @dataclass(frozen=True)
@@ -191,7 +199,37 @@ def _one_run(functional: BellFunctional, cfg: SeesawConfig, model: QuantumModel)
             break
         prev = value
     out = QuantumModel(cfg.dim, cfg.dim, state, alice, bob, completeness=cfg.mode)
-    return log[-1], out, log, converged, sweeps
+    if not validate(out):
+        return log[-1], out, log, converged, sweeps
+    # the POVM fixed point can end on elements that are not PSD: repair them
+    # once, with no further sweep, and value the run from the repaired model
+    out = _repaired(out)
+    return _checked_value(functional, out), out, log, converged, sweeps
+
+
+def _repaired(model: QuantumModel) -> QuantumModel:
+    """The model with every POVM element projected to PSD, then completed by
+    complete_povms, or in incomplete mode each input's sum S shrunk to at most
+    I by T = S^(-1/2) on the directions where S > 1 (T E T, T = I elsewhere)."""
+    def repair(povms):
+        blocks = psd_project(povms)
+        if model.completeness == COMPLETE:
+            return complete_povms(blocks)
+        w, v = eigh(sum(blocks.swapaxes(0, 1)))
+        t = ((v / np.sqrt(np.maximum(w, 1.0))[:, None, :]) @ v.conj().swapaxes(-1, -2))[:, None]
+        return hermitian_part(t @ blocks @ t)
+
+    return QuantumModel(model.dim_a, model.dim_b, model.state, repair(model.alice_povms),
+                        repair(model.bob_povms), completeness=model.completeness)
+
+
+def _checked_value(functional: BellFunctional, model: QuantumModel) -> float:
+    """<T, Q(model)> of a model the see-saw made; SolverError if it breaks an invariant."""
+    try:
+        behavior = behavior_from_quantum(model)
+    except ValidationError as e:  # the see-saw made this model, not the caller
+        raise SolverError(f"see-saw ended on an invalid model: {e}") from None
+    return pair(functional, behavior)
 
 
 def seesaw(functional: BellFunctional, cfg: SeesawConfig,
@@ -202,18 +240,22 @@ def seesaw(functional: BellFunctional, cfg: SeesawConfig,
     (both sign runs start from the given model).  The reported value is
     recomputed from the returned model, so the invariant
     value == |pair(T, behavior_from_quantum(model))| holds to 1e-9.
-    An init model that breaks an invariant raises ValidationError; a
+    A run that ends on invalid POVMs is valued from its _repaired model.
+    A functional whose sum |T| exceeds MAX_COEFF_SUM (or is not finite) or
+    an init model that breaks an invariant raises ValidationError; a
     returned model that would break one raises SolverError.
     """
     scenario = functional.scenario
+    total = float(np.sum(np.abs(functional.coeffs) / MAX_COEFF_SUM))  # cannot overflow
+    if not total <= 1.0:  # NaN fails it too
+        raise ValidationError(f"the see-saw takes functionals with sum |T| <= "
+                              f"{MAX_COEFF_SUM:.0e}, this one has {total * MAX_COEFF_SUM:.3g}")
     for m in init_models:
         if m.dim_a != cfg.dim or m.dim_b != cfg.dim:
             raise ValidationError("init model dimension does not match cfg.dim")
         if m.scenario != scenario:
             raise ValidationError("init model scenario does not match the functional")
-        report = validate(m)
-        if report:
-            raise ValidationError("init model violates invariants", report)
+        require_valid(m, "init model violates invariants")
     neg = BellFunctional(scenario, -functional.coeffs)
     best = None  # (value, model, log, converged, sweeps)
     per_seed = []
@@ -231,10 +273,6 @@ def seesaw(functional: BellFunctional, cfg: SeesawConfig,
                 best = run
         per_seed.append(seed_best)
     value, model, log, converged, sweeps = best
-    try:
-        behavior = behavior_from_quantum(model)
-    except ValidationError as e:  # the see-saw made this model, not the caller
-        raise SolverError(f"see-saw ended on an invalid model: {e}") from None
-    final = abs(pair(functional, behavior))
-    return SeesawResult(final, model, converged, sweeps, tuple(per_seed), tuple(log))
+    return SeesawResult(abs(_checked_value(functional, model)), model, converged, sweeps,
+                        tuple(per_seed), tuple(log))
 

@@ -37,7 +37,7 @@ from .core import (
     hermitian_part,
     no_signaling_check,
     pair,
-    validate,
+    require_valid,
 )
 from .errors import (
     SignalingBehaviorError,
@@ -240,9 +240,7 @@ def complete_behavior(behavior: Behavior) -> Behavior:
     result must be no-signaling; if the block masses or marginals are
     inconsistent with that, the offending inputs are named.
     """
-    report = validate(behavior)
-    if report:
-        raise ValidationError("complete_behavior requires a valid behavior", report)
+    require_valid(behavior, "complete_behavior requires a valid behavior")
     scenario = behavior.scenario
     probs = behavior.probs
     mass = probs.sum(axis=(2, 3))  # validate() bounded each block by 1 + EPS_FEAS

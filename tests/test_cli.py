@@ -883,21 +883,45 @@ def test_an_entry_that_is_no_finite_json_number_exits_2(tmp_path, capsys, chsh, 
         2, "", f"error: {where} must be a rectangular array of finite JSON numbers\n")
 
 
-@pytest.mark.parametrize("options", [
+SEESAW_COMMANDS = [
     ("quantum", "--dim", "2", "--seeds", "1"),
     ("witness", "--observed", "1", "--max-dim", "3", "--seeds", "2"),
     ("eq4", "--dim", "2", "--seeds", "1"),
-], ids=["quantum", "witness", "eq4"])
-def test_an_eigendecomposition_lapack_cannot_finish_exits_5(tmp_path, capsys, options):
-    # finite coefficients of +-1e308 pass the reader, but the Bell operator they
-    # build overflows, and LAPACK gives up on it
-    x, y, a, b = np.ogrid[0:2, 0:2, 0:2, 0:2]
-    huge = BellFunctional(Scenario(2, 2, 2, 2), np.where((x + y + a + b) % 2, 1e308, -1e308))
+]
+
+
+@pytest.mark.parametrize("options", SEESAW_COMMANDS, ids=["quantum", "witness", "eq4"])
+def test_an_eigendecomposition_lapack_cannot_finish_exits_5(chsh_file, capsys, monkeypatch,
+                                                           options):
+    # no document within the see-saw's coefficient bound is known to make LAPACK
+    # give up, so the Bell operator's eigendecomposition is made to fail here
+    def unfinished(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(importlib.import_module("bellcalc.seesaw"), "eigh", unfinished)
+    assert run_cli(capsys, *options, chsh_file) == (
+        5, "", "error: Eigenvalues did not converge\n")
+
+
+@pytest.mark.parametrize("options", SEESAW_COMMANDS, ids=["quantum", "witness", "eq4"])
+@pytest.mark.parametrize("coeffs", [
+    np.where(sum(np.ogrid[0:2, 0:2, 0:2, 0:2]) % 2, 1e308, -1e308),
+    bellcalc.chsh_functional().coeffs * np.finfo(float).max,
+], ids=["plus-minus-1e308", "chsh-times-float-max"])
+def test_the_see_saw_refuses_a_functional_past_its_coefficient_bound(tmp_path, capsys,
+                                                                     monkeypatch, options,
+                                                                     coeffs):
+    # finite coefficients the reader takes, whose sum |T| overflows: the see-saw
+    # once reported 0.0 on the first (or LAPACK failed on its Bell operator) and
+    # swept the second 2,000 times through NaN gains
+    def no_run(*args):
+        pytest.fail("the see-saw swept a functional past its coefficient bound")
+    monkeypatch.setattr(importlib.import_module("bellcalc.seesaw"), "_one_run", no_run)
+    huge = BellFunctional(Scenario(2, 2, 2, 2), coeffs)
     path = tmp_path / "huge.json"
     path.write_text(bio.dump_document(bio.functional_document(huge, "huge", "test")),
                     encoding="utf-8")
     assert run_cli(capsys, *options, str(path)) == (
-        5, "", "error: Eigenvalues did not converge\n")
+        2, "", "error: the see-saw takes functionals with sum |T| <= 1e+150, this one has inf\n")
 
 
 # -- the process contract on mutated documents --------------------------

@@ -25,7 +25,7 @@ from bellcalc import (
     seesaw,
     validate,
 )
-from bellcalc.core import hermitian_part
+from bellcalc.core import hermitian_part, require_valid
 from bellcalc.numerics import random_povms
 from conftest import chsh_optimal_probs, random_local_model
 
@@ -35,6 +35,26 @@ def test_scenario_rejects_nonpositive_counts():
         Scenario(0, 1, 2, 2)
     with pytest.raises(ValidationError):
         Scenario(1, 1, 2, -2)
+
+
+@pytest.mark.parametrize("position", range(4))
+@pytest.mark.parametrize("flag", [True, np.True_])
+def test_scenario_rejects_bool_counts(position, flag):
+    # True == 1 is an int to isinstance; the document reader refuses JSON true too
+    counts = [2, 2, 2, 2]
+    counts[position] = flag
+    with pytest.raises(ValidationError, match="must be an integer >= 1"):
+        Scenario(*counts)
+
+
+def test_require_valid_raises_the_validate_report(scenario_2222):
+    probs = np.full((2, 2, 2, 2), 0.25)
+    require_valid(Behavior(scenario_2222, probs), "unused")
+    probs[0, 0, 0, 0] = 0.5
+    bad = Behavior(scenario_2222, probs)
+    with pytest.raises(ValidationError, match="^behavior is bad: block mass = 1") as info:
+        require_valid(bad, "behavior is bad")
+    assert info.value.report == validate(bad)
 
 
 def test_functional_shape_is_enforced(scenario_2222):

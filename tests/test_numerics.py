@@ -41,7 +41,7 @@ from bellcalc import (
     noise_robustness,
 )
 from bellcalc import classical, numerics, violation
-from bellcalc.core import hermitian_part
+from bellcalc.core import EPS_FEAS, hermitian_part
 from bellcalc.numerics import (
     EQ,
     GE,
@@ -52,6 +52,7 @@ from bellcalc.numerics import (
     LinearProgram,
     _eigh_unchecked,
     _lapack_errors,
+    complete_povms,
     eigh,
     lp_solve,
     povm_update,
@@ -1187,6 +1188,43 @@ def test_eigh_rejects_non_hermitian():
     m = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValidationError):
         eigh(m)
+
+
+@pytest.mark.parametrize("scale, unit", [(1e-3, 1.0), (1.0, 1.0), (1e6, 1e6)],
+                         ids=["small entries", "unit entries", "large entries"])
+def test_eigh_and_povm_update_hold_one_hermitian_rule(scale, unit):
+    # the largest |M - M^dagger| entry over max(1, the largest |M| entry), held to EPS_FEAS
+    h = scale * np.array([[1.0, 0.5], [0.5, -1.0]], dtype=complex)
+    inside, outside = h.copy(), h.copy()
+    inside[0, 1] += 0.9 * EPS_FEAS * unit
+    outside[0, 1] += 1.1 * EPS_FEAS * unit
+    eigh(inside)
+    povm_update([inside, -inside, inside])
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        eigh(outside)
+    with pytest.raises(ValidationError, match="reduced operator 0 is not Hermitian"):
+        povm_update([outside, -outside, outside])
+
+
+@pytest.mark.parametrize("n_out", [2, 3])
+@pytest.mark.parametrize("mode", ["complete", "incomplete"])
+def test_povm_update_hermitizes_its_warm_start_once(mode, n_out):
+    # a warm start within the Hermitian slack gives the bits of its Hermitian part;
+    # the incomplete dummy, I - sum E, once added up three defects and failed eigh
+    rng = np.random.default_rng(23)
+    reduced = _random_reduced(rng, 2, n_out)
+    ws = np.array(random_povms(rng, 1, n_out, 2)[0]) * 0.9
+    ws[:, 0, 1] += 0.9 * EPS_FEAS
+    got = povm_update(reduced, mode, warm_start=ws)
+    want = povm_update(reduced, mode, warm_start=hermitian_part(ws))
+    assert got.operators.tobytes() == want.operators.tobytes()
+    assert (got.objective, got.iterations) == (want.objective, want.iterations)
+
+
+def test_complete_povms_spreads_what_the_inverse_square_root_drops():
+    # two copies of |0><0|: conjugated to |0><0| / 2 each, then |1><1| / 2 added to each
+    blocks = np.array([[np.diag([1.0, 0.0])] * 2], dtype=complex)
+    np.testing.assert_allclose(complete_povms(blocks)[0], [np.eye(2) / 2] * 2, atol=1e-15)
 
 
 def test_psd_project_properties(rng):

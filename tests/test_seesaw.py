@@ -13,7 +13,6 @@ from bellcalc import (
     QuantumModel,
     Scenario,
     SeesawConfig,
-    SolverError,
     ValidationError,
     behavior_from_quantum,
     bell_operator,
@@ -27,7 +26,8 @@ from bellcalc import (
     validate,
 )
 from bellcalc.numerics import random_povms
-from bellcalc.seesaw import MAX_JOINT_DIM, _random_model, pad_quantum_model
+from bellcalc.seesaw import (MAX_COEFF_SUM, MAX_JOINT_DIM, _random_model, _repaired,
+                             pad_quantum_model)
 
 from conftest import build_chsh_optimal_model, build_magic_square_model
 
@@ -244,6 +244,21 @@ def test_seesaw_joint_dimension_guard(chsh):
         seesaw(chsh, SeesawConfig(dim=dim, seeds=1))
 
 
+@pytest.mark.parametrize("functional, dim", [(chsh_functional(), 2),
+                                             (random_functional(2, 2, 3, 3, 1), 3)],
+                         ids=["chsh", "2x2x3x3"])
+def test_seesaw_scales_up_to_its_coefficient_bound(functional, dim):
+    scale = MAX_COEFF_SUM / np.abs(functional.coeffs).sum()
+    big = BellFunctional(functional.scenario, functional.coeffs * scale)
+    cfg = SeesawConfig(dim=dim, seeds=2)
+    with np.errstate(over="raise", invalid="raise"):  # no overflow inside the sweeps
+        value = seesaw(big, cfg).value / scale
+    assert value == pytest.approx(seesaw(functional, cfg).value, rel=1e-8)
+    past = BellFunctional(functional.scenario, functional.coeffs * (1.01 * scale))
+    with pytest.raises(ValidationError, match=r"sum \|T\| <= 1e\+150, this one has 1.01e\+150"):
+        seesaw(past, cfg)
+
+
 def test_seesaw_init_model_mismatches(chsh, chsh_optimal_model, magic_square_model):
     with pytest.raises(ValidationError):
         seesaw(chsh, SeesawConfig(dim=3, seeds=1), init_models=(chsh_optimal_model,))
@@ -262,20 +277,76 @@ def test_seesaw_rejects_an_invalid_init_model_before_sweeping(chsh, chsh_optimal
         seesaw(chsh, SeesawConfig(dim=2, seeds=1), init_models=(bad,))
 
 
-# SolverError: the see-saw's own final model is at fault, not the input
-@pytest.mark.xfail(strict=True, raises=SolverError,
-                   reason="known defect: povm_update spreads defect / n_out even when "
-                          "I - sum E is not PSD, so capped runs can end on POVM elements "
-                          "with negative eigenvalues")
+# povm_update's fixed point can end on POVM elements that are not PSD, as
+# this capped magic-square run does; the see-saw repairs such a run's final
+# model once and values the run from the repair
 def test_seesaw_capped_sweeps_return_valid_povms(magic_square):
-    seesaw(magic_square, SeesawConfig(dim=4, seeds=1, rng_seed=110, max_sweeps=3))
+    result = seesaw(magic_square, SeesawConfig(dim=4, seeds=1, rng_seed=110, max_sweeps=3))
+    assert validate(result.model) == ()
+    assert result.value == abs(pair(magic_square, behavior_from_quantum(result.model)))
 
 
 # The same defect in incomplete mode: the CLI's `quantum --dim 2 --seeds 5
-# --incomplete` on `gen random --na 3 --nb 3 --ma 3 --mb 3 --seed 4` exits 5 on it
-@pytest.mark.xfail(strict=True, raises=SolverError,
-                   reason="known defect: povm_update spreads defect / n_out even when "
-                          "I - sum E is not PSD; this incomplete run ends on bob POVM[2][0] "
-                          "at slack 9.08e-05")
+# --incomplete` on `gen random --na 3 --nb 3 --ma 3 --mb 3 --seed 4` exited 5 on it
 def test_seesaw_incomplete_returns_valid_povms():
-    seesaw(random_functional(3, 3, 3, 3, 4), SeesawConfig(dim=2, seeds=5, mode="incomplete"))
+    result = seesaw(random_functional(3, 3, 3, 3, 4),
+                    SeesawConfig(dim=2, seeds=5, mode="incomplete"))
+    assert validate(result.model) == ()
+
+
+# n outcomes at local dimension n, the paper's regime: these runs ended on a
+# non-PSD POVM, SolverError, before the final model was repaired
+@pytest.mark.parametrize("s", [2, 3, 5])
+def test_seesaw_repairs_the_final_model_at_three_outcomes(s):
+    functional = random_functional(2, 2, 3, 3, s)
+    result = seesaw(functional, SeesawConfig(dim=3, seeds=2, rng_seed=s))
+    assert validate(result.model) == ()
+    assert result.value == abs(pair(functional, behavior_from_quantum(result.model)))
+    assert result.value >= classical_value(functional) - 1e-9
+
+
+def test_seesaw_leaves_a_valid_final_model_alone(chsh, monkeypatch):
+    def no_repair(model):
+        pytest.fail("the see-saw repaired a model that validates")
+    monkeypatch.setattr(importlib.import_module("bellcalc.seesaw"), "_repaired", no_repair)
+    assert seesaw(chsh, SeesawConfig(dim=2, seeds=2)).value == pytest.approx(2.0 * ROOT2)
+
+
+@pytest.mark.parametrize("mode", ["complete", "incomplete"])
+def test_repaired_model_is_valid_and_keeps_the_state(rng, mode):
+    model = _random_model(rng, Scenario(2, 3, 3, 2), 3, mode)
+    # one element pushed below 0, and the sums pushed past I in incomplete mode
+    alice = np.array(model.alice_povms) * (1.0 if mode == "complete" else 1.2)
+    alice[0, 1] -= 0.05 * np.eye(3)
+    broken = QuantumModel(3, 3, model.state, alice, model.bob_povms, completeness=mode)
+    assert validate(broken) != ()
+    repaired = _repaired(broken)
+    assert validate(repaired) == ()
+    assert repaired.completeness == mode
+    assert repaired.state.tobytes() == model.state.tobytes()
+
+
+def test_repaired_incomplete_sum_is_shrunk_only_where_it_exceeds_identity():
+    # sum E = diag(1.5, 0.5): the first direction is cut to 1, the second kept
+    povms = np.array([[np.diag([1.0, 0.25]), np.diag([0.5, 0.25])]], dtype=complex)
+    state = np.eye(4) / 4
+    model = QuantumModel(2, 2, state, povms, povms, completeness="incomplete")
+    repaired = _repaired(model)
+    np.testing.assert_allclose(sum(repaired.alice_povms[0]), np.diag([1.0, 0.5]), atol=1e-15)
+    np.testing.assert_allclose(repaired.alice_povms[0, 0], np.diag([2.0 / 3.0, 0.25]),
+                               atol=1e-15)
+
+
+def test_seesaw_runs_from_an_init_model_within_the_hermitian_slack():
+    # validate() accepts a Hermitian defect up to EPS_FEAS; the incomplete
+    # dummy outcome's warm start, I - sum E, once tripled it past eigh's check
+    functional = random_functional(2, 2, 3, 3, 0)
+    model = _random_model(np.random.default_rng(0), functional.scenario, 2, "incomplete")
+    alice = np.array(model.alice_povms) * 0.9
+    alice[..., 0, 1] += 0.9e-9
+    model = QuantumModel(2, 2, model.state, alice, np.array(model.bob_povms) * 0.9,
+                         completeness="incomplete")
+    assert validate(model) == ()
+    result = seesaw(functional, SeesawConfig(dim=2, seeds=1, mode="incomplete"),
+                    init_models=(model,))
+    assert validate(result.model) == ()
