@@ -27,8 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    INCOMPLETE,
     Behavior,
     BellFunctional,
+    DeterministicStrategy,
     LocalModel,
     NoSignalingResult,
     Scenario,
@@ -36,7 +38,7 @@ from .core import (
     no_signaling_check,
     require_valid,
 )
-from .errors import SolverError, ValidationError
+from .errors import GuardExceededError, SolverError, ValidationError
 from .numerics import CsrMatrix, RestrictedMaster, best_columns
 from .polytope import ENUM_GUARD, check_guard, strategies_from_vertices, vertex_rows
 
@@ -152,6 +154,35 @@ def classical_value_incomplete(functional: BellFunctional) -> float:
     output with zero coefficients.
     """
     return classical_value(_pad_abstain(functional))
+
+
+def classical_value_for(functional: BellFunctional, mode: str) -> float:
+    """The classical value that a see-saw in ``mode`` is compared with."""
+    if mode == INCOMPLETE:
+        return classical_value_incomplete(functional)
+    return classical_value(functional)
+
+
+def classical_floor(functional: BellFunctional, mode: str,
+                    value: float) -> DeterministicStrategy | None:
+    """An optimal deterministic strategy when ``value`` is below
+    classical_value_for(functional, mode), else None.  It is the oracle's
+    best vertex on T or -T, abstain-padded in INCOMPLETE mode, where an
+    output equal to the scenario's output count abstains.  None, with
+    nothing enumerated, when the oracle's assignment count exceeds
+    ENUM_GUARD or its BELL_GUARD_LIMIT override."""
+    target = _pad_abstain(functional) if mode == INCOMPLETE else functional
+    scenario = target.scenario
+    try:
+        check_guard(scenario.alice_strategy_count() + scenario.bob_strategy_count(), ENUM_GUARD,
+                    "classical floor", "assignments")
+    except GuardExceededError:
+        return None
+    if not value < classical_value_for(functional, mode):
+        return None
+    vertices, values = max((best_response_vertices(sign * target.coeffs) for sign in (1.0, -1.0)),
+                           key=lambda found: found[1].max())
+    return strategies_from_vertices(scenario, vertices[[values.argmax()]])[0]
 
 
 def banach_norm(functional: BellFunctional) -> float:

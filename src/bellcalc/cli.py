@@ -3,11 +3,10 @@
 Every command reads JSON documents, computes, and prints exactly one
 JSON document to stdout at the end.  Output bytes are a pure function
 of the command line and input files, so identical invocations produce
-identical bytes.  Exit codes: 0 success, 2 parse or validation
-problem, 3 resource guard exceeded or memory exhausted, 4 the requested
-quantity is undefined for the input (for example nu of a signaling
-behavior), 5 a solver failed with no input at fault or an
-eigendecomposition did not finish.
+identical bytes.  Exit codes: 0 success, else the ``exit_code`` of the
+package error raised (see ``errors``); an eigendecomposition that does
+not finish exits as a SolverError, and exhausted memory as a
+GuardExceededError.
 """
 
 from __future__ import annotations
@@ -18,16 +17,10 @@ import sys
 import numpy as np
 
 from . import io as bio
-from .classical import banach_norm, classical_value, classical_value_incomplete, is_local
-from .errors import (
-    BellError,
-    DocumentError,
-    GuardExceededError,
-    ScenarioMismatchError,
-    SolverError,
-    UndefinedQuantityError,
-    ValidationError,
-)
+from .classical import (banach_norm, classical_value, classical_value_for,
+                        classical_value_incomplete, is_local)
+from .core import COMPLETE, INCOMPLETE
+from .errors import BellError, DocumentError, GuardExceededError, SolverError
 from .generators import (
     chsh_functional,
     game_functional,
@@ -43,21 +36,6 @@ from .violation import (
     max_violation,
     noise_robustness,
     violation_report,
-)
-
-PARSE_EXIT = 2
-GUARD_EXIT = 3
-UNDEFINED_EXIT = 4
-SOLVER_EXIT = 5
-
-# Exit code of each error class, most specific first; any other
-# BellError exits PARSE_EXIT.  An eigendecomposition that LAPACK cannot
-# finish, as on a functional whose Bell operator overflows, is a solver failure.
-EXIT_CODES = (
-    ((DocumentError, ValidationError, ScenarioMismatchError), PARSE_EXIT),
-    (GuardExceededError, GUARD_EXIT),
-    (UndefinedQuantityError, UNDEFINED_EXIT),
-    ((SolverError, np.linalg.LinAlgError), SOLVER_EXIT),
 )
 
 # eq4 "holds" when lhs >= rhs up to this slack, which absorbs the LP and
@@ -103,15 +81,11 @@ def _cmd_classical(args) -> dict:
 def _cmd_quantum(args) -> dict:
     functional, name = _load_functional(args.file)
     cfg = SeesawConfig(dim=args.dim, seeds=args.seeds, max_sweeps=args.sweeps, tol=args.tol,
-                       rng_seed=args.rng_seed, mode="incomplete" if args.incomplete else "complete")
+                       rng_seed=args.rng_seed, mode=INCOMPLETE if args.incomplete else COMPLETE)
     if args.emit_model is not None:  # fail before the see-saw, not after it
         bio.check_writable(args.emit_model)
     result = seesaw(functional, cfg)
-    denom = (
-        classical_value_incomplete(functional)
-        if cfg.mode == "incomplete"
-        else classical_value(functional)
-    )
+    denom = classical_value_for(functional, cfg.mode)
     provenance = f"bell quantum {name} " + _flags(args, "dim", "seeds", "sweeps", "tol",
                                                   "rng-seed", "incomplete")
     model_path = None
@@ -282,9 +256,10 @@ def main(argv=None) -> int:
             text = bio.dump_document(args.run(args))
     except (BellError, np.linalg.LinAlgError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return next((code for cls, code in EXIT_CODES if isinstance(e, cls)), PARSE_EXIT)
+        # LAPACK's LinAlgError is an eigendecomposition that did not finish
+        return e.exit_code if isinstance(e, BellError) else SolverError.exit_code
     except MemoryError as e:
         print("error: out of memory" + (f": {e}" if str(e) else ""), file=sys.stderr)
-        return GUARD_EXIT
+        return GuardExceededError.exit_code
     sys.stdout.write(text)
     return 0

@@ -1,13 +1,16 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto process exit codes, so the distinctions matter:
-validation/parse problems, resource guards, genuinely undefined
-quantities and solver failures are different failure modes.
+Each class declares, as ``exit_code``, the process exit code the CLI
+returns for it, so the distinctions matter: validation/parse problems,
+resource guards, genuinely undefined quantities and solver failures are
+different failure modes.
 """
 
 
 class BellError(Exception):
     """Base class for all package errors."""
+
+    exit_code = 2
 
 
 class ScenarioMismatchError(BellError):
@@ -38,9 +41,13 @@ class ValidationError(BellError):
 class GuardExceededError(BellError):
     """An enumeration or problem size exceeded its resource guard."""
 
+    exit_code = 3
+
 
 class UndefinedQuantityError(BellError):
     """The requested quantity is mathematically undefined for this input."""
+
+    exit_code = 4
 
 
 class SignalingBehaviorError(UndefinedQuantityError):
@@ -49,6 +56,8 @@ class SignalingBehaviorError(UndefinedQuantityError):
 
 class SolverError(BellError):
     """A solver ended without a certified optimum, with no input at fault."""
+
+    exit_code = 5
 
 
 class DocumentError(BellError):

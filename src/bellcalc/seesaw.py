@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .classical import classical_floor
 from .core import (
     BellFunctional,
     COMPLETE,
@@ -223,6 +224,22 @@ def _repaired(model: QuantumModel) -> QuantumModel:
                         repair(model.bob_povms), completeness=model.completeness)
 
 
+def _embedded(strategy, scenario, cfg: SeesawConfig) -> QuantumModel:
+    """A deterministic strategy at local dimension cfg.dim: the state |0><0| x |0><0|
+    and E_a^x = I on the output for input x, 0 on the others (and on every
+    output of an input whose output is the scenario's count, which abstains)."""
+    state = np.zeros((cfg.dim ** 2, cfg.dim ** 2))
+    state[0, 0] = 1.0
+
+    def povms(outputs, n_outputs):
+        chosen = np.arange(n_outputs) == np.array(outputs)[:, None]  # (inputs, outputs)
+        return chosen[:, :, None, None] * np.eye(cfg.dim)
+
+    return QuantumModel(cfg.dim, cfg.dim, state,
+                        povms(strategy.alice_outputs, scenario.n_outputs_a),
+                        povms(strategy.bob_outputs, scenario.n_outputs_b), completeness=cfg.mode)
+
+
 def _checked_value(functional: BellFunctional, model: QuantumModel) -> float:
     """<T, Q(model)> of a model the see-saw made; SolverError if it breaks an invariant."""
     try:
@@ -241,6 +258,11 @@ def seesaw(functional: BellFunctional, cfg: SeesawConfig,
     recomputed from the returned model, so the invariant
     value == |pair(T, behavior_from_quantum(model))| holds to 1e-9.
     A run that ends on invalid POVMs is valued from its _repaired model.
+    When the best run is below classical_value_for(T, cfg.mode), the
+    result is classical_floor's strategy, _embedded at cfg.dim, with
+    sweeps_used 0, an empty sweep_log and converged True; the runs'
+    per-seed values stay.  The floor is skipped where the classical
+    oracle exceeds its guard.
     A functional whose sum |T| exceeds MAX_COEFF_SUM (or is not finite) or
     an init model that breaks an invariant raises ValidationError; a
     returned model that would break one raises SolverError.
@@ -273,6 +295,9 @@ def seesaw(functional: BellFunctional, cfg: SeesawConfig,
                 best = run
         per_seed.append(seed_best)
     value, model, log, converged, sweeps = best
+    strategy = classical_floor(functional, cfg.mode, value)
+    if strategy is not None:  # the floor: no run reached the classical value
+        model, log, converged, sweeps = _embedded(strategy, scenario, cfg), (), True, 0
     return SeesawResult(abs(_checked_value(functional, model)), model, converged, sweeps,
                         tuple(per_seed), tuple(log))
 

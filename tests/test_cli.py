@@ -38,6 +38,7 @@ from bellcalc import (
     noise_robustness,
     pair,
 )
+from bellcalc import errors
 from bellcalc import io as bio
 from bellcalc import numerics, violation
 from bellcalc.cli import build_parser, main
@@ -230,6 +231,36 @@ def test_witness_non_finite_observation_exits_2_before_the_seesaw(capsys, chsh_f
                              "--max-dim", "3", "--seeds", "1")
     assert (code, out) == (2, "")
     assert err == f"error: observed value must be finite, got {float(observed)!r}\n"
+
+
+@pytest.fixture()
+def random_4433_file(tmp_path, capsys):
+    path = tmp_path / "random.json"
+    code, _, _ = run_cli(capsys, "gen", "random", "--na", "4", "--nb", "4", "--ma", "3",
+                         "--mb", "3", "--seed", "0", "-o", str(path))
+    assert code == 0
+    return str(path)
+
+
+# at d = 1 the quantum value is the classical value; these runs once reported
+# ratios 0.9432551901020153, 0.9432551901020136 and 0.9999999999978498
+@pytest.mark.parametrize("options", [
+    ("--dim", "1"),
+    ("--dim", "1", "--incomplete"),
+    ("--dim", "2", "--seeds", "5"),
+], ids=["d1", "d1-incomplete", "d2-5-seeds"])
+def test_quantum_never_reports_a_ratio_below_one(capsys, random_4433_file, options):
+    payload = run_json(capsys, "quantum", random_4433_file, *options)["payload"]
+    assert payload["ratio"] >= 1.0 - 1e-12
+
+
+def test_witness_does_not_mark_the_classical_dimension_exceeded(capsys, random_4433_file):
+    # classical value 12.886: an observed 12.5 is reachable at d = 1, where the
+    # see-saw alone once reported 12.155, marked d = 1 exceeded and warned
+    payload = run_json(capsys, "witness", random_4433_file, "--observed", "12.5",
+                       "--max-dim", "1")["payload"]
+    assert payload["entries"][0]["exceeded"] is False
+    assert payload["warning"] is None
 
 
 def test_gen_game(tmp_path, capsys):
@@ -591,6 +622,28 @@ def test_membership_out_of_memory_exits_3(capsys, chsh_optimal_file, monkeypatch
     assert (code, out) == (3, "")
     assert err == "error: out of memory: std::bad_alloc\n"
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("error, code", [
+    (errors.BellError("boom"), 2),
+    (errors.DocumentError("boom"), 2),
+    (errors.ValidationError("boom"), 2),
+    (errors.ScenarioMismatchError("boom"), 2),
+    (errors.GuardExceededError("boom"), 3),
+    (errors.UndefinedQuantityError("boom"), 4),
+    (errors.SignalingBehaviorError("boom"), 4),
+    (errors.SolverError("boom"), 5),
+    (np.linalg.LinAlgError("boom"), 5),
+    (MemoryError("boom"), 3),
+], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None)
+def test_each_error_exits_with_its_code(capsys, chsh_file, monkeypatch, error, code):
+    def fail(functional):
+        raise error
+    monkeypatch.setattr(importlib.import_module("bellcalc.cli"), "classical_value", fail)
+    got, out, err = run_cli(capsys, "classical", chsh_file)
+    assert (got, out) == (code, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.count("error:") == 1
 
 
 def test_capped_seesaw_exits_0_or_5(tmp_path, capsys):

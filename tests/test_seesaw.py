@@ -25,6 +25,8 @@ from bellcalc import (
     seesaw,
     validate,
 )
+from bellcalc.classical import classical_floor, classical_value_for
+from bellcalc.core import COMPLETE, INCOMPLETE, DeterministicStrategy
 from bellcalc.numerics import random_povms
 from bellcalc.seesaw import (MAX_COEFF_SUM, MAX_JOINT_DIM, _random_model, _repaired,
                              pad_quantum_model)
@@ -350,3 +352,84 @@ def test_seesaw_runs_from_an_init_model_within_the_hermitian_slack():
     result = seesaw(functional, SeesawConfig(dim=2, seeds=1, mode="incomplete"),
                     init_models=(model,))
     assert validate(result.model) == ()
+
+
+# At d = 1 the quantum value is the classical value, yet the d = 1 runs of
+# these 4x4x3x3 functionals ended up to 29% below it (complete-mode ratios
+# 0.766, 0.713, 0.912, 0.891, 1 - 2.5e-12, 0.762) before the see-saw had a floor
+@pytest.mark.parametrize("mode", [COMPLETE, INCOMPLETE])
+@pytest.mark.parametrize("s", range(6))
+def test_seesaw_never_reports_below_the_classical_value(s, mode):
+    functional = random_functional(4, 4, 3, 3, s)
+    result = seesaw(functional, SeesawConfig(dim=1, seeds=4, rng_seed=0, mode=mode))
+    assert result.value >= classical_value_for(functional, mode) * (1.0 - 1e-12)
+    assert validate(result.model) == ()
+    assert result.value == abs(pair(functional, behavior_from_quantum(result.model)))
+
+
+@pytest.mark.parametrize("mode", [COMPLETE, INCOMPLETE])
+def test_the_floor_reports_the_embedded_strategy_and_keeps_the_runs(mode, monkeypatch):
+    functional = random_functional(4, 4, 3, 3, 0)
+    cfg = SeesawConfig(dim=1, seeds=4, rng_seed=0, mode=mode)
+    seesaw_module = importlib.import_module("bellcalc.seesaw")
+    povm_calls = []
+    real_update = seesaw_module.povm_update
+
+    def counted(*args, **kwargs):
+        povm_calls.append(None)
+        return real_update(*args, **kwargs)
+
+    monkeypatch.setattr(seesaw_module, "povm_update", counted)
+    monkeypatch.setenv("BELL_GUARD_LIMIT", "1")  # the oracle's 2 * 3^4 assignments exceed it
+    skipped = seesaw(functional, cfg)
+    calls = len(povm_calls)
+    monkeypatch.delenv("BELL_GUARD_LIMIT")
+    floored = seesaw(functional, cfg)
+    classical = classical_value_for(functional, mode)
+    assert skipped.value < classical and skipped.sweeps_used >= 1
+    assert len(povm_calls) == 2 * calls  # the floor runs no povm_update
+    assert floored.value >= classical * (1.0 - 1e-12)
+    assert (floored.sweeps_used, floored.sweep_log, floored.converged) == (0, (), True)
+    assert floored.per_seed_values == skipped.per_seed_values
+    assert floored.model.state.tolist() == [[1.0]]
+    for povms in (floored.model.alice_povms, floored.model.bob_povms):
+        assert set(povms.ravel().tolist()) <= {0.0, 1.0}
+    assert floored.model.completeness == mode
+
+
+def test_the_floor_is_skipped_when_the_guard_cannot_be_read(monkeypatch):
+    functional = random_functional(4, 4, 3, 3, 0)
+    monkeypatch.setenv("BELL_GUARD_LIMIT", "lots")
+    result = seesaw(functional, SeesawConfig(dim=1, seeds=4))
+    monkeypatch.delenv("BELL_GUARD_LIMIT")
+    assert result.sweeps_used >= 1
+    assert result.value < classical_value(functional)
+
+
+def test_the_incomplete_floor_abstains_where_every_output_loses():
+    # Alice's input 1 costs 1 whatever she outputs, so the best subnormalized
+    # strategy abstains there: value 10 against the classical 9
+    coeffs = np.array([[[[10.0], [0.0]]], [[[-1.0], [-1.0]]]])
+    functional = BellFunctional(Scenario(2, 1, 2, 1), coeffs)
+    assert classical_floor(functional, COMPLETE, 9.0) is None
+    assert classical_floor(functional, COMPLETE, 8.0) == DeterministicStrategy((0, 0), (0,))
+    assert classical_floor(functional, INCOMPLETE, 9.0) == DeterministicStrategy((0, 2), (0,))
+    seesaw_module = importlib.import_module("bellcalc.seesaw")
+    strategy = classical_floor(functional, INCOMPLETE, 0.0)
+    model = seesaw_module._embedded(strategy, functional.scenario,
+                                    SeesawConfig(dim=2, mode=INCOMPLETE))
+    assert validate(model) == ()
+    state = np.zeros((4, 4))
+    state[0, 0] = 1.0
+    np.testing.assert_array_equal(model.state, state)
+    np.testing.assert_array_equal(model.alice_povms[0], [np.eye(2), np.zeros((2, 2))])
+    np.testing.assert_array_equal(model.alice_povms[1], np.zeros((2, 2, 2)))
+    np.testing.assert_array_equal(model.bob_povms, [[np.eye(2)]])
+    assert pair(functional, behavior_from_quantum(model)) == 10.0
+
+
+def test_the_floor_takes_the_sign_of_the_larger_extreme():
+    # max <T, D> is 1 and min is -3: the floor's strategy attains -3
+    coeffs = np.array([[[[1.0], [-3.0]]]])
+    functional = BellFunctional(Scenario(1, 1, 2, 1), coeffs)
+    assert classical_floor(functional, COMPLETE, 2.0) == DeterministicStrategy((1,), (0,))
