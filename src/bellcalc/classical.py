@@ -30,9 +30,9 @@ from .core import (
     INCOMPLETE,
     Behavior,
     BellFunctional,
-    DeterministicStrategy,
     LocalModel,
     NoSignalingResult,
+    QuantumModel,
     Scenario,
     behavior_from_local,
     no_signaling_check,
@@ -40,7 +40,7 @@ from .core import (
 )
 from .errors import GuardExceededError, SolverError, ValidationError
 from .numerics import CsrMatrix, RestrictedMaster, best_columns
-from .polytope import ENUM_GUARD, check_guard, strategies_from_vertices, vertex_rows
+from .polytope import ENUM_GUARD, assignment_table, check_guard, strategies_from_vertices, vertex_rows
 
 # A behavior reproduced by vertex weights to within this max-norm error
 # counts as local.  Margins within BOUNDARY_BAND above that tolerance get
@@ -157,32 +157,34 @@ def classical_value_incomplete(functional: BellFunctional) -> float:
 
 
 def classical_value_for(functional: BellFunctional, mode: str) -> float:
-    """The classical value that a see-saw in ``mode`` is compared with."""
+    """The classical value of a see-saw's mode: the denominator of its ratio."""
     if mode == INCOMPLETE:
         return classical_value_incomplete(functional)
     return classical_value(functional)
 
 
-def classical_floor(functional: BellFunctional, mode: str,
-                    value: float) -> DeterministicStrategy | None:
-    """An optimal deterministic strategy when ``value`` is below
-    classical_value_for(functional, mode), else None.  It is the oracle's
-    best vertex on T or -T, abstain-padded in INCOMPLETE mode, where an
-    output equal to the scenario's output count abstains.  None, with
-    nothing enumerated, when the oracle's assignment count exceeds
-    ENUM_GUARD or its BELL_GUARD_LIMIT override."""
+def classical_floor(functional: BellFunctional, mode: str) -> QuantumModel | None:
+    """The oracle's optimal deterministic strategy as a d = 1 QuantumModel in
+    ``mode``: state [[1]], element 1 on each input's chosen output and 0 on the
+    others, all 0 on an input where the abstain-padded optimum (INCOMPLETE mode)
+    abstains.  It is the oracle's best vertex on T or -T.  None, with nothing
+    enumerated, when the oracle's assignment count exceeds ENUM_GUARD or its
+    BELL_GUARD_LIMIT override."""
     target = _pad_abstain(functional) if mode == INCOMPLETE else functional
-    scenario = target.scenario
+    na, nb, ma, mb = target.scenario.shape
     try:
-        check_guard(scenario.alice_strategy_count() + scenario.bob_strategy_count(), ENUM_GUARD,
-                    "classical floor", "assignments")
+        check_guard(ma ** na + mb ** nb, ENUM_GUARD, "classical floor", "assignments")
     except GuardExceededError:
-        return None
-    if not value < classical_value_for(functional, mode):
         return None
     vertices, values = max((best_response_vertices(sign * target.coeffs) for sign in (1.0, -1.0)),
                            key=lambda found: found[1].max())
-    return strategies_from_vertices(scenario, vertices[[values.argmax()]])[0]
+    alice, bob = divmod(int(vertices[values.argmax()]), mb ** nb)
+
+    def povms(assignment, n_inputs, n_outputs, kept):  # (inputs, kept, 1, 1), one-hot
+        return np.eye(n_outputs)[assignment_table(assignment, n_inputs, n_outputs), :kept, None, None]
+
+    return QuantumModel(1, 1, [[1.0]], povms(alice, na, ma, functional.scenario.n_outputs_a),
+                        povms(bob, nb, mb, functional.scenario.n_outputs_b), completeness=mode)
 
 
 def banach_norm(functional: BellFunctional) -> float:

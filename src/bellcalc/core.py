@@ -49,6 +49,14 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
+def checked_int(value, what: str, low: int) -> int:
+    """``value`` as an int when it is an int or numpy integer, never a bool, and
+    at least ``low``; ValidationError naming ``what`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValidationError(f"{what} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Input/output counts for the two parties.  All counts >= 1."""
@@ -60,10 +68,7 @@ class Scenario:
 
     def __post_init__(self):
         for name in ("n_inputs_a", "n_inputs_b", "n_outputs_a", "n_outputs_b"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
-                raise ValidationError(f"scenario field {name} must be an integer >= 1, got {v!r}")
-            object.__setattr__(self, name, int(v))
+            object.__setattr__(self, name, checked_int(getattr(self, name), f"scenario field {name}", 1))
 
     @property
     def shape(self) -> tuple[int, int, int, int]:

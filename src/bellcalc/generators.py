@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import BellFunctional, Scenario
+from .core import BellFunctional, Scenario, checked_int
 from .errors import ValidationError
 
 
@@ -74,14 +74,14 @@ def random_functional(n_inputs_a: int, n_inputs_b: int, n_outputs_a: int,
                       n_outputs_b: int, seed: int) -> BellFunctional:
     """I.i.d. standard normal coefficients from a fixed seed."""
     s = Scenario(n_inputs_a, n_inputs_b, n_outputs_a, n_outputs_b)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(checked_int(seed, "seed", 0))
     return BellFunctional(s, rng.standard_normal(s.shape))
 
 
 def random_correlation_functional(n_inputs: int, seed: int) -> BellFunctional:
     """Two-outcome correlation-type coefficients s_xy * (-1)^(a+b), s_xy = +-1."""
     s = Scenario(n_inputs, n_inputs, 2, 2)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(checked_int(seed, "seed", 0))
     signs = rng.choice([-1.0, 1.0], size=(n_inputs, n_inputs))
     a, b = np.ogrid[0:2, 0:2]
     parity = np.where((a + b) % 2 == 0, 1.0, -1.0)

@@ -26,6 +26,7 @@ from .core import (
     INCOMPLETE,
     QuantumModel,
     behavior_from_quantum,
+    checked_int,
     hermitian_part,
     pair,
     require_valid,
@@ -59,12 +60,8 @@ class SeesawConfig:
     mode: str = COMPLETE
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValidationError("dim must be >= 1")
-        if self.seeds < 1:
-            raise ValidationError("seeds must be >= 1")
-        if self.max_sweeps < 1:
-            raise ValidationError("max_sweeps must be >= 1")
+        for name, low in (("dim", 1), ("seeds", 1), ("max_sweeps", 1), ("rng_seed", 0)):
+            object.__setattr__(self, name, checked_int(getattr(self, name), name, low))
         if not (self.tol > 0.0):
             raise ValidationError("tol must be positive")
         if self.mode not in (COMPLETE, INCOMPLETE):
@@ -77,9 +74,9 @@ class SeesawConfig:
 
 @dataclass(frozen=True, eq=False)
 class SeesawResult:
-    """Best model over all seeds and both signs, with its recomputed
-    value |<T, Q(model)>|, the winning run's monotone sweep log, and the
-    per-seed best values.
+    """Best model over all seeds and both signs, or the padded classical floor
+    when it beats them, with its recomputed value |<T, Q(model)>|, the winning
+    run's monotone sweep log (empty for the floor), and the per-seed best values.
     """
 
     value: float
@@ -224,22 +221,6 @@ def _repaired(model: QuantumModel) -> QuantumModel:
                         repair(model.bob_povms), completeness=model.completeness)
 
 
-def _embedded(strategy, scenario, cfg: SeesawConfig) -> QuantumModel:
-    """A deterministic strategy at local dimension cfg.dim: the state |0><0| x |0><0|
-    and E_a^x = I on the output for input x, 0 on the others (and on every
-    output of an input whose output is the scenario's count, which abstains)."""
-    state = np.zeros((cfg.dim ** 2, cfg.dim ** 2))
-    state[0, 0] = 1.0
-
-    def povms(outputs, n_outputs):
-        chosen = np.arange(n_outputs) == np.array(outputs)[:, None]  # (inputs, outputs)
-        return chosen[:, :, None, None] * np.eye(cfg.dim)
-
-    return QuantumModel(cfg.dim, cfg.dim, state,
-                        povms(strategy.alice_outputs, scenario.n_outputs_a),
-                        povms(strategy.bob_outputs, scenario.n_outputs_b), completeness=cfg.mode)
-
-
 def _checked_value(functional: BellFunctional, model: QuantumModel) -> float:
     """<T, Q(model)> of a model the see-saw made; SolverError if it breaks an invariant."""
     try:
@@ -258,11 +239,11 @@ def seesaw(functional: BellFunctional, cfg: SeesawConfig,
     recomputed from the returned model, so the invariant
     value == |pair(T, behavior_from_quantum(model))| holds to 1e-9.
     A run that ends on invalid POVMs is valued from its _repaired model.
-    When the best run is below classical_value_for(T, cfg.mode), the
-    result is classical_floor's strategy, _embedded at cfg.dim, with
-    sweeps_used 0, an empty sweep_log and converged True; the runs'
-    per-seed values stay.  The floor is skipped where the classical
-    oracle exceeds its guard.
+    The floor is classical_floor's d = 1 model, padded to cfg.dim by
+    pad_quantum_model and valued like a run's; when its value is strictly
+    above the best run's, it is the result, with sweeps_used 0, an empty
+    sweep_log and converged True, and the runs' per-seed values stay.
+    The floor is skipped where the classical oracle exceeds its guard.
     A functional whose sum |T| exceeds MAX_COEFF_SUM (or is not finite) or
     an init model that breaks an invariant raises ValidationError; a
     returned model that would break one raises SolverError.
@@ -295,9 +276,11 @@ def seesaw(functional: BellFunctional, cfg: SeesawConfig,
                 best = run
         per_seed.append(seed_best)
     value, model, log, converged, sweeps = best
-    strategy = classical_floor(functional, cfg.mode, value)
-    if strategy is not None:  # the floor: no run reached the classical value
-        model, log, converged, sweeps = _embedded(strategy, scenario, cfg), (), True, 0
+    floor = classical_floor(functional, cfg.mode)
+    if floor is not None:  # one more candidate, kept only when it beats every run
+        floor = pad_quantum_model(floor, cfg.dim)
+        if abs(_checked_value(functional, floor)) > value:
+            model, log, converged, sweeps = floor, (), True, 0
     return SeesawResult(abs(_checked_value(functional, model)), model, converged, sweeps,
                         tuple(per_seed), tuple(log))
 

@@ -665,6 +665,20 @@ def test_bad_dim_exits_2(capsys, chsh_file):
     assert "dim" in err
 
 
+# numpy once rejected these seeds itself, a ValueError traceback with exit 1
+@pytest.mark.parametrize("args", [
+    ("quantum", "{chsh}", "--dim", "1", "--seeds", "1", "--rng-seed", "-1"),
+    ("witness", "{chsh}", "--observed", "2", "--max-dim", "1", "--seeds", "1", "--rng-seed", "-1"),
+    ("eq4", "{chsh}", "--dim", "1", "--seeds", "1", "--rng-seed", "-1"),
+    ("gen", "random", "--seed", "-1"),
+], ids=["quantum", "witness", "eq4", "gen-random"])
+def test_negative_seeds_exit_2(capsys, chsh_file, args):
+    code, out, err = run_cli(capsys, *(a.format(chsh=chsh_file) for a in args))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "seed must be an integer >= 0, got -1" in err
+
+
 def test_argparse_usage_error_exits_2(capsys, chsh_file):
     with pytest.raises(SystemExit) as exc:
         main(["quantum", chsh_file])  # missing required --dim

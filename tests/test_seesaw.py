@@ -18,15 +18,17 @@ from bellcalc import (
     bell_operator,
     chsh_functional,
     classical_value,
+    dimension_witness_report,
     magic_square_functional,
     pair,
+    random_correlation_functional,
     random_functional,
     reduced_operators,
     seesaw,
     validate,
 )
 from bellcalc.classical import classical_floor, classical_value_for
-from bellcalc.core import COMPLETE, INCOMPLETE, DeterministicStrategy
+from bellcalc.core import COMPLETE, INCOMPLETE
 from bellcalc.numerics import random_povms
 from bellcalc.seesaw import (MAX_COEFF_SUM, MAX_JOINT_DIM, _random_model, _repaired,
                              pad_quantum_model)
@@ -233,11 +235,26 @@ def test_pad_quantum_model_rejects_shrinking(chsh_optimal_model):
         {"dim": 2, "max_sweeps": 0},
         {"dim": 2, "tol": 0.0},
         {"dim": 2, "mode": "sometimes"},
+        # counts follow Scenario's integer rule; each of these once failed partway
+        # through a run with TypeError, or in numpy with ValueError
+        {"dim": 2, "seeds": 2.5},
+        {"dim": True},
+        {"dim": 2, "max_sweeps": 3.5},
+        {"dim": 2, "rng_seed": 1.5},
+        {"dim": 2, "rng_seed": -1},
     ],
 )
 def test_seesaw_config_validation(kwargs):
     with pytest.raises(ValidationError):
         SeesawConfig(**kwargs)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+def test_generator_seeds_follow_the_integer_rule(seed):
+    with pytest.raises(ValidationError, match="seed must be an integer >= 0"):
+        random_functional(2, 2, 2, 2, seed)
+    with pytest.raises(ValidationError, match="seed must be an integer >= 0"):
+        random_correlation_functional(2, seed)
 
 
 def test_seesaw_joint_dimension_guard(chsh):
@@ -411,25 +428,48 @@ def test_the_incomplete_floor_abstains_where_every_output_loses():
     # strategy abstains there: value 10 against the classical 9
     coeffs = np.array([[[[10.0], [0.0]]], [[[-1.0], [-1.0]]]])
     functional = BellFunctional(Scenario(2, 1, 2, 1), coeffs)
-    assert classical_floor(functional, COMPLETE, 9.0) is None
-    assert classical_floor(functional, COMPLETE, 8.0) == DeterministicStrategy((0, 0), (0,))
-    assert classical_floor(functional, INCOMPLETE, 9.0) == DeterministicStrategy((0, 2), (0,))
-    seesaw_module = importlib.import_module("bellcalc.seesaw")
-    strategy = classical_floor(functional, INCOMPLETE, 0.0)
-    model = seesaw_module._embedded(strategy, functional.scenario,
-                                    SeesawConfig(dim=2, mode=INCOMPLETE))
-    assert validate(model) == ()
-    state = np.zeros((4, 4))
-    state[0, 0] = 1.0
-    np.testing.assert_array_equal(model.state, state)
-    np.testing.assert_array_equal(model.alice_povms[0], [np.eye(2), np.zeros((2, 2))])
-    np.testing.assert_array_equal(model.alice_povms[1], np.zeros((2, 2, 2)))
-    np.testing.assert_array_equal(model.bob_povms, [[np.eye(2)]])
+    complete = classical_floor(functional, COMPLETE)
+    assert pair(functional, behavior_from_quantum(complete)) == 9.0
+    np.testing.assert_array_equal(complete.alice_povms[..., 0, 0], [[1, 0], [1, 0]])  # (0, 0)
+    np.testing.assert_array_equal(complete.bob_povms[..., 0, 0], [[1]])  # (0,)
+    model = classical_floor(functional, INCOMPLETE)
+    assert (model.dim_a, model.dim_b, model.completeness) == (1, 1, INCOMPLETE)
+    np.testing.assert_array_equal(model.state, [[1.0]])
+    np.testing.assert_array_equal(model.alice_povms[..., 0, 0], [[1, 0], [0, 0]])
+    np.testing.assert_array_equal(model.bob_povms[..., 0, 0], [[1]])
     assert pair(functional, behavior_from_quantum(model)) == 10.0
+    padded = pad_quantum_model(model, 2)
+    assert validate(padded) == ()
+    assert pair(functional, behavior_from_quantum(padded)) == 10.0
 
 
 def test_the_floor_takes_the_sign_of_the_larger_extreme():
     # max <T, D> is 1 and min is -3: the floor's strategy attains -3
     coeffs = np.array([[[[1.0], [-3.0]]]])
     functional = BellFunctional(Scenario(1, 1, 2, 1), coeffs)
-    assert classical_floor(functional, COMPLETE, 2.0) == DeterministicStrategy((1,), (0,))
+    model = classical_floor(functional, COMPLETE)
+    np.testing.assert_array_equal(model.alice_povms[..., 0, 0], [[0, 1]])  # output 1
+    assert pair(functional, behavior_from_quantum(model)) == -3.0
+
+
+@pytest.mark.parametrize("mode", [COMPLETE, INCOMPLETE])
+def test_the_floor_is_the_padded_d1_model(mode):
+    functional = random_functional(4, 4, 3, 3, 0)
+    low = classical_floor(functional, mode)
+    result = seesaw(functional, SeesawConfig(dim=2, seeds=1, mode=mode))
+    assert result.sweeps_used == 0
+    expected = pad_quantum_model(low, 2)
+    for name in ("state", "alice_povms", "bob_povms"):
+        assert getattr(result.model, name).tobytes() == getattr(expected, name).tobytes()
+    # padding keeps the model valid and its behavior byte for byte
+    high = pad_quantum_model(low, 3)
+    assert validate(high) == ()
+    assert behavior_from_quantum(high).probs.tobytes() == behavior_from_quantum(low).probs.tobytes()
+
+
+@pytest.mark.parametrize("s", range(6))
+def test_witness_rows_from_the_floor_are_nondecreasing(s):
+    report = dimension_witness_report(random_functional(4, 4, 3, 3, s), 1.0, 2,
+                                      SeesawConfig(dim=1, seeds=1))
+    values = [e.best_value for e in report.entries]
+    assert values[1] >= values[0]
